@@ -8,21 +8,23 @@ constant fill.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .model import Corner
 
 Cell = tuple[int, int]
 
-# below this many blocks the handwritten augmenting-path search beats the
-# cost of assembling a sparse matrix for scipy
+# Backend switch, measured on a 2-core Xeon VM: scipy's maximum_flow costs
+# 0.3-0.5 ms a call even on a 5-node network, the Python search 10-30 us;
+# but the Python search grows quadratically, taking 3.6 s against scipy's
+# 12 ms on the nu = 2 subproblem of a 320x320 two-one-heavy block phantom
+# (5006 blocks) and 97 s against 48 ms at 640x640.
 _SCIPY_THRESHOLD = 64
 
 
@@ -40,14 +42,6 @@ class SubInstance:
     I: frozenset[Corner]
     pair_row_sums: dict[int, tuple[int, int]]
     pair_col_sums: dict[int, tuple[int, int]]
-
-    def rho(self, j: int) -> int:
-        """Blocks of I in the horizontal strip with corner row j."""
-        return self.rho_map().get(j, 0)
-
-    def sigma(self, i: int) -> int:
-        """Blocks of I in the vertical strip with corner column i."""
-        return self.sigma_map().get(i, 0)
 
     def rho_map(self) -> dict[int, int]:
         return Counter(j for _, j in self.I)
@@ -67,9 +61,6 @@ class PartialImage:
         for dx in (0, 1):
             for dy in (0, 1):
                 self.bits[(i + dx, j + dy)] = 1 if (dx, dy) in ones else 0
-
-    def merge(self, other: "PartialImage") -> None:
-        self.bits.update(other.bits)
 
 
 @dataclass(frozen=True)
@@ -125,9 +116,9 @@ def _max_flow_python(net: FlowNetwork) -> dict[tuple[int, int], int]:
     flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
     while True:
         prev: dict[int, int] = {net.source: net.source}
-        queue = [net.source]
+        queue = deque([net.source])
         while queue and net.sink not in prev:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
                     prev[v] = u
@@ -150,9 +141,8 @@ def _max_flow_scipy(net: FlowNetwork) -> dict[tuple[int, int], int]:
     vs = np.fromiter((a[1] for a in net.arcs), dtype=np.int32)
     cs = np.fromiter((a[2] for a in net.arcs), dtype=np.int32)
     graph = csr_matrix((cs, (us, vs)), shape=(net.size, net.size))
-    result = maximum_flow(graph, net.source, net.sink)
-    res = result.flow
-    return {(u, v): int(res[u, v]) for u, v, _ in net.arcs}
+    flows = np.asarray(maximum_flow(graph, net.source, net.sink).flow[us, vs]).ravel()
+    return dict(zip(zip(us.tolist(), vs.tolist()), flows.tolist()))
 
 
 def solve_two_color(sys: TwoColorSystem) -> Optional[tuple[set[Corner], set[Corner]]]:
@@ -321,46 +311,48 @@ def solve_dr2(sub: SubInstance) -> Optional[PartialImage]:
 def unique_dr2(sub: SubInstance, sol: PartialImage) -> bool:
     """True iff no other coloring meets the same strip targets.
 
-    Runs a min-cost max-flow whose unit costs sit exactly on the
-    strip-to-block arcs the given solution uses; the minimum equals the
-    number of colored blocks only when every feasible coloring reuses
-    those arcs, which pins the coloring.
+    The coloring read from sol (zeta = bottom pair, eta = left pair, any
+    other block uncolored) is a unit flow on the FlowNetwork that must
+    saturate every source arc.  Every other coloring is a flow of the
+    same value, so it differs from this one by a circulation; one exists
+    iff the residual graph of this flow has a directed cycle (Ahuja,
+    Magnanti and Orlin, Network Flows, 1993), that is, iff some strong
+    component of the residual graph has more than one node.
     """
     assert sub.nu == 2
     sys = _two_color_system(sub)
     if sys is None:
         raise ValueError("solution given for an infeasible subproblem")
     net = FlowNetwork(sys)
-    if net.demand == 0:
-        return True
-    used: set[tuple[int, int]] = set()
-    labeled = 0
-    for i, j in sub.I:
+    flow: Counter[tuple[int, int]] = Counter()
+    for (i, j), node in net.block_node.items():
         block_ones = {
             (dx, dy)
             for dx in (0, 1)
             for dy in (0, 1)
             if sol.bits.get((i + dx, j + dy))
         }
-        node = net.block_node[(i, j)]
         if block_ones == _BOTTOM_PAIR:
-            used.add((net.row_node[j], node))
-            labeled += 1
+            strip = net.row_node[j]
         elif block_ones == _LEFT_PAIR:
-            used.add((net.col_node[i], node))
-            labeled += 1
-
-    g = nx.DiGraph()
+            strip = net.col_node[i]
+        else:
+            continue
+        flow[(net.source, strip)] += 1
+        flow[(strip, node)] = flow[(node, net.sink)] = 1
+    residual = []
     for u, v, c in net.arcs:
-        g.add_edge(u, v, capacity=c, weight=1 if (u, v) in used else 0)
-    flow_dict = nx.max_flow_min_cost(g, net.source, net.sink)
-    value = sum(flow_dict[net.source].values())
-    if value < net.demand:
-        raise ValueError("solution given for an infeasible subproblem")
-    cost = sum(
-        flow * g[u][v]["weight"] for u, nbrs in flow_dict.items() for v, flow in nbrs.items()
-    )
-    return cost == labeled
+        f = flow[(u, v)]
+        if u == net.source and f != c:
+            raise ValueError("solution misses the strip targets of its subproblem")
+        if f < c:
+            residual.append((u, v))
+        if f > 0:
+            residual.append((v, u))
+    us, vs = np.array(residual, dtype=np.int32).reshape(-1, 2).T
+    graph = csr_matrix((np.ones(len(us)), (us, vs)), shape=(net.size, net.size))
+    components, _ = connected_components(graph, directed=True, connection="strong")
+    return components == net.size
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Exact solver pipeline: properization, strip cases, solving, uniqueness."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from drtomo.model import (
     BinaryImage,
+    BlockType,
     Instance,
     make_exact_instance,
     random_image,
@@ -28,6 +30,7 @@ from drtomo.solver import (
 from drtomo.switches import find_switch
 
 from conftest import single_block_instance
+from test_switches import image_of_types
 
 
 class TestProperize:
@@ -221,3 +224,23 @@ class TestCheckUnique:
             count, exhausted = oracle_count(inst, budget)
             want = count == 1 if exhausted else False
             assert check_unique(inst) == want
+
+    @pytest.mark.parametrize("side", [6, 8, 10])
+    def test_matches_oracle_on_two_one_heavy_phantoms(self, side):
+        # many two-one blocks, so check_unique reaches the nu = 2 flow test on
+        # most instances; both verdicts occur at every side
+        tiles = [BlockType[t] for t in "B1 B2 B31 B32 B33 B34 EMPTY A11 C22 FULL".split()]
+        weights = [1, 0.3, 1, 0.3, 1, 0.3, 6, 2, 2, 6]
+        corners = [(i, j) for i in range(1, side, 2) for j in range(1, side, 2)]
+        rng = random.Random(side)
+        budget = SearchBudget(max_solutions=2)
+        verdicts = Counter()
+        for _ in range(200):
+            types = dict(zip(corners, rng.choices(tiles, weights, k=len(corners))))
+            inst = make_exact_instance(image_of_types(types, side, side), 2)
+            count, exhausted = oracle_count(inst, budget)
+            assert exhausted or count == 2
+            verdict = check_unique(inst)
+            assert verdict == (exhausted and count == 1)
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]

@@ -1,14 +1,24 @@
 """Per-value subproblem solvers, checked against brute-force enumeration."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import drtomo
 from drtomo.subsolvers import (
+    _SCIPY_THRESHOLD,
+    FlowNetwork,
     PartialImage,
     SubInstance,
     TwoColorSystem,
+    _max_flow_python,
+    _max_flow_scipy,
     fill_trivial,
     solve_dr1,
     solve_dr2,
@@ -76,6 +86,52 @@ class TestTwoColor:
     def test_negative_target_infeasible(self):
         sys = TwoColorSystem(I=frozenset({(1, 1)}), row_targets={1: -1}, col_targets={})
         assert solve_two_color(sys) is None
+
+
+def random_two_color_system(rng, n_blocks):
+    """Targets from a random coloring (feasible) or, a third of the time, random."""
+    corners = rng.sample([(i, j) for i in range(1, 33, 2) for j in range(1, 33, 2)], n_blocks)
+    colors = {c: rng.choice("zen") for c in corners}
+    rows = Counter({j: 0 for _, j in corners})
+    cols = Counter({i: 0 for i, _ in corners})
+    for (i, j), color in colors.items():
+        rows[j] += color == "z"
+        cols[i] += color == "e"
+    if rng.random() < 1 / 3:
+        rows = {j: rng.randint(0, n) for j, n in Counter(j for _, j in corners).items()}
+        cols = {i: rng.randint(0, n) for i, n in Counter(i for i, _ in corners).items()}
+    return TwoColorSystem(I=frozenset(corners), row_targets=dict(rows), col_targets=dict(cols))
+
+
+class TestFlowBackends:
+    def test_backends_agree_and_meet_targets(self):
+        rng = random.Random(5)
+        verdicts = Counter()
+        for trial in range(120):
+            large = trial % 2 == 1
+            lo, hi = (_SCIPY_THRESHOLD, 3 * _SCIPY_THRESHOLD) if large else (1, _SCIPY_THRESHOLD - 1)
+            system = random_two_color_system(rng, rng.randint(lo, hi))
+            net = FlowNetwork(system)
+            targets = {net.row_node[j]: t for j, t in system.row_targets.items()}
+            targets.update({net.col_node[i]: t for i, t in system.col_targets.items()})
+            feasible = []
+            for backend in (_max_flow_python, _max_flow_scipy):
+                flow = backend(net)
+                assert all(0 <= flow[(u, v)] <= c for u, v, c in net.arcs)
+                value = sum(flow[(u, v)] for u, v, _ in net.arcs if u == net.source)
+                feasible.append(value == net.demand)
+                if value == net.demand:
+                    out = Counter()
+                    into = Counter()
+                    for u, v, _ in net.arcs:
+                        if u in targets:
+                            out[u] += flow[(u, v)]
+                            into[v] += flow[(u, v)]
+                    assert all(out[node] == t for node, t in targets.items())
+                    assert all(into[net.block_node[b]] <= 1 for b in system.I)
+            assert feasible[0] == feasible[1]
+            verdicts[(large, feasible[0])] += 1
+        assert len(verdicts) == 4
 
 
 class TestDr1:
@@ -191,6 +247,21 @@ class TestUniqueDr2:
         with pytest.raises(ValueError):
             unique_dr2(s, PartialImage())
 
+    @pytest.mark.parametrize(
+        "rows, ones",
+        [
+            ((2, 0), {(0, 0), (1, 1)}),  # the row target wants a bottom pair
+            ((1, 1), {(0, 0), (1, 0)}),  # a bottom pair where the row target is 0
+        ],
+    )
+    def test_coloring_missing_targets_rejected(self, rows, ones):
+        s = sub(2, [(1, 1)], {1: rows}, {1: (1, 1)})
+        assert solve_dr2(s) is not None
+        wrong = PartialImage()
+        wrong.set_block((1, 1), ones)
+        with pytest.raises(ValueError):
+            unique_dr2(s, wrong)
+
 
 class TestFillTrivial:
     def test_zero_fill(self):
@@ -300,3 +371,9 @@ class TestOracleEquivalence:
                 assert (got is not None) == bool(sols)
                 if got is not None:
                     assert_solves(got, s)
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, drtomo; assert 'networkx' not in sys.modules, 'networkx imported'"
+    src = str(Path(drtomo.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ | {"PYTHONPATH": src})
