@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / constraint satisfied, 2 usage or input format
 error, 3 infeasible or unsatisfied, 4 instance outside the exact
-solver's reach (use the oracle command for those).
+solver's reach (use the oracle command for those), 5 undecided because
+the oracle hit its budget.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import (
 )
 from .oracle import SearchBudget, constrained_solve, oracle_count, oracle_solve
 
-OK, USAGE, INFEASIBLE, UNSUPPORTED = 0, 2, 3, 4
+OK, USAGE, INFEASIBLE, UNSUPPORTED, UNDECIDED = 0, 2, 3, 4, 5
 
 
 def _read_instance(path: str) -> Instance:
@@ -208,13 +209,16 @@ def cmd_oracle(args) -> int:
     )
     if args.count:
         count, exhausted = oracle_count(inst, budget)
-        print(count if exhausted else f">= {count} (budget hit)")
+        if not exhausted:
+            print(f">= {count} (budget hit)")
+            return UNDECIDED
+        print(count)
         return OK
     solutions, exhausted = oracle_solve(inst, budget)
     if not solutions:
         if not exhausted:
             print("UNDECIDED (budget hit)", file=sys.stderr)
-            return USAGE
+            return UNDECIDED
         print("INFEASIBLE")
         return INFEASIBLE
     _emit_bytes(formats.write_image(solutions[0]), args.output)
@@ -311,7 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("oracle", help="exhaustive search solver/counter")
+    p = sub.add_parser(
+        "oracle",
+        help="exhaustive search solver/counter",
+        description="Exhaustive search for one solution, or with --count for all of them.",
+        epilog="exit codes: 0 solved or counted in full, 3 infeasible, 5 undecided: "
+        "the search hit --max-nodes before a verdict, or with --count hit "
+        "--max-nodes or --limit, so the printed count is only a lower bound",
+    )
     p.add_argument("instance")
     p.add_argument("--count", action="store_true")
     p.add_argument("--limit", type=int, default=1_000_000)

@@ -28,7 +28,7 @@ class BinaryImage:
         a = np.asarray(a, dtype=np.uint8)
         if a.ndim != 2:
             raise ValueError("bit array must be 2-dimensional")
-        if not np.isin(a, (0, 1)).all():
+        if a.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
         a = a.copy()
         a.flags.writeable = False

@@ -148,6 +148,25 @@ class TestLiftOracleTv:
         inst_path = write_inst(tmp_path, single_block_instance(1, (1, 0), (0, 0)))
         assert cli.main(["oracle", inst_path]) == 3
 
+    def test_oracle_budget_hit_is_undecided(self, tmp_path, capsys):
+        inst_path = write_inst(tmp_path, make_exact_instance(random_image(8, 8, 0.5, 3), 2))
+        assert cli.main(["oracle", inst_path, "--max-nodes", "1"]) == 5
+        captured = capsys.readouterr()
+        assert "UNDECIDED (budget hit)" in captured.err and captured.out == ""
+
+    def test_oracle_count_lower_bound_is_undecided(self, tmp_path, capsys):
+        inst_path = write_inst(tmp_path, make_exact_instance(random_image(8, 8, 0.5, 3), 2))
+        assert cli.main(["oracle", inst_path, "--count", "--max-nodes", "1"]) == 5
+        assert capsys.readouterr().out.strip() == ">= 0 (budget hit)"
+        limited = write_inst(tmp_path, single_block_instance(2, (1, 1), (1, 1)), "two.nsr")
+        assert cli.main(["oracle", limited, "--count", "--limit", "1"]) == 5
+        assert capsys.readouterr().out.strip() == ">= 1 (budget hit)"
+
+    def test_oracle_help_lists_exit_codes(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["oracle", "--help"])
+        assert "5 undecided" in capsys.readouterr().out
+
     def test_tv_reduce_prints_trace(self, tmp_path, capsys):
         img = random_image(8, 8, 0.5, 4)
         inst = make_exact_instance(img, 2)

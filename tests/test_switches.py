@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from drtomo.model import (
     BinaryImage,
@@ -19,8 +21,10 @@ from drtomo.switches import (
     REVERSED,
     SwitchMove,
     TVValue,
+    _CODE,
     _H_RULES,
     _V_RULES,
+    _LocalTV,
     all_switches,
     apply_switch,
     find_switch,
@@ -29,6 +33,8 @@ from drtomo.switches import (
     tv,
     tv_descend,
 )
+
+from switch_reference import reduce_by_steps, tv_descend_full
 
 T = BlockType
 
@@ -282,3 +288,85 @@ class TestTVDescend:
         for direction in (FORWARD, REVERSED):
             for move in all_switches(out, direction):
                 assert best <= tv(apply_switch(out, move))
+
+
+@st.composite
+def bit_images(draw):
+    """Uniform random images with even sides from 2 to 16."""
+    m, n = 2 * draw(st.integers(1, 8)), 2 * draw(st.integers(1, 8))
+    return BinaryImage(draw(arrays(np.uint8, (n, m), elements=st.integers(0, 1))))
+
+
+# weighted toward the types classes 1 to 7 rewrite, so that class 6 and 7
+# moves interleave; B33 is left out so that a reversed move other than the
+# single-block flip decides has_reversed_switch
+_WEIGHTED = (
+    [T.B34] * 4
+    + [T.A11, T.A12, T.A21, T.A22, T.C11, T.C12, T.C21, T.C22] * 2
+    + [T.B1, T.B2, T.B31, T.B32] * 2
+    + [t for t in T if t is not T.B33]
+)
+# mostly inert blocks, so that a lone B33 or a single pair decides
+_SPARSE = [T.EMPTY] * 12 + [T.FULL] * 4 + list(T)
+
+
+@st.composite
+def type_images(draw, pool):
+    """Images of blocks drawn from pool, with even sides from 2 to 16."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    types = draw(st.lists(st.sampled_from(pool), min_size=w * h, max_size=w * h))
+    grid = {(2 * u + 1, 2 * v + 1): types[v * w + u] for v in range(h) for u in range(w)}
+    return image_of_types(grid, 2 * w, 2 * h)
+
+
+even_images = st.one_of(bit_images(), type_images(_WEIGHTED), type_images(_SPARSE))
+
+
+def codes(types) -> tuple[int, ...]:
+    return tuple(_CODE[t] for t in types)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(even_images)
+    def test_reduce_matches_stepwise_reduction(self, img):
+        assert reduce(img) == reduce_by_steps(img)
+
+    @settings(max_examples=200, deadline=None)
+    @given(even_images)
+    def test_has_reversed_switch_matches_find_switch(self, img):
+        assert has_reversed_switch(img) == (find_switch(img, REVERSED) is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(even_images)
+    def test_local_tv_delta_is_exact(self, img):
+        local = _LocalTV(img)
+        for _ in range(2):  # the second round runs on cached differences
+            base = tv(img)
+            moves = all_switches(img, FORWARD) + all_switches(img, REVERSED)
+            for move in moves:
+                after = tv(apply_switch(img, move))
+                got = local.delta(move.corners, codes(move.sources), codes(move.targets))
+                assert got == (after.a - base.a, after.b - base.b)
+            if not moves:
+                break
+            local.apply(moves[0].corners, codes(moves[0].targets))
+            img = apply_switch(img, moves[0])
+            assert local.image() == img
+
+
+class TestDescentMatchesFullRecompute:
+    @pytest.mark.parametrize(
+        "side, density, seeds",
+        [(10, 0.5, range(25)), (20, 0.4, range(100))],
+        ids=["criterion6-inputs", "criterion8-inputs"],
+    )
+    def test_identical_traces_and_outputs(self, side, density, seeds):
+        for seed in seeds:
+            img = random_image(side, side, density, seed)
+            inst = make_exact_instance(img, 2)
+            fast, full = [], []
+            out = tv_descend(inst, img, on_step=lambda mv, t: fast.append((mv, t)))
+            ref = tv_descend_full(inst, img, on_step=lambda mv, t: full.append((mv, t)))
+            assert fast == full
+            assert out == ref
