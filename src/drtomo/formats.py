@@ -209,6 +209,10 @@ def read_gray(data: bytes) -> GrayImage:
         values = [int(t) for t in tokens[4:]]
     except (IndexError, ValueError):
         raise FormatError("malformed PGM header or body") from None
+    if w <= 0 or h <= 0:
+        raise FormatError(f"bad PGM dimensions {w} {h}")
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"PGM maxval {maxval} outside [1, 65535]")
     if len(values) != w * h:
         raise FormatError(f"expected {w * h} values, got {len(values)}")
     if any(not 0 <= x <= maxval for x in values):

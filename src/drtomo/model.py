@@ -155,7 +155,32 @@ def _patterns() -> dict[BlockType, frozenset[tuple[int, int]]]:
 
 
 _PATTERN = _patterns()
-_PATTERN_TO_TYPE = {v: k for k, v in _PATTERN.items()}
+
+# Block codes: a 2x2 block as one 4-bit integer, bit dx + 2*dy holding cell
+# (dx, dy) of the block.  The solver glues subproblem answers together in
+# this form and the switch engine reads images in it.
+_CODE = {t: sum(1 << (dx + 2 * dy) for dx, dy in t.cells) for t in BlockType}
+_TYPE_OF = [t for _, t in sorted((c, t) for t, c in _CODE.items())]
+
+
+def _codes(a: np.ndarray) -> np.ndarray:
+    """Code grid of a bit array: entry [v, u] codes the block at (2u+1, 2v+1).
+
+    An odd last row or column belongs to no block and is left out.
+    """
+    a = a[: a.shape[0] // 2 * 2, : a.shape[1] // 2 * 2]
+    return a[0::2, 0::2] | a[0::2, 1::2] << 1 | a[1::2, 0::2] << 2 | a[1::2, 1::2] << 3
+
+
+def _decode(codes: np.ndarray) -> np.ndarray:
+    """Bit array of a code grid; the inverse of _codes on even shapes."""
+    h, w = codes.shape
+    a = np.empty((2 * h, 2 * w), dtype=np.uint8)
+    a[0::2, 0::2] = codes & 1
+    a[0::2, 1::2] = codes >> 1 & 1
+    a[1::2, 0::2] = codes >> 2 & 1
+    a[1::2, 1::2] = codes >> 3
+    return a
 
 
 @dataclass(frozen=True)
@@ -290,19 +315,29 @@ def verify_solution(inst: Instance, img: BinaryImage) -> VerificationReport:
     """Check every row, column and block constraint of inst against img."""
     if (img.m, img.n) != (inst.m, inst.n):
         raise ValueError(f"image is {img.m}x{img.n}, instance expects {inst.m}x{inst.n}")
-    report = VerificationReport()
-    for q, (want, got) in enumerate(zip(inst.row_sums, img.row_sums()), start=1):
-        if want != got:
-            report.row_violations.append((q, want, got))
-    for p, (want, got) in enumerate(zip(inst.col_sums, img.col_sums()), start=1):
-        if want != got:
-            report.col_violations.append((p, want, got))
-    for i, j in inst.corners():
-        lo, hi = inst.window(i, j)
-        got = img.block_sum(i, j, inst.k)
-        if not lo <= got <= hi:
-            report.block_violations.append(((i, j), inst.value(i, j), (lo, hi), got))
-    return report
+    k = inst.k
+    bh, bw = inst.n // k, inst.m // k
+    got = img.a[: bh * k, : bw * k].reshape(bh, k, bw, k).sum(axis=(1, 3), dtype=np.int64)
+    values = np.array(inst.blocks, dtype=np.int64).reshape(bh, bw)
+    lo = np.maximum(0, values - inst.epsilon)
+    hi = np.minimum(k * k, values + inst.epsilon)
+    # reliability narrows a window only where the noise window is not [v, v]
+    for bv, bu in zip(*np.nonzero((lo != values) | (hi != values))):
+        if (k * int(bu) + 1, k * int(bv) + 1) in inst.reliable:
+            lo[bv, bu] = hi[bv, bu] = values[bv, bu]
+    bad_v, bad_u = np.nonzero((got < lo) | (got > hi))
+    return VerificationReport(
+        row_violations=_line_violations(inst.row_sums, img.a.sum(axis=1)),
+        col_violations=_line_violations(inst.col_sums, img.a.sum(axis=0)),
+        block_violations=[
+            ((k * u + 1, k * v + 1), int(values[v, u]), (int(lo[v, u]), int(hi[v, u])), int(got[v, u]))
+            for v, u in zip(bad_v.tolist(), bad_u.tolist())
+        ],
+    )
+
+
+def _line_violations(want: tuple[int, ...], got: np.ndarray) -> list[tuple[int, int, int]]:
+    return [(x, w, g) for x, (w, g) in enumerate(zip(want, got.tolist()), start=1) if w != g]
 
 
 def classify_block(img: BinaryImage, corner: Corner) -> BlockType:
@@ -310,14 +345,13 @@ def classify_block(img: BinaryImage, corner: Corner) -> BlockType:
     i, j = corner
     if not (1 <= i <= img.m - 1 and 1 <= j <= img.n - 1 and i % 2 == 1 and j % 2 == 1):
         raise ValueError(f"({i},{j}) is not a 2x2 corner point of a {img.m}x{img.n} image")
-    ones = frozenset(
-        (dx, dy) for dx in (0, 1) for dy in (0, 1) if img.get(i + dx, j + dy)
-    )
-    return _PATTERN_TO_TYPE[ones]
+    return _TYPE_OF[int(_codes(img.a[j - 1 : j + 1, i - 1 : i + 1])[0, 0])]
 
 
 def degrade(img: BinaryImage, k: int) -> GrayImage:
     """Collapse each k x k block to its number of ones."""
+    if k < 1:
+        raise ValueError(f"block size k must be >= 1, got {k}")
     if img.m % k or img.n % k:
         raise ValueError(f"image {img.m}x{img.n} is not divisible into {k}x{k} blocks")
     sums = img.a.reshape(img.n // k, k, img.m // k, k).sum(axis=(1, 3))
@@ -331,6 +365,8 @@ def degrade(img: BinaryImage, k: int) -> GrayImage:
 
 def make_exact_instance(img: BinaryImage, k: int) -> Instance:
     """Exact (epsilon = 0, all-reliable) instance with img as a solution."""
+    if k < 2:
+        raise ValueError(f"instances need block size k >= 2, got {k}")
     gray = degrade(img, k)
     reliable = frozenset(
         (k * bu + 1, k * bv + 1) for bv in range(img.n // k) for bu in range(img.m // k)
@@ -357,6 +393,8 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
     """
     if not 0 <= fraction_unreliable <= 1:
         raise ValueError("fraction_unreliable must be in [0, 1]")
+    if inst.epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {inst.epsilon}")
     if inst.epsilon == 0 or fraction_unreliable == 0:
         return inst
     all_corners = sorted(inst.corners())
@@ -383,5 +421,7 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
 
 def random_image(m: int, n: int, density: float, seed: int) -> BinaryImage:
     """Seeded random binary image; each cell is one with the given probability."""
+    if m <= 0 or n <= 0:
+        raise ValueError(f"image size {m}x{n} must be positive")
     rng = np.random.default_rng(seed)
     return BinaryImage((rng.random((n, m)) < density).astype(np.uint8))

@@ -16,9 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, Corner, Instance, validate_instance, verify_solution
+from .model import BinaryImage, Corner, Instance, _decode, validate_instance, verify_solution
 from .subsolvers import (
-    PartialImage,
     SubInstance,
     fill_trivial,
     solve_dr1,
@@ -121,36 +120,33 @@ def classify_strip(rj: int, rj1: int, v1: int, v2: int, v3: int) -> StripCase:
     return StripCase(INFEASIBLE, (0, 0, 0, 0, 0, 0, 0))
 
 
-def _value_counts(inst: Instance) -> dict[Corner, int]:
-    return {c: inst.value(*c) for c in inst.corners()}
+def _strip_counts(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:
+    """Blocks of each value per strip, in one linear pass over inst.blocks.
+
+    rows[bv][nu] counts the blocks of value nu in the horizontal strip at
+    corner row 2*bv + 1; cols[bu][nu] those in the vertical strip at
+    corner column 2*bu + 1.
+    """
+    rows = [[row.count(nu) for nu in range(5)] for row in inst.blocks]
+    cols = [[col.count(nu) for nu in range(5)] for col in zip(*inst.blocks)]
+    return rows, cols
 
 
 def _classify_all(
     inst: Instance,
 ) -> Optional[tuple[dict[int, StripCase], dict[int, StripCase]]]:
     """Strip cases for both orientations of a proper instance, or None."""
-    values = _value_counts(inst)
-    h_cases: dict[int, StripCase] = {}
-    v_cases: dict[int, StripCase] = {}
-    for j in range(1, inst.n, 2):
-        vals = [values[(i, j)] for i in range(1, inst.m, 2)]
-        n4 = vals.count(4)
-        rj = inst.row_sums[j - 1] - 2 * n4
-        rj1 = inst.row_sums[j] - 2 * n4
-        case = classify_strip(rj, rj1, vals.count(1), vals.count(2), vals.count(3))
-        if case.tag == INFEASIBLE:
-            return None
-        h_cases[j] = case
-    for i in range(1, inst.m, 2):
-        vals = [values[(i, j)] for j in range(1, inst.n, 2)]
-        n4 = vals.count(4)
-        ci = inst.col_sums[i - 1] - 2 * n4
-        ci1 = inst.col_sums[i] - 2 * n4
-        case = classify_strip(ci, ci1, vals.count(1), vals.count(2), vals.count(3))
-        if case.tag == INFEASIBLE:
-            return None
-        v_cases[i] = case
-    return h_cases, v_cases
+    found = []
+    for sums, counts in zip((inst.row_sums, inst.col_sums), _strip_counts(inst)):
+        cases: dict[int, StripCase] = {}
+        for s, (_, v1, v2, v3, v4) in enumerate(counts):
+            line = 2 * s + 1
+            case = classify_strip(sums[line - 1] - 2 * v4, sums[line] - 2 * v4, v1, v2, v3)
+            if case.tag == INFEASIBLE:
+                return None
+            cases[line] = case
+        found.append(cases)
+    return found[0], found[1]
 
 
 def derive_sub_sums(
@@ -162,41 +158,40 @@ def derive_sub_sums(
 
     The strip cases fix, per strip, how many ones each value class puts
     into each of the two lines; those totals become the subproblems' pair
-    sums.
+    sums.  A subproblem lists exactly the strips that hold one of its
+    blocks.
     """
-    values = _value_counts(inst)
-    index_sets = {nu: frozenset(c for c, v in values.items() if v == nu) for nu in range(5)}
+    corners: list[list[Corner]] = [[] for _ in range(5)]
+    for j, row in zip(range(1, inst.n, 2), inst.blocks):
+        for i, value in zip(range(1, inst.m, 2), row):
+            corners[value].append((i, j))
 
-    def pair(case: StripCase, nu: int) -> tuple[int, int]:
+    def pair(case: StripCase, nu: int, count: int) -> tuple[int, int]:
         a_j, a_j1, b_j, bp_j, _, g_j, g_j1 = case.counts
         if nu == 1:
             return a_j, a_j1
         if nu == 2:
             return 2 * b_j + bp_j, bp_j
-        return g_j + 2 * g_j1, 2 * g_j + g_j1  # nu == 3
+        if nu == 3:
+            return g_j + 2 * g_j1, 2 * g_j + g_j1
+        return nu // 2 * count, nu // 2 * count  # nu in (0, 4): constant fill
 
-    subs: dict[int, SubInstance] = {}
-    for nu in range(5):
-        blocks = index_sets[nu]
-        rows = {j for _, j in blocks}
-        cols = {i for i, _ in blocks}
-        if nu in (0, 4):
-            per_strip_row = {
-                j: sum(1 for (ii, jj) in blocks if jj == j) for j in rows
-            }
-            per_strip_col = {
-                i: sum(1 for (ii, jj) in blocks if ii == i) for i in cols
-            }
-            w = 2 if nu == 4 else 0
-            prs = {j: (w * per_strip_row[j], w * per_strip_row[j]) for j in rows}
-            pcs = {i: (w * per_strip_col[i], w * per_strip_col[i]) for i in cols}
-        else:
-            prs = {j: pair(h_cases[j], nu) for j in rows}
-            pcs = {i: pair(v_cases[i], nu) for i in cols}
-        subs[nu] = SubInstance(
-            m=inst.m, n=inst.n, nu=nu, I=blocks, pair_row_sums=prs, pair_col_sums=pcs
+    rows, cols = _strip_counts(inst)
+    return {
+        nu: SubInstance(
+            m=inst.m,
+            n=inst.n,
+            nu=nu,
+            I=frozenset(corners[nu]),
+            pair_row_sums={
+                2 * s + 1: pair(h_cases[2 * s + 1], nu, c[nu]) for s, c in enumerate(rows) if c[nu]
+            },
+            pair_col_sums={
+                2 * s + 1: pair(v_cases[2 * s + 1], nu, c[nu]) for s, c in enumerate(cols) if c[nu]
+            },
         )
-    return subs
+        for nu in range(5)
+    }
 
 
 _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_trivial}
@@ -204,24 +199,25 @@ _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_t
 
 def _solve_proper(
     proper: Instance,
-) -> Optional[tuple[BinaryImage, dict[int, SubInstance], dict[int, PartialImage]]]:
-    """Assembled solution of a proper instance, plus the subproblem record."""
+) -> Optional[tuple[BinaryImage, dict[int, SubInstance], dict[Corner, int]]]:
+    """Assembled solution of a proper instance, its subproblems and block codes."""
     cases = _classify_all(proper)
     if cases is None:
         return None
     subs = derive_sub_sums(proper, *cases)
-    sols: dict[int, PartialImage] = {}
-    a = np.zeros((proper.n, proper.m), dtype=np.uint8)
+    codes: dict[Corner, int] = {}
     for nu, sub in subs.items():
         if not sub.I:
             continue
         part = _SOLVERS[nu](sub)
         if part is None:
             return None
-        sols[nu] = part
-        for (p, q), bit in part.bits.items():
-            a[q - 1, p - 1] = bit
-    return BinaryImage(a), subs, sols
+        codes.update(part)
+    # the five block sets partition the grid, so every block gets its code
+    bw = proper.m // 2
+    grid = np.zeros(proper.n // 2 * bw, dtype=np.uint8)
+    grid[[(j >> 1) * bw + (i >> 1) for i, j in codes]] = list(codes.values())
+    return BinaryImage(_decode(grid.reshape(-1, bw))), subs, codes
 
 
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
@@ -264,13 +260,13 @@ def check_unique(inst: Instance) -> Optional[bool]:
     solved = _solve_proper(proper)
     if solved is None:
         return None
-    img, subs, sols = solved
+    img, subs, codes = solved
     if not verify_solution(proper, img).satisfied:
         return None
     if subs[1].I and not unique_dr1(subs[1]):
         return False
     if subs[3].I and not unique_dr3(subs[3]):
         return False
-    if subs[2].I and not unique_dr2(subs[2], sols[2]):
+    if subs[2].I and not unique_dr2(subs[2], codes):
         return False
     return not switches.has_reversed_switch(switches.reduce(img))

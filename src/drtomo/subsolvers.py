@@ -4,21 +4,28 @@ Each subproblem lives on a set I of 2x2 block corners with prescribed
 pair sums per strip.  nu = 1 has a closed-form placement, nu = 3 is its
 complement, nu = 2 reduces to a unit-capacity flow, nu in {0, 4} is a
 constant fill.
+
+A subsolver (fill_trivial, solve_dr1, solve_dr2, solve_dr3) takes one
+SubInstance and returns None when it is infeasible, otherwise a dict
+mapping every corner of I to the block code placed there: a 4-bit
+integer whose bit dx + 2*dy holds cell (dx, dy) of the block, dy = 0 the
+bottom row (model._CODE).  So 1 is the lone lower-left one, 3 the bottom
+pair, 5 the left pair, 9 the main diagonal and 15 the full block.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_flow
 
-from .model import Corner
+from .model import _CODE, BlockType, Corner
 
-Cell = tuple[int, int]
+Codes = dict[Corner, int]  # block code per corner, see the module docstring
 
 # Backend switch, measured on a 2-core Xeon VM: scipy's maximum_flow costs
 # 0.3-0.5 ms a call even on a 5-node network, the Python search 10-30 us;
@@ -48,19 +55,6 @@ class SubInstance:
 
     def sigma_map(self) -> dict[int, int]:
         return Counter(i for i, _ in self.I)
-
-
-@dataclass
-class PartialImage:
-    """Bit assignment on the cells covered by a block set."""
-
-    bits: dict[Cell, int] = field(default_factory=dict)
-
-    def set_block(self, corner: Corner, ones: set[tuple[int, int]]) -> None:
-        i, j = corner
-        for dx in (0, 1):
-            for dy in (0, 1):
-                self.bits[(i + dx, j + dy)] = 1 if (dx, dy) in ones else 0
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ def _dr1_feasible(sub: SubInstance) -> bool:
     return True
 
 
-def solve_dr1(sub: SubInstance) -> Optional[PartialImage]:
+def solve_dr1(sub: SubInstance) -> Optional[Codes]:
     """Place one one per block; closed form, deterministic.
 
     Within the vertical strip of column i, the first c_i blocks counted
@@ -196,24 +190,20 @@ def solve_dr1(sub: SubInstance) -> Optional[PartialImage]:
     assert sub.nu == 1
     if not _dr1_feasible(sub):
         return None
-    rank_in_col: dict[Corner, int] = {}
-    rank_in_row: dict[Corner, int] = {}
     by_col: dict[int, list[int]] = {}
     by_row: dict[int, list[int]] = {}
     for i, j in sub.I:
         by_col.setdefault(i, []).append(j)
         by_row.setdefault(j, []).append(i)
+    dx: dict[Corner, bool] = {}  # the one sits in column i + 1
     for i, js in by_col.items():
-        for rank, j in enumerate(sorted(js), start=1):
-            rank_in_col[(i, j)] = rank
+        for rank, j in enumerate(sorted(js)):
+            dx[(i, j)] = rank >= sub.pair_col_sums[i][0]
+    out: Codes = {}
     for j, cols in by_row.items():
-        for rank, i in enumerate(sorted(cols), start=1):
-            rank_in_row[(i, j)] = rank
-    out = PartialImage()
-    for i, j in sub.I:
-        a = i if rank_in_col[(i, j)] <= sub.pair_col_sums[i][0] else i + 1
-        b = j if rank_in_row[(i, j)] <= sub.pair_row_sums[j][0] else j + 1
-        out.set_block((i, j), {(a - i, b - j)})
+        for rank, i in enumerate(sorted(cols)):
+            dy = rank >= sub.pair_row_sums[j][0]
+            out[(i, j)] = 1 << (dx[(i, j)] + 2 * dy)
     return out
 
 
@@ -243,12 +233,12 @@ def _invert(sub: SubInstance) -> SubInstance:
     )
 
 
-def solve_dr3(sub: SubInstance) -> Optional[PartialImage]:
+def solve_dr3(sub: SubInstance) -> Optional[Codes]:
     assert sub.nu == 3
     inner = solve_dr1(_invert(sub))
     if inner is None:
         return None
-    return PartialImage({cell: 1 - bit for cell, bit in inner.bits.items()})
+    return {corner: 15 ^ code for corner, code in inner.items()}
 
 
 def unique_dr3(sub: SubInstance) -> bool:
@@ -278,12 +268,12 @@ def _two_color_system(sub: SubInstance) -> Optional[TwoColorSystem]:
     return TwoColorSystem(I=sub.I, row_targets=row_targets, col_targets=col_targets)
 
 
-_BOTTOM_PAIR = {(0, 0), (1, 0)}  # both ones in the bottom line
-_LEFT_PAIR = {(0, 0), (0, 1)}  # both ones in the left line
-_DIAGONAL = {(0, 0), (1, 1)}
+_ZETA = _CODE[BlockType.B1]  # both ones in the bottom line
+_ETA = _CODE[BlockType.B31]  # both ones in the left line
+_DIAGONAL = _CODE[BlockType.B33]
 
 
-def solve_dr2(sub: SubInstance) -> Optional[PartialImage]:
+def solve_dr2(sub: SubInstance) -> Optional[Codes]:
     """Place two ones per block; requires in-strip ordered pair sums.
 
     A block colored zeta puts both ones in its lower line, eta in its
@@ -297,27 +287,23 @@ def solve_dr2(sub: SubInstance) -> Optional[PartialImage]:
     if colored is None:
         return None
     zeta, eta = colored
-    out = PartialImage()
-    for corner in sub.I:
-        if corner in zeta:
-            out.set_block(corner, _BOTTOM_PAIR)
-        elif corner in eta:
-            out.set_block(corner, _LEFT_PAIR)
-        else:
-            out.set_block(corner, _DIAGONAL)
+    out = dict.fromkeys(sub.I, _DIAGONAL)
+    out.update(dict.fromkeys(zeta, _ZETA))
+    out.update(dict.fromkeys(eta, _ETA))
     return out
 
 
-def unique_dr2(sub: SubInstance, sol: PartialImage) -> bool:
+def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
     """True iff no other coloring meets the same strip targets.
 
-    The coloring read from sol (zeta = bottom pair, eta = left pair, any
-    other block uncolored) is a unit flow on the FlowNetwork that must
-    saturate every source arc.  Every other coloring is a flow of the
-    same value, so it differs from this one by a circulation; one exists
-    iff the residual graph of this flow has a directed cycle (Ahuja,
-    Magnanti and Orlin, Network Flows, 1993), that is, iff some strong
-    component of the residual graph has more than one node.
+    The coloring read from the block codes (zeta = bottom pair, code 3;
+    eta = left pair, code 5; any other or missing block uncolored) is a
+    unit flow on the FlowNetwork that must saturate every source arc.
+    Every other coloring is a flow of the same value, so it differs from
+    this one by a circulation; one exists iff the residual graph of this
+    flow has a directed cycle (Ahuja, Magnanti and Orlin, Network Flows,
+    1993), that is, iff some strong component of the residual graph has
+    more than one node.
     """
     assert sub.nu == 2
     sys = _two_color_system(sub)
@@ -326,15 +312,10 @@ def unique_dr2(sub: SubInstance, sol: PartialImage) -> bool:
     net = FlowNetwork(sys)
     flow: Counter[tuple[int, int]] = Counter()
     for (i, j), node in net.block_node.items():
-        block_ones = {
-            (dx, dy)
-            for dx in (0, 1)
-            for dy in (0, 1)
-            if sol.bits.get((i + dx, j + dy))
-        }
-        if block_ones == _BOTTOM_PAIR:
+        code = codes.get((i, j))
+        if code == _ZETA:
             strip = net.row_node[j]
-        elif block_ones == _LEFT_PAIR:
+        elif code == _ETA:
             strip = net.col_node[i]
         else:
             continue
@@ -359,7 +340,7 @@ def unique_dr2(sub: SubInstance, sol: PartialImage) -> bool:
 # nu in {0, 4}
 # --------------------------------------------------------------------------
 
-def fill_trivial(sub: SubInstance) -> Optional[PartialImage]:
+def fill_trivial(sub: SubInstance) -> Optional[Codes]:
     """Constant fill for the forced block values 0 and 4."""
     assert sub.nu in (0, 4)
     bit = sub.nu // 4
@@ -372,8 +353,4 @@ def fill_trivial(sub: SubInstance) -> Optional[PartialImage]:
         want = 2 * sigma.get(i, 0) * bit
         if ci != want or ci1 != want:
             return None
-    out = PartialImage()
-    full = {(0, 0), (1, 0), (0, 1), (1, 1)}
-    for corner in sub.I:
-        out.set_block(corner, full if bit else set())
-    return out
+    return dict.fromkeys(sub.I, 15 * bit)

@@ -34,7 +34,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import BinaryImage, BlockType, Corner, Instance, classify_block, verify_solution
+from .model import _CODE, _TYPE_OF, BinaryImage, BlockType, Corner, Instance, _codes, _decode
+from .model import classify_block, verify_solution
 
 _T = BlockType
 
@@ -86,31 +87,10 @@ def _rules(orientation: str, direction: str) -> list[tuple[int, dict, dict]]:
 
 
 # --------------------------------------------------------------------------
-# Block codes
+# Rules in block-code form
 # --------------------------------------------------------------------------
 
-_CODE = {t: sum(1 << (dx + 2 * dy) for dx, dy in t.cells) for t in BlockType}
-_TYPE_OF = [t for _, t in sorted((c, t) for t, c in _CODE.items())]
 _B33, _B34 = _CODE[_T.B33], _CODE[_T.B34]
-
-
-def _codes(a: np.ndarray) -> np.ndarray:
-    """Code grid of a bit array: entry [v, u] codes the block at (2u+1, 2v+1).
-
-    An odd last row or column belongs to no block and is left out.
-    """
-    a = a[: a.shape[0] // 2 * 2, : a.shape[1] // 2 * 2]
-    return a[0::2, 0::2] | a[0::2, 1::2] << 1 | a[1::2, 0::2] << 2 | a[1::2, 1::2] << 3
-
-
-def _decode(codes: np.ndarray) -> np.ndarray:
-    h, w = codes.shape
-    a = np.empty((2 * h, 2 * w), dtype=np.uint8)
-    a[0::2, 0::2] = codes & 1
-    a[0::2, 1::2] = codes >> 1 & 1
-    a[1::2, 0::2] = codes >> 2 & 1
-    a[1::2, 1::2] = codes >> 3
-    return a
 
 
 def _coded(rule_map: dict) -> dict[int, int]:
@@ -221,21 +201,14 @@ def all_switches(img: BinaryImage, direction: str = FORWARD) -> list[SwitchMove]
     return [_switch_move(direction, f) for f in _scan(_codes(img.a).tolist(), direction)]
 
 
-def _write_block(a, corner: Corner, t: BlockType) -> None:
-    i, j = corner
-    a[j - 1 : j + 1, i - 1 : i + 1] = 0
-    for dx, dy in t.cells:
-        a[j - 1 + dy, i - 1 + dx] = 1
-
-
 def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
     """Rewrite the move's blocks; every line and block sum is unchanged."""
     for corner, src in zip(move.corners, move.sources):
         if classify_block(img, corner) != src:
             raise ValueError(f"block at {corner} is not of type {src.name}")
     a = img.mutable()
-    for corner, tgt in zip(move.corners, move.targets):
-        _write_block(a, corner, tgt)
+    for (i, j), tgt in zip(move.corners, move.targets):
+        a[j - 1 : j + 1, i - 1 : i + 1] = _decode(np.array([[_CODE[tgt]]], dtype=np.uint8))
     return BinaryImage(a)
 
 

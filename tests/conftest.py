@@ -45,31 +45,44 @@ def iter_block_patterns(nu: int):
         yield frozenset(combo)
 
 
+def block_code(ones) -> int:
+    """Block code of an offset set: bit dx + 2*dy holds cell (dx, dy)."""
+    return sum(1 << (dx + 2 * dy) for dx, dy in ones)
+
+
+def code_cells(code: int) -> frozenset:
+    """Offsets (dx, dy) of the ones of a block code."""
+    return frozenset((dx, dy) for dx in (0, 1) for dy in (0, 1) if code >> (dx + 2 * dy) & 1)
+
+
 def brute_force_sub(sub) -> list[dict]:
-    """All bit assignments solving a SubInstance, by block-pattern enumeration."""
+    """All block-code assignments {corner: code} solving a SubInstance, by enumeration."""
     blocks = sorted(sub.I)
-    patterns = list(iter_block_patterns(sub.nu))
+    codes = [block_code(ones) for ones in iter_block_patterns(sub.nu)]
     out = []
-    for choice in itertools.product(patterns, repeat=len(blocks)):
-        bits = {}
-        for (i, j), ones in zip(blocks, choice):
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    bits[(i + dx, j + dy)] = 1 if (dx, dy) in ones else 0
-        if _sub_sums_ok(sub, bits):
-            out.append(bits)
+    for choice in itertools.product(codes, repeat=len(blocks)):
+        assignment = dict(zip(blocks, choice))
+        if sub_sums_ok(sub, assignment):
+            out.append(assignment)
     return out
 
 
-def _sub_sums_ok(sub, bits: dict) -> bool:
-    for j, (rj, rj1) in sub.pair_row_sums.items():
-        got_j = sum(b for (p, q), b in bits.items() if q == j)
-        got_j1 = sum(b for (p, q), b in bits.items() if q == j + 1)
-        if (got_j, got_j1) != (rj, rj1):
+def sub_sums_ok(sub, codes: dict) -> bool:
+    """Whether block codes meet every pair sum of a SubInstance."""
+    for j, pair in sub.pair_row_sums.items():
+        got = [0, 0]
+        for (_, jj), code in codes.items():
+            if jj == j:
+                got[0] += (code & 1) + (code >> 1 & 1)
+                got[1] += (code >> 2 & 1) + (code >> 3 & 1)
+        if tuple(got) != tuple(pair):
             return False
-    for i, (ci, ci1) in sub.pair_col_sums.items():
-        got_i = sum(b for (p, q), b in bits.items() if p == i)
-        got_i1 = sum(b for (p, q), b in bits.items() if p == i + 1)
-        if (got_i, got_i1) != (ci, ci1):
+    for i, pair in sub.pair_col_sums.items():
+        got = [0, 0]
+        for (ii, _), code in codes.items():
+            if ii == i:
+                got[0] += (code & 1) + (code >> 2 & 1)
+                got[1] += (code >> 1 & 1) + (code >> 3 & 1)
+        if tuple(got) != tuple(pair):
             return False
     return True

@@ -102,6 +102,34 @@ class TestGenerators:
         assert len(noisy.reliable) == 16 - 8
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degrade", "{img}", "-k", "0"],
+            ["degrade", "{img}", "-k", "-2"],
+            ["make-instance", "{img}", "-k", "0"],
+            ["make-instance", "{img}", "-k", "1"],
+            ["perturb", "{inst}", "--eps", "-1", "--fraction", "0"],
+            ["perturb", "{inst}", "--eps", "-1", "--fraction", "0.5"],
+            ["gen-phantom", "-m", "0", "-n", "4"],
+            ["gen-phantom", "-m", "4", "-n", "-2"],
+        ],
+    )
+    def test_rejected_parameters_write_nothing(self, tmp_path, capsys, argv):
+        # each of these once wrote a document that the next command rejects,
+        # or died with a traceback
+        paths = {
+            "img": write_img(tmp_path, random_image(4, 4, 0.5, 1)),
+            "inst": write_inst(tmp_path, make_exact_instance(random_image(4, 4, 0.5, 1), 2)),
+        }
+        out = tmp_path / "out.txt"
+        argv = [a.format(**paths) for a in argv] + ["-o", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSatCommands:
     def test_gen_embed_extract_pipeline(self, tmp_path, capsys):
         sat_path = tmp_path / "demo.sat"

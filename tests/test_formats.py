@@ -150,6 +150,25 @@ class TestRasterFormats:
         with pytest.raises(FormatError):
             read_gray(b"P2\n2 1\n4\n1\n")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 0 0 255", "dimensions"),
+            (b"P2 0 2 4", "dimensions"),
+            (b"P2 -1 -1 3", "dimensions"),
+            (b"P2 1 1 0 0", "maxval"),
+            (b"P2 1 1 -4 0", "maxval"),
+            (b"P2 1 1 65536 7", "maxval"),
+        ],
+    )
+    def test_pgm_header_range_errors(self, data, message):
+        with pytest.raises(FormatError, match=message):
+            read_gray(data)
+
+    def test_pgm_maxval_range_accepted(self):
+        assert read_gray(b"P2 1 1 1 1").maxval == 1
+        assert read_gray(b"P2 1 1 65535 65535").values == ((65535,),)
+
     def test_pgm_orientation(self):
         gray = GrayImage(width=1, height=2, maxval=4, values=((1,), (3,)))
         assert write_gray(gray) == b"P2\n1 2\n4\n3\n1\n"

@@ -1,5 +1,7 @@
 """Core types: validation, verification, block taxonomy, degradation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,17 @@ class TestVerifySolution:
         report = verify_solution(exact, two)
         assert report.block_violations and not report.row_violations
 
+    def test_reliable_blocks_stay_exact_under_noise(self):
+        # eps = 1: the unreliable right block may hold 0..2 ones, the reliable
+        # left block exactly its value 1
+        inst = Instance(
+            k=2, epsilon=1, m=4, n=2, row_sums=(2, 0), col_sums=(1, 0, 1, 0),
+            blocks=((1, 1),), reliable=frozenset({(1, 1)}),
+        )
+        assert verify_solution(inst, BinaryImage.from_ones(4, 2, [(1, 1), (3, 1)])).satisfied
+        report = verify_solution(inst, BinaryImage.from_ones(4, 2, [(3, 1), (4, 1)]))
+        assert report.block_violations == [((1, 1), 1, (1, 1), 0)]
+
 
 class TestClassifyBlock:
     def test_all_sixteen_patterns_round_trip(self):
@@ -176,6 +189,11 @@ class TestDegrade:
         with pytest.raises(ValueError):
             degrade(BinaryImage.zeros(4, 4), 3)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_k_raises(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            degrade(BinaryImage.zeros(4, 4), k)
+
     def test_matches_block_sums(self):
         img = random_image(8, 6, 0.5, 11)
         gray = degrade(img, 2)
@@ -201,6 +219,11 @@ class TestMakeExactInstance:
             inst = make_exact_instance(img, 2)
             assert validate_instance(inst) == []
             assert verify_solution(inst, img).satisfied
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_k_below_two_raises(self, k):
+        with pytest.raises(ValueError, match="k >= 2"):
+            make_exact_instance(BinaryImage.zeros(4, 4), k)
 
 
 class TestPerturbInstance:
@@ -234,6 +257,12 @@ class TestPerturbInstance:
         with pytest.raises(ValueError):
             perturb_instance(inst, 1.5, 0)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_negative_epsilon_raises(self, fraction):
+        _, inst = self.base()
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            perturb_instance(dataclasses.replace(inst, epsilon=-1), fraction, 0)
+
 
 class TestRandomImage:
     def test_deterministic(self):
@@ -243,3 +272,8 @@ class TestRandomImage:
     def test_density_extremes(self):
         assert random_image(5, 5, 0.0, 0).popcount() == 0
         assert random_image(5, 5, 1.0, 0).popcount() == 25
+
+    @pytest.mark.parametrize("m, n", [(0, 4), (4, 0), (-1, 3)])
+    def test_nonpositive_size_raises(self, m, n):
+        with pytest.raises(ValueError, match="must be positive"):
+            random_image(m, n, 0.5, 0)

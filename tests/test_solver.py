@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drtomo.model import (
     BinaryImage,
@@ -19,6 +20,7 @@ from drtomo.solver import (
     CASE2,
     CASE3,
     INFEASIBLE,
+    _SOLVERS,
     StripPermutation,
     _classify_all,
     check_unique,
@@ -27,9 +29,10 @@ from drtomo.solver import (
     properize,
     solve_dr,
 )
+from drtomo.subsolvers import unique_dr2
 from drtomo.switches import find_switch
 
-from conftest import single_block_instance
+from conftest import single_block_instance, sub_sums_ok
 from test_switches import image_of_types
 
 
@@ -162,6 +165,63 @@ class TestDeriveSubSums:
         subs = derive_sub_sums(inst, *cases)
         assert subs[4].I == frozenset({(1, 1)})
         assert subs[1].pair_row_sums[1] == (1, 0)
+
+
+@st.composite
+def exact_instances(draw):
+    """Exact instances of random or block-type images, 2x2 to 32x32."""
+    m, n = (2 * draw(st.integers(1, 16)) for _ in range(2))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        return make_exact_instance(random_image(m, n, draw(st.floats(0.05, 0.95)), seed), 2)
+    # block types weighted toward the two-one blocks that reach the nu = 2 flow
+    tiles = list(BlockType)
+    weights = [4 if t.count == 2 else 1 for t in tiles]
+    rng = random.Random(seed)
+    corners = [(i, j) for i in range(1, m, 2) for j in range(1, n, 2)]
+    types = dict(zip(corners, rng.choices(tiles, weights, k=len(corners))))
+    return make_exact_instance(image_of_types(types, m, n), 2)
+
+
+class TestGlueProperties:
+    """Subproblems and subsolver codes of exact instances beyond brute-force sizes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_instances())
+    def test_subproblems_and_codes(self, inst):
+        proper, _ = properize(inst)
+        cases = _classify_all(proper)
+        assert cases is not None
+        subs = derive_sub_sums(proper, *cases)
+        assert sorted(subs) == [0, 1, 2, 3, 4]
+        # the five block sets partition the block grid by value
+        assert sum(len(sub.I) for sub in subs.values()) == len(list(proper.corners()))
+        for nu, sub in subs.items():
+            assert all(proper.value(*corner) == nu for corner in sub.I)
+        # per strip, the pair sums over nu add up to the two line sums
+        for pairs, sums, attr in (
+            ("pair_row_sums", proper.row_sums, 1),
+            ("pair_col_sums", proper.col_sums, 0),
+        ):
+            for line in range(1, len(sums), 2):
+                got = [0, 0]
+                for sub in subs.values():
+                    p = getattr(sub, pairs)
+                    assert (line in p) == any(c[attr] == line for c in sub.I)
+                    got[0] += p.get(line, (0, 0))[0]
+                    got[1] += p.get(line, (0, 0))[1]
+                assert tuple(got) == (sums[line - 1], sums[line])
+        # every subsolver answers with nu ones per block that meet its pair sums
+        for nu, sub in subs.items():
+            if not sub.I:
+                continue
+            codes = _SOLVERS[nu](sub)
+            assert codes is not None
+            assert set(codes) == sub.I
+            assert all(bin(code).count("1") == nu for code in codes.values())
+            assert sub_sums_ok(sub, codes)
+            if nu == 2:
+                assert unique_dr2(sub, codes) in (True, False)
 
 
 class TestSolveDr:

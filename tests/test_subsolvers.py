@@ -14,7 +14,6 @@ import drtomo
 from drtomo.subsolvers import (
     _SCIPY_THRESHOLD,
     FlowNetwork,
-    PartialImage,
     SubInstance,
     TwoColorSystem,
     _max_flow_python,
@@ -29,7 +28,7 @@ from drtomo.subsolvers import (
     unique_dr3,
 )
 
-from conftest import brute_force_sub, iter_block_patterns
+from conftest import block_code, brute_force_sub, code_cells, iter_block_patterns, sub_sums_ok
 
 
 def sub(nu, I, rows, cols, m=8, n=8):
@@ -38,22 +37,28 @@ def sub(nu, I, rows, cols, m=8, n=8):
     )
 
 
-def block_pattern(bits, corner):
-    i, j = corner
-    return frozenset(
-        (dx, dy) for dx in (0, 1) for dy in (0, 1) if bits.get((i + dx, j + dy))
-    )
+def block_pattern(codes, corner):
+    """Offsets of the ones that block codes place at corner (none if absent)."""
+    return code_cells(codes.get(corner, 0))
 
 
-def assert_solves(sol: PartialImage, s: SubInstance):
+def cell_bits(codes) -> dict:
+    """Bit of every cell the block codes cover, keyed (p, q)."""
+    return {
+        (i + dx, j + dy): code >> (dx + 2 * dy) & 1
+        for (i, j), code in codes.items()
+        for dx in (0, 1)
+        for dy in (0, 1)
+    }
+
+
+def assert_solves(sol: dict, s: SubInstance):
+    """One code per block of I, nu ones in each, and every pair sum met."""
+    assert set(sol) == s.I
     for corner in s.I:
-        assert len(block_pattern(sol.bits, corner)) == s.nu
-    for j, (rj, rj1) in s.pair_row_sums.items():
-        assert sum(b for (p, q), b in sol.bits.items() if q == j) == rj
-        assert sum(b for (p, q), b in sol.bits.items() if q == j + 1) == rj1
-    for i, (ci, ci1) in s.pair_col_sums.items():
-        assert sum(b for (p, q), b in sol.bits.items() if p == i) == ci
-        assert sum(b for (p, q), b in sol.bits.items() if p == i + 1) == ci1
+        assert 0 <= sol[corner] < 16
+        assert len(block_pattern(sol, corner)) == s.nu
+    assert sub_sums_ok(s, sol)
 
 
 FOUR_BLOCKS = [(1, 1), (3, 1), (1, 3), (3, 3)]
@@ -139,14 +144,14 @@ class TestDr1:
         s = sub(1, FOUR_BLOCKS, {1: (1, 1), 3: (1, 1)}, {1: (1, 1), 3: (1, 1)})
         sol = solve_dr1(s)
         assert sol is not None
-        ones = {cell for cell, b in sol.bits.items() if b}
+        ones = {cell for cell, b in cell_bits(sol).items() if b}
         assert ones == {(1, 1), (3, 2), (2, 3), (4, 4)}
         assert_solves(sol, s)
 
     def test_single_block_corner(self):
         s = sub(1, [(3, 5)], {5: (1, 0)}, {3: (1, 0)})
         sol = solve_dr1(s)
-        assert {c for c, b in sol.bits.items() if b} == {(3, 5)}
+        assert {c for c, b in cell_bits(sol).items() if b} == {(3, 5)}
 
     def test_mass_violation_infeasible(self):
         s = sub(1, [(1, 1)], {1: (2, 0)}, {1: (1, 0)})
@@ -195,15 +200,15 @@ class TestDr2:
 
     def test_bottom_pair(self):
         sol = solve_dr2(self.one_block((2, 0), (1, 1)))
-        assert block_pattern(sol.bits, (1, 1)) == {(0, 0), (1, 0)}
+        assert block_pattern(sol, (1, 1)) == {(0, 0), (1, 0)}
 
     def test_left_pair(self):
         sol = solve_dr2(self.one_block((1, 1), (2, 0)))
-        assert block_pattern(sol.bits, (1, 1)) == {(0, 0), (0, 1)}
+        assert block_pattern(sol, (1, 1)) == {(0, 0), (0, 1)}
 
     def test_diagonal_default_never_antidiagonal(self):
         sol = solve_dr2(self.one_block((1, 1), (1, 1)))
-        assert block_pattern(sol.bits, (1, 1)) == {(0, 0), (1, 1)}
+        assert block_pattern(sol, (1, 1)) == {(0, 0), (1, 1)}
 
     def test_unordered_sums_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +229,7 @@ class TestDr2:
         assert_solves(sol, s)
         allowed = [{(0, 0), (1, 0)}, {(0, 0), (0, 1)}, {(0, 0), (1, 1)}]
         for corner in s.I:
-            assert block_pattern(sol.bits, corner) in allowed
+            assert block_pattern(sol, corner) in allowed
 
 
 class TestUniqueDr2:
@@ -245,7 +250,7 @@ class TestUniqueDr2:
     def test_infeasible_input_rejected(self):
         s = sub(2, [(1, 1)], {1: (2, 0)}, {1: (2, 0)})
         with pytest.raises(ValueError):
-            unique_dr2(s, PartialImage())
+            unique_dr2(s, {})
 
     @pytest.mark.parametrize(
         "rows, ones",
@@ -257,8 +262,7 @@ class TestUniqueDr2:
     def test_coloring_missing_targets_rejected(self, rows, ones):
         s = sub(2, [(1, 1)], {1: rows}, {1: (1, 1)})
         assert solve_dr2(s) is not None
-        wrong = PartialImage()
-        wrong.set_block((1, 1), ones)
+        wrong = {(1, 1): block_code(ones)}
         with pytest.raises(ValueError):
             unique_dr2(s, wrong)
 
@@ -267,12 +271,12 @@ class TestFillTrivial:
     def test_zero_fill(self):
         s = sub(0, [(1, 1), (3, 1)], {1: (0, 0)}, {1: (0, 0), 3: (0, 0)})
         sol = fill_trivial(s)
-        assert set(sol.bits.values()) == {0}
+        assert set(cell_bits(sol).values()) == {0}
 
     def test_full_fill(self):
         s = sub(4, [(1, 1), (3, 1)], {1: (4, 4)}, {1: (2, 2), 3: (2, 2)})
         sol = fill_trivial(s)
-        assert set(sol.bits.values()) == {1}
+        assert set(cell_bits(sol).values()) == {1}
         assert_solves(sol, s)
 
     def test_sum_disagreement_infeasible(self):
