@@ -9,6 +9,7 @@ the oracle hit its budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -128,17 +129,7 @@ def cmd_make_instance(args) -> int:
 
 def cmd_perturb(args) -> int:
     inst = _read_instance(args.instance)
-    noisy = Instance(
-        k=inst.k,
-        epsilon=args.eps,
-        m=inst.m,
-        n=inst.n,
-        row_sums=inst.row_sums,
-        col_sums=inst.col_sums,
-        blocks=inst.blocks,
-        reliable=inst.reliable,
-    )
-    noisy = perturb_instance(noisy, args.fraction, args.seed)
+    noisy = perturb_instance(dataclasses.replace(inst, epsilon=args.eps), args.fraction, args.seed)
     _emit_text(formats.write_instance(noisy), args.output)
     return OK
 

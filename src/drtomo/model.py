@@ -112,18 +112,6 @@ class BlockType(enum.Enum):
     C22 = "c22"
     FULL = "full"
 
-    @staticmethod
-    def a(r: int, c: int) -> "BlockType":
-        return BlockType[f"A{r}{c}"]
-
-    @staticmethod
-    def b3(s: int) -> "BlockType":
-        return BlockType[f"B3{s}"]
-
-    @staticmethod
-    def c(r: int, c: int) -> "BlockType":
-        return BlockType[f"C{r}{c}"]
-
     @property
     def cells(self) -> frozenset[tuple[int, int]]:
         """Offsets (dx, dy) in {0,1}^2 of the ones, dy = 0 bottom row."""

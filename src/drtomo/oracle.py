@@ -3,16 +3,29 @@
 This is the ground truth the fast solver is measured against, and the only
 way in this package to decide noisy or k > 2 instances exactly.  Nothing
 here tries to be fast beyond pruning and pre-elimination.
+
+Every row, column and block is a window group: a set of cells that must
+hold between lo and hi ones (lo = hi = the line sum for a line,
+``Instance.window`` for a block), and every cell lies in exactly three
+groups.  A partial assignment is kept while each group can still be
+completed, that is while used <= hi and used + free >= lo.
+Pre-elimination applies one forcing rule to every group until nothing
+changes: used == hi forces the free cells to 0, used + free == lo forces
+them to 1.  The depth-first search keeps its path on an explicit stack, so
+its depth is bounded by memory, not by the interpreter's recursion limit.
+
+A malformed instance (any ``validate_instance`` finding other than a sum
+mismatch) and a pin outside the grid or with a bit other than 0 or 1 raise
+``ValueError``; a sum mismatch is answered as infeasible.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BinaryImage, Instance
+from .model import BinaryImage, Instance, validate_instance
 
 
 @dataclass(frozen=True)
@@ -28,7 +41,13 @@ class SearchBudget:
 
 
 class _Search:
-    """One depth-first enumeration over the undecided cells of an instance."""
+    """One depth-first enumeration over the undecided cells of an instance.
+
+    Cell (p, q) has index (q-1)*m + p-1.  Groups are numbered rows bottom
+    up, then columns left to right, then blocks in ``Instance.corners``
+    order, so both pre-elimination and search visit cells bottom row up,
+    left to right.
+    """
 
     def __init__(self, inst: Instance, budget: SearchBudget, collect: bool):
         self.inst = inst
@@ -40,143 +59,113 @@ class _Search:
         self.exhausted = True
 
         k, m, n = inst.k, inst.m, inst.n
-        self.k = k
-        self.grid = [[-1] * (m + 1) for _ in range(n + 1)]  # grid[q][p] in {-1,0,1}
-        self.row_need = list(inst.row_sums)  # remaining ones wanted per row
-        self.col_need = list(inst.col_sums)
-        self.row_free = [m] * n  # undecided cells per row
-        self.col_free = [n] * m
-        bw, bh = m // k, n // k
-        self.bw = bw
-        self.windows = [inst.window(k * (b % bw) + 1, k * (b // bw) + 1) for b in range(bw * bh)]
-        self.blk_used = [0] * (bw * bh)
-        self.blk_free = [k * k] * (bw * bh)
-        self.contradiction = False
+        windows = [(r, r) for r in inst.row_sums] + [(c, c) for c in inst.col_sums]
+        self.members = [[q * m + p for p in range(m)] for q in range(n)]
+        self.members += [[q * m + p for q in range(n)] for p in range(m)]
+        for i, j in inst.corners():
+            windows.append(inst.window(i, j))
+            self.members.append(
+                [(j - 1 + dy) * m + i - 1 + dx for dy in range(k) for dx in range(k)]
+            )
+        self.lo = [lo for lo, _ in windows]
+        self.hi = [hi for _, hi in windows]
+        self.used = [0] * len(windows)
+        self.free = [len(cells) for cells in self.members]
+        self.groups = [
+            (q, n + p, n + m + (q // k) * (m // k) + p // k) for q in range(n) for p in range(m)
+        ]
+        self.cell = [-1] * (m * n)  # -1 while undecided
 
-    def _blk(self, p: int, q: int) -> int:
-        return ((q - 1) // self.k) * self.bw + (p - 1) // self.k
+    def _set(self, c: int, bit: int) -> bool:
+        """Fix cell c; False if one of its groups can no longer be completed."""
+        self.cell[c] = bit
+        used, free, lo, hi = self.used, self.free, self.lo, self.hi
+        ok = True
+        for g in self.groups[c]:
+            free[g] -= 1
+            used[g] += bit
+            if used[g] > hi[g] or used[g] + free[g] < lo[g]:
+                ok = False
+        return ok
 
-    def _set(self, p: int, q: int, bit: int) -> bool:
-        """Fix one cell; False on an immediate capacity violation."""
-        self.grid[q][p] = bit
-        self.row_free[q - 1] -= 1
-        self.col_free[p - 1] -= 1
-        b = self._blk(p, q)
-        self.blk_free[b] -= 1
-        if bit:
-            self.row_need[q - 1] -= 1
-            self.col_need[p - 1] -= 1
-            self.blk_used[b] += 1
-        lo, hi = self.windows[b]
-        return (
-            0 <= self.row_need[q - 1] <= self.row_free[q - 1]
-            and 0 <= self.col_need[p - 1] <= self.col_free[p - 1]
-            and self.blk_used[b] <= hi
-            and self.blk_used[b] + self.blk_free[b] >= lo
-        )
+    def _unset(self, c: int) -> None:
+        bit = self.cell[c]
+        self.cell[c] = -1
+        used, free = self.used, self.free
+        for g in self.groups[c]:
+            free[g] += 1
+            used[g] -= bit
 
-    def _unset(self, p: int, q: int) -> None:
-        bit = self.grid[q][p]
-        self.grid[q][p] = -1
-        self.row_free[q - 1] += 1
-        self.col_free[p - 1] += 1
-        b = self._blk(p, q)
-        self.blk_free[b] += 1
-        if bit:
-            self.row_need[q - 1] += 1
-            self.col_need[p - 1] += 1
-            self.blk_used[b] -= 1
-
-    def preeliminate(self) -> None:
-        """Fix every cell forced by rows, columns or block windows, to fixpoint."""
-        inst = self.inst
+    def preeliminate(self) -> bool:
+        """Fix every cell a group forces, to fixpoint; False on a contradiction."""
         changed = True
-        while changed and not self.contradiction:
+        while changed:
             changed = False
-            for q in range(1, inst.n + 1):
-                changed |= self._force_line(
-                    [(p, q) for p in range(1, inst.m + 1)], self.row_need[q - 1]
-                )
-            for p in range(1, inst.m + 1):
-                changed |= self._force_line(
-                    [(p, q) for q in range(1, inst.n + 1)], self.col_need[p - 1]
-                )
-            for b, (lo, hi) in enumerate(self.windows):
-                i = self.k * (b % self.bw) + 1
-                j = self.k * (b // self.bw) + 1
-                cells = [
-                    (i + dx, j + dy) for dy in range(self.k) for dx in range(self.k)
-                ]
-                free = [c for c in cells if self.grid[c[1]][c[0]] < 0]
-                used = self.blk_used[b]
-                if used > hi or used + len(free) < lo:
-                    self.contradiction = True
-                    return
-                if free and used == hi:
-                    changed |= self._force_cells(free, 0)
-                elif free and used + len(free) == lo:
-                    changed |= self._force_cells(free, 1)
-
-    def _force_line(self, cells: list[tuple[int, int]], need: int) -> bool:
-        free = [c for c in cells if self.grid[c[1]][c[0]] < 0]
-        if need < 0 or need > len(free):
-            self.contradiction = True
-            return False
-        if free and need == 0:
-            return self._force_cells(free, 0)
-        if free and need == len(free):
-            return self._force_cells(free, 1)
-        return False
-
-    def _force_cells(self, cells: list[tuple[int, int]], bit: int) -> bool:
-        for p, q in cells:
-            if not self._set(p, q, bit):
-                self.contradiction = True
+            for g, cells in enumerate(self.members):
+                used, free = self.used[g], self.free[g]
+                if used > self.hi[g] or used + free < self.lo[g]:
+                    return False
+                if free and (used == self.hi[g] or used + free == self.lo[g]):
+                    bit = int(used != self.hi[g])
+                    for c in cells:
+                        if self.cell[c] < 0:
+                            self._set(c, bit)  # a broken group is caught on the next pass
+                    changed = True
         return True
 
     def run(self) -> None:
-        if self.contradiction:
-            return
-        free = [
-            (p, q)
-            for q in range(1, self.inst.n + 1)
-            for p in range(1, self.inst.m + 1)
-            if self.grid[q][p] < 0
-        ]
-        limit = sys.getrecursionlimit()
-        if len(free) + 100 > limit:
-            sys.setrecursionlimit(len(free) + 200)
-        try:
-            self._dfs(free, 0)
-        finally:
-            sys.setrecursionlimit(limit)
-
-    def _dfs(self, free: list[tuple[int, int]], depth: int) -> bool:
-        """Returns False when the budget is spent and the search must stop."""
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            self.exhausted = False
-            return False
-        if depth == len(free):
-            self.count += 1
-            if self.collect:
-                a = np.array(
-                    [row[1:] for row in self.grid[1:]], dtype=np.uint8
-                )
-                self.solutions.append(BinaryImage(a))
-            if self.count >= self.budget.max_solutions:
+        """Visit the search tree in order, one node per vertex, within budget."""
+        free = [c for c, bit in enumerate(self.cell) if bit < 0]
+        path: list[int] = []  # path[d] is the bit set at free[d]
+        set_, unset = self._set, self._unset
+        while True:
+            # a new vertex at depth len(path)
+            self.nodes += 1
+            if self.nodes > self.budget.max_nodes:
                 self.exhausted = False
-                return False
-            return True
-        p, q = free[depth]
-        for bit in (0, 1):
-            ok = self._set(p, q, bit)
-            if ok:
-                if not self._dfs(free, depth + 1):
-                    self._unset(p, q)
-                    return False
-            self._unset(p, q)
-        return True
+                return
+            bit = 0
+            if len(path) == len(free):
+                self.count += 1
+                if self.collect:
+                    a = np.array(self.cell, dtype=np.uint8).reshape(self.inst.n, self.inst.m)
+                    self.solutions.append(BinaryImage(a))
+                if self.count >= self.budget.max_solutions:
+                    self.exhausted = False
+                    return
+                bit = 2  # a leaf has no child to try
+            # the next vertex is the first admissible untried child of the
+            # deepest vertex on the path that still has one
+            while True:
+                if bit < 2:
+                    c = free[len(path)]
+                    if set_(c, bit):
+                        path.append(bit)
+                        break
+                    unset(c)
+                    bit += 1
+                elif path:
+                    bit = path.pop() + 1
+                    unset(free[len(path)])
+                else:
+                    return
+
+
+def _run(
+    inst: Instance, budget: SearchBudget, collect: bool, fixed: dict[tuple[int, int], int]
+) -> _Search:
+    """Check the input, pin the fixed cells, pre-eliminate and search."""
+    errs = validate_instance(inst)
+    if any(e.kind != "sum-mismatch" for e in errs):
+        raise ValueError("; ".join(str(e) for e in errs))
+    s = _Search(inst, budget, collect)
+    for (p, q), bit in fixed.items():
+        if not (1 <= p <= inst.m and 1 <= q <= inst.n) or bit not in (0, 1):
+            raise ValueError(f"pin ({p}, {q}) = {bit} is not a bit on the {inst.m}x{inst.n} grid")
+        s._set((q - 1) * inst.m + p - 1, int(bit))  # a broken group fails pre-elimination
+    if not errs and s.preeliminate():
+        s.run()
+    return s
 
 
 def oracle_solve(
@@ -189,11 +178,7 @@ def oracle_solve(
     that is True iff the whole space was covered within budget, so the
     list is complete up to max_solutions.
     """
-    if sum(inst.row_sums) != sum(inst.col_sums):
-        return [], True
-    s = _Search(inst, budget, collect=True)
-    s.preeliminate()
-    s.run()
+    s = _run(inst, budget, True, {})
     return s.solutions, s.exhausted
 
 
@@ -206,15 +191,10 @@ def constrained_solve(
 
     Useful when outside knowledge says certain cells must hold a known
     value in every solution; the search then only branches on the rest.
+    A pin outside the grid or with a bit other than 0 or 1 raises
+    ValueError.
     """
-    if sum(inst.row_sums) != sum(inst.col_sums):
-        return [], True
-    s = _Search(inst, budget, collect=True)
-    for (p, q), bit in fixed.items():
-        if not s._set(p, q, bit):
-            return [], True
-    s.preeliminate()
-    s.run()
+    s = _run(inst, budget, True, fixed)
     return s.solutions, s.exhausted
 
 
@@ -222,9 +202,5 @@ def oracle_count(
     inst: Instance, budget: SearchBudget = SearchBudget()
 ) -> tuple[int, bool]:
     """Count solutions without materializing them; same search as oracle_solve."""
-    if sum(inst.row_sums) != sum(inst.col_sums):
-        return 0, True
-    s = _Search(inst, budget, collect=False)
-    s.preeliminate()
-    s.run()
+    s = _run(inst, budget, False, {})
     return s.count, s.exhausted
