@@ -1,14 +1,29 @@
 """File formats: the line-oriented instance grammar and plain PBM/PGM rasters.
 
+An integer token, in an instance document or in a raster header or body,
+is an ASCII decimal integer with an optional sign (`[+-]?[0-9]+`); a block
+token may end in one `?`, which marks the block unreliable.  Anything else
+that Python's `int()` would take, such as `1_0` or non-ASCII digits, is a
+`FormatError` naming its line.
+
+Each section of a document is checked and converted as a whole: one
+pattern match over its tokens, one numeric conversion, and one array
+operation that reads the `?` marks; a rejected section is walked token by
+token only to name its first error.  Writers build each section from the
+arrays in the same way.
+
 Raster files are written top row first, so file raster row 1 holds image
 row q = n; the Cartesian flip happens here and only here.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+
 import numpy as np
 
-from .model import BinaryImage, GrayImage, Instance, validate_instance
+from .model import BinaryImage, GrayImage, Instance, _instance_of_grids, validate_instance
 
 
 class FormatError(ValueError):
@@ -25,6 +40,10 @@ class FormatError(ValueError):
 # Instance documents
 # --------------------------------------------------------------------------
 
+_INT = re.compile(r"[+-]?[0-9]+")
+_BLOCK_TOKENS = re.compile(r"[+-]?[0-9]+\??(?: [+-]?[0-9]+\??)*")  # joined by single spaces
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -35,10 +54,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _ints(fields: list[str], lineno: int) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise FormatError(f"expected integers, got {' '.join(fields)!r}", lineno) from None
+    # int() of a field without whitespace takes [+-]?[0-9]+, and also `_`
+    # separators and non-ASCII digits, which are excluded first
+    joined = " ".join(fields)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(int, fields))
+        except ValueError:
+            pass
+    raise FormatError(f"expected integers, got {joined!r}", lineno)
 
 
 def parse_instance(text: str) -> Instance:
@@ -88,108 +112,136 @@ def parse_instance(text: str) -> Instance:
 
     expect("blocks", 0)
     bw, bh = m // k, n // k
-    grid: list[tuple[int, ...]] = []
-    reliable = set()
-    for file_row in range(bh):
-        if pos >= len(lines):
-            raise FormatError("missing block rows", lines[-1][0])
-        no, line = lines[pos]
-        pos += 1
-        tokens = line.split()
-        if len(tokens) != bw:
-            raise FormatError(f"block row needs {bw} tokens, got {len(tokens)}", no)
-        bv = bh - 1 - file_row  # file prints the top block row first
-        row_vals = []
-        for bu, tok in enumerate(tokens):
-            unreliable = tok.endswith("?")
-            body = tok[:-1] if unreliable else tok
-            try:
-                v = int(body)
-            except ValueError:
-                raise FormatError(f"bad block token {tok!r}", no) from None
-            if not 0 <= v <= k * k:
-                raise FormatError(f"block value {v} outside [0, {k * k}]", no)
-            row_vals.append(v)
-            if not unreliable:
-                reliable.add((k * bu + 1, k * bv + 1))
-        grid.append(tuple(row_vals))
+    rows = lines[pos : pos + bh]
+    pos += len(rows)
+    tokens = [line.split() for _, line in rows]
+    # the file prints the top block row first; the section runs bottom up
+    section = " ".join(map(" ".join, reversed(tokens)))
+    if len(rows) < bh or set(map(len, tokens)) != {bw} or not _BLOCK_TOKENS.fullmatch(section):
+        raise _block_rows_error(rows, bh, bw, k * k, lines[-1][0])
+    # the section is ASCII now, and each token ends in a digit or `?` just before a space
+    chars = np.frombuffer((section + " ").encode("ascii"), dtype=np.uint8)
+    reliable = chars[:-1][chars[1:] == ord(" ")] != ord("?")
+    values = np.fromstring(section.replace("?", ""), dtype=np.int64, sep=" ")
+    # a value beyond int64 reads as its bound; only a `-` can make one negative
+    if values.max() > k * k or ("-" in section and values.min() < 0):
+        raise _block_rows_error(rows, bh, bw, k * k, lines[-1][0])
     if pos < len(lines):
         raise FormatError("trailing content after block rows", lines[pos][0])
 
-    inst = Instance(
-        k=k,
-        epsilon=epsilon,
-        m=m,
-        n=n,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        blocks=tuple(reversed(grid)),
-        reliable=frozenset(reliable),
-    )
+    inst = _instance_of_grids(k, epsilon, row_sums, col_sums, values.reshape(bh, bw), reliable.reshape(bh, bw))
     structural = [e for e in validate_instance(inst) if e.kind != "sum-mismatch"]
     if structural:
         raise FormatError("; ".join(str(e) for e in structural))
     return inst
 
 
+def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, last: int) -> FormatError:
+    """The first fault of block rows that failed the section checks, in document order."""
+    for file_row in range(bh):
+        if file_row >= len(rows):
+            return FormatError("missing block rows", last)
+        no, line = rows[file_row]
+        tokens = line.split()
+        if len(tokens) != bw:
+            return FormatError(f"block row needs {bw} tokens, got {len(tokens)}", no)
+        for tok in tokens:
+            body = tok[:-1] if tok.endswith("?") else tok
+            if not _INT.fullmatch(body):
+                return FormatError(f"bad block token {tok!r}", no)
+            if not 0 <= int(body) <= kk:
+                return FormatError(f"block value {int(body)} outside [0, {kk}]", no)
+    raise AssertionError("block rows failed a section check but have no fault")
+
+
 def write_instance(inst: Instance) -> str:
-    out = [
+    """Instance document of a well-shaped instance; unreliable blocks get a `?`."""
+    marks = ("?", "")
+    body = [
+        " ".join(map(str.__add__, map(str, row), map(marks.__getitem__, ok)))
+        for row, ok in zip(reversed(inst.blocks), inst._reliable_grid[::-1].tolist())
+    ]
+    head = [
         "NSR 1",
         f"k {inst.k}",
         f"eps {inst.epsilon}",
         f"size {inst.m} {inst.n}",
-        "rows " + " ".join(str(r) for r in inst.row_sums),
-        "cols " + " ".join(str(c) for c in inst.col_sums),
+        "rows " + " ".join(map(str, inst.row_sums)),
+        "cols " + " ".join(map(str, inst.col_sums)),
         "blocks",
     ]
-    bh = inst.n // inst.k
-    for bv in range(bh - 1, -1, -1):
-        tokens = []
-        for bu, v in enumerate(inst.blocks[bv]):
-            corner = (inst.k * bu + 1, inst.k * bv + 1)
-            tokens.append(str(v) if corner in inst.reliable else f"{v}?")
-        out.append(" ".join(tokens))
-    return "\n".join(out) + "\n"
+    return "\n".join(chain(head, body)) + "\n"
 
 
 # --------------------------------------------------------------------------
 # PBM / PGM rasters
 # --------------------------------------------------------------------------
 
-def _tokenize_pnm(data: bytes) -> list[str]:
-    text = data.decode("ascii", errors="replace")
-    tokens = []
-    for raw in text.split("\n"):
-        line = raw.split("#", 1)[0]
-        tokens.extend(line.split())
-    return tokens
+_COMMENT = re.compile(rb"#[^\n]*")
+_PNM_INT = re.compile(rb"[+-]?[0-9]+")
+_PNM_INTS = re.compile(rb"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?")
+# str.split of the decoded text also splits at \x1c..\x1f; bytes.split does not
+_SEPARATORS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _pnm_fields(data: bytes, header: int) -> list[bytes]:
+    """The magic number and `header` - 1 more fields, then the rest of the file.
+
+    Comments run from `#` to the end of the line and are dropped.
+    """
+    return _COMMENT.sub(b"", data).translate(_SEPARATORS).split(maxsplit=header)
+
+
+def _pnm_line(data: bytes, index: int) -> int | None:
+    """1-based line holding field number `index` (0 = magic) of a plain PNM file."""
+    seen = 0
+    for no, raw in enumerate(data.split(b"\n"), start=1):
+        seen += len(raw.split(b"#", 1)[0].translate(_SEPARATORS).split())
+        if seen > index:
+            return no
+    return None
+
+
+def _pnm_magic(fields: list[bytes], want: bytes) -> None:
+    if not fields or fields[0] != want:
+        got = fields[0].decode("ascii", errors="replace") if fields else "<empty>"
+        raise FormatError(f"bad magic number {got!r}, expected {want.decode()}")
+
+
+def _pnm_header(data: bytes, fields: list[bytes], count: int, error: str) -> list[int]:
+    """Fields 1..count as integers; `error` is the message when one is missing or malformed."""
+    if len(fields) <= count:
+        raise FormatError(error)
+    for x in range(1, count + 1):
+        if not _PNM_INT.fullmatch(fields[x]):
+            raise FormatError(error, _pnm_line(data, x))
+    return list(map(int, fields[1 : count + 1]))
 
 
 def read_image(data: bytes) -> BinaryImage:
     """Decode a plain (P1) PBM byte string."""
-    tokens = _tokenize_pnm(data)
-    if not tokens or tokens[0] != "P1":
-        raise FormatError(f"bad magic number {tokens[0] if tokens else '<empty>'!r}, expected P1")
-    try:
-        m, n = int(tokens[1]), int(tokens[2])
-    except (IndexError, ValueError):
-        raise FormatError("missing or malformed PBM dimensions") from None
+    fields = _pnm_fields(data, 3)
+    _pnm_magic(fields, b"P1")
+    m, n = _pnm_header(data, fields, 2, "missing or malformed PBM dimensions")
     if m <= 0 or n <= 0:
         raise FormatError(f"bad PBM dimensions {m} {n}")
-    bits = "".join(tokens[3:])
+    # the body's bits may run together or stand apart
+    bits = fields[3].translate(None, _WHITESPACE) if len(fields) > 3 else b""
     if len(bits) != m * n:
         raise FormatError(f"expected {m * n} bits, got {len(bits)}")
-    if set(bits) - {"0", "1"}:
+    a = np.frombuffer(bits, dtype=np.uint8) - ord("0")
+    if a.max() > 1:  # bytes below "0" wrap around
         raise FormatError("non-bit token in PBM body")
-    a = np.array([int(b) for b in bits], dtype=np.uint8).reshape(n, m)
-    return BinaryImage(a[::-1])  # raster top row is image row q = n
+    return BinaryImage(a.reshape(n, m)[::-1])  # raster top row is image row q = n
 
 
 def write_image(img: BinaryImage) -> bytes:
-    lines = ["P1", f"{img.m} {img.n}"]
-    for q in range(img.n, 0, -1):
-        lines.append(" ".join(str(int(b)) for b in img.a[q - 1]))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    # one row is "b b ... b\n": bits at even offsets, a newline last
+    out = np.full((img.n, max(2 * img.m, 1)), ord(" "), dtype=np.uint8)
+    out[:, : 2 * img.m : 2] = img.a[::-1] + ord("0")
+    out[:, -1] = ord("\n")
+    return f"P1\n{img.m} {img.n}\n".encode("ascii") + out.tobytes()
 
 
 def write_gray(g: GrayImage) -> bytes:
@@ -201,21 +253,23 @@ def write_gray(g: GrayImage) -> bytes:
 
 def read_gray(data: bytes) -> GrayImage:
     """Decode a plain (P2) PGM byte string."""
-    tokens = _tokenize_pnm(data)
-    if not tokens or tokens[0] != "P2":
-        raise FormatError(f"bad magic number {tokens[0] if tokens else '<empty>'!r}, expected P2")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        values = [int(t) for t in tokens[4:]]
-    except (IndexError, ValueError):
-        raise FormatError("malformed PGM header or body") from None
+    fields = _pnm_fields(data, 4)
+    _pnm_magic(fields, b"P2")
+    w, h, maxval = _pnm_header(data, fields, 3, "malformed PGM header or body")
+    tokens = fields[4].split() if len(fields) > 4 else []
+    body = b" ".join(tokens)
+    if not _PNM_INTS.fullmatch(body):
+        bad = next(x for x, t in enumerate(tokens) if not _PNM_INT.fullmatch(t))
+        raise FormatError("malformed PGM header or body", _pnm_line(data, 4 + bad))
     if w <= 0 or h <= 0:
         raise FormatError(f"bad PGM dimensions {w} {h}")
     if not 1 <= maxval <= 65535:
         raise FormatError(f"PGM maxval {maxval} outside [1, 65535]")
-    if len(values) != w * h:
-        raise FormatError(f"expected {w * h} values, got {len(values)}")
-    if any(not 0 <= x <= maxval for x in values):
+    if len(tokens) != w * h:
+        raise FormatError(f"expected {w * h} values, got {len(tokens)}")
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if values.min() < 0 or values.max() > maxval:  # a value beyond int64 reads as its bound
         raise FormatError("PGM value outside [0, maxval]")
-    rows = [tuple(values[r * w : (r + 1) * w]) for r in range(h)]
-    return GrayImage(width=w, height=h, maxval=maxval, values=tuple(reversed(rows)))
+    return GrayImage(
+        width=w, height=h, maxval=maxval, values=tuple(map(tuple, values.reshape(h, w)[::-1].tolist()))
+    )

@@ -11,6 +11,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress, cycle, repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -177,6 +179,10 @@ class Instance:
 
     blocks[bv][bu] is the prescribed number of ones of the block anchored
     at corner (k*bu + 1, k*bv + 1); bu runs left to right, bv bottom up.
+
+    The array views `_grid`, `_reliable_grid` and `_strip_counts` are
+    computed from the fields on first use and kept for the life of the
+    object; they need a well-shaped block grid (see validate_instance).
     """
 
     k: int
@@ -189,9 +195,7 @@ class Instance:
     reliable: frozenset[Corner]
 
     def corners(self) -> Iterator[Corner]:
-        for bv in range(self.n // self.k):
-            for bu in range(self.m // self.k):
-                yield (self.k * bu + 1, self.k * bv + 1)
+        return _corners(self.k, self.m // self.k, self.n // self.k)
 
     def value(self, i: int, j: int) -> int:
         return self.blocks[(j - 1) // self.k][(i - 1) // self.k]
@@ -205,6 +209,76 @@ class Instance:
         if (i, j) in self.reliable:
             return v, v
         return max(0, v - self.epsilon), min(self.k * self.k, v + self.epsilon)
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """Block values as an array, entry [bv, bu] = blocks[bv][bu]."""
+        return np.array(self.blocks)
+
+    @cached_property
+    def _reliable_grid(self) -> np.ndarray:
+        """Boolean array, entry [bv, bu] tells whether corner (k*bu + 1, k*bv + 1) is reliable.
+
+        Members of `reliable` that are not corners leave no mark, so the
+        grid holds fewer marks than `reliable` has members exactly when
+        some member is not a corner.
+        """
+        bw, bh = self.m // self.k, self.n // self.k
+        marks = map(self.reliable.__contains__, self.corners())
+        return np.fromiter(marks, dtype=bool, count=bw * bh).reshape(bh, bw)
+
+    @cached_property
+    def _strip_counts(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Blocks of each value 0..k^2 per strip, from one pass over `_grid`.
+
+        rows[bv][v] counts the blocks of value v in the horizontal strip at
+        corner row k*bv + 1; cols[bu][v] those in the vertical strip at
+        corner column k*bu + 1.
+        """
+        onehot = self._grid[:, :, None] == np.arange(self.k * self.k + 1)
+        return onehot.sum(axis=1).tolist(), onehot.sum(axis=0).tolist()
+
+    def _with_line_sums(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> "Instance":
+        """This instance with other line sums, sharing the block views computed so far."""
+        out = object.__new__(Instance)
+        # the fields and views live in __dict__; none of the views reads a line sum
+        out.__dict__.update(self.__dict__, row_sums=row_sums, col_sums=col_sums)
+        return out
+
+
+def _corners(k: int, bw: int, bh: int) -> Iterator[Corner]:
+    """Corners of a bw x bh block grid, row by row from the bottom, left to right.
+
+    Built from C-level iterators, so a caller that consumes them in C
+    (a set, `compress`, `zip`) runs no Python code per corner.
+    """
+    columns = [k * bu + 1 for bu in range(bw)]
+    rows = [k * bv + 1 for bv in range(bh)]
+    return zip(cycle(columns), chain.from_iterable(map(repeat, rows, repeat(bw))))
+
+
+def _instance_of_grids(
+    k: int, epsilon: int, row_sums: tuple[int, ...], col_sums: tuple[int, ...],
+    grid: np.ndarray, reliable_grid: np.ndarray,
+) -> Instance:
+    """Instance of integer block values and a reliability mask, both [bv, bu] arrays.
+
+    The arrays become the instance's views, so nothing walks the blocks
+    to rebuild them.
+    """
+    bh, bw = grid.shape
+    inst = Instance(
+        k=k,
+        epsilon=epsilon,
+        m=k * bw,
+        n=k * bh,
+        row_sums=row_sums,
+        col_sums=col_sums,
+        blocks=tuple(map(tuple, grid.tolist())),
+        reliable=frozenset(compress(_corners(k, bw, bh), reliable_grid.ravel().tolist())),
+    )
+    inst.__dict__.update(_grid=grid, _reliable_grid=reliable_grid)
+    return inst
 
 
 @dataclass(frozen=True)
@@ -266,26 +340,26 @@ def validate_instance(inst: Instance) -> list[ValidationError]:
     if len(inst.col_sums) != inst.m:
         errs.append(ValidationError("shape", f"expected {inst.m} column sums, got {len(inst.col_sums)}"))
     bw, bh = inst.m // inst.k, inst.n // inst.k
-    if len(inst.blocks) != bh or any(len(row) != bw for row in inst.blocks):
+    if len(inst.blocks) != bh or set(map(len, inst.blocks)) != {bw}:
         errs.append(ValidationError("shape", f"block grid must be {bh} rows of {bw} values"))
     if errs:
         return errs
 
-    for j, r in enumerate(inst.row_sums, start=1):
-        if not 0 <= r <= inst.m:
-            errs.append(ValidationError("value", f"row sum r_{j}={r} outside [0, {inst.m}]"))
-    for i, c in enumerate(inst.col_sums, start=1):
-        if not 0 <= c <= inst.n:
-            errs.append(ValidationError("value", f"column sum c_{i}={c} outside [0, {inst.n}]"))
-    kk = inst.k * inst.k
-    for i, j in inst.corners():
-        v = inst.value(i, j)
-        if not 0 <= v <= kk:
+    # each range test covers a whole sequence; only offenders are visited,
+    # and their messages quote the fields themselves
+    for name, sums, top in (("row sum r", inst.row_sums, inst.m), ("column sum c", inst.col_sums, inst.n)):
+        if min(sums) < 0 or max(sums) > top:
+            for x in _outside(np.array(sums), top):
+                errs.append(ValidationError("value", f"{name}_{x + 1}={sums[x]} outside [0, {top}]"))
+    kk, grid = inst.k * inst.k, inst._grid
+    if grid.min() < 0 or grid.max() > kk:
+        for bv, bu in map(divmod, _outside(grid.ravel(), kk), repeat(bw)):
+            v, i, j = inst.blocks[bv][bu], inst.k * bu + 1, inst.k * bv + 1
             errs.append(ValidationError("value", f"block value v({i},{j})={v} outside [0, {kk}]"))
-    all_corners = set(inst.corners())
-    if not inst.reliable <= all_corners:
+    marks = int(np.count_nonzero(inst._reliable_grid))
+    if marks != len(inst.reliable):
         errs.append(ValidationError("reliability", "reliable set contains non-corner points"))
-    if inst.epsilon == 0 and inst.reliable != all_corners:
+    if inst.epsilon == 0 and not marks == len(inst.reliable) == bw * bh:
         errs.append(
             ValidationError("reliability", "epsilon = 0 requires every block to be reliable")
         )
@@ -299,6 +373,11 @@ def validate_instance(inst: Instance) -> list[ValidationError]:
     return errs
 
 
+def _outside(values: np.ndarray, top: int) -> list[int]:
+    """Indices of the entries outside [0, top], in order."""
+    return np.flatnonzero((values < 0) | (values > top)).tolist()
+
+
 def verify_solution(inst: Instance, img: BinaryImage) -> VerificationReport:
     """Check every row, column and block constraint of inst against img."""
     if (img.m, img.n) != (inst.m, inst.n):
@@ -306,13 +385,13 @@ def verify_solution(inst: Instance, img: BinaryImage) -> VerificationReport:
     k = inst.k
     bh, bw = inst.n // k, inst.m // k
     got = img.a[: bh * k, : bw * k].reshape(bh, k, bw, k).sum(axis=(1, 3), dtype=np.int64)
-    values = np.array(inst.blocks, dtype=np.int64).reshape(bh, bw)
+    values = inst._grid
     lo = np.maximum(0, values - inst.epsilon)
     hi = np.minimum(k * k, values + inst.epsilon)
     # reliability narrows a window only where the noise window is not [v, v]
-    for bv, bu in zip(*np.nonzero((lo != values) | (hi != values))):
-        if (k * int(bu) + 1, k * int(bv) + 1) in inst.reliable:
-            lo[bv, bu] = hi[bv, bu] = values[bv, bu]
+    if ((lo != values) | (hi != values)).any():
+        lo = np.where(inst._reliable_grid, values, lo)
+        hi = np.where(inst._reliable_grid, values, hi)
     bad_v, bad_u = np.nonzero((got < lo) | (got > hi))
     return VerificationReport(
         row_violations=_line_violations(inst.row_sums, img.a.sum(axis=1)),
@@ -347,7 +426,7 @@ def degrade(img: BinaryImage, k: int) -> GrayImage:
         width=img.m // k,
         height=img.n // k,
         maxval=k * k,
-        values=tuple(tuple(int(x) for x in row) for row in sums),
+        values=tuple(map(tuple, sums.tolist())),
     )
 
 
@@ -356,9 +435,6 @@ def make_exact_instance(img: BinaryImage, k: int) -> Instance:
     if k < 2:
         raise ValueError(f"instances need block size k >= 2, got {k}")
     gray = degrade(img, k)
-    reliable = frozenset(
-        (k * bu + 1, k * bv + 1) for bv in range(img.n // k) for bu in range(img.m // k)
-    )
     return Instance(
         k=k,
         epsilon=0,
@@ -367,7 +443,7 @@ def make_exact_instance(img: BinaryImage, k: int) -> Instance:
         row_sums=tuple(img.row_sums()),
         col_sums=tuple(img.col_sums()),
         blocks=gray.values,
-        reliable=reliable,
+        reliable=frozenset(_corners(k, gray.width, gray.height)),
     )
 
 

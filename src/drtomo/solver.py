@@ -68,16 +68,8 @@ class StripPermutation:
             rows[j - 1], rows[j] = rows[j], rows[j - 1]
         for i in self.col_swapped:
             cols[i - 1], cols[i] = cols[i], cols[i - 1]
-        return Instance(
-            k=inst.k,
-            epsilon=inst.epsilon,
-            m=inst.m,
-            n=inst.n,
-            row_sums=tuple(rows),
-            col_sums=tuple(cols),
-            blocks=inst.blocks,
-            reliable=inst.reliable,
-        )
+        # block values do not move, so the swapped instance keeps their views
+        return inst._with_line_sums(tuple(rows), tuple(cols))
 
 
 def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
@@ -120,24 +112,12 @@ def classify_strip(rj: int, rj1: int, v1: int, v2: int, v3: int) -> StripCase:
     return StripCase(INFEASIBLE, (0, 0, 0, 0, 0, 0, 0))
 
 
-def _strip_counts(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:
-    """Blocks of each value per strip, in one linear pass over inst.blocks.
-
-    rows[bv][nu] counts the blocks of value nu in the horizontal strip at
-    corner row 2*bv + 1; cols[bu][nu] those in the vertical strip at
-    corner column 2*bu + 1.
-    """
-    rows = [[row.count(nu) for nu in range(5)] for row in inst.blocks]
-    cols = [[col.count(nu) for nu in range(5)] for col in zip(*inst.blocks)]
-    return rows, cols
-
-
 def _classify_all(
     inst: Instance,
 ) -> Optional[tuple[dict[int, StripCase], dict[int, StripCase]]]:
     """Strip cases for both orientations of a proper instance, or None."""
     found = []
-    for sums, counts in zip((inst.row_sums, inst.col_sums), _strip_counts(inst)):
+    for sums, counts in zip((inst.row_sums, inst.col_sums), inst._strip_counts):
         cases: dict[int, StripCase] = {}
         for s, (_, v1, v2, v3, v4) in enumerate(counts):
             line = 2 * s + 1
@@ -176,7 +156,7 @@ def derive_sub_sums(
             return g_j + 2 * g_j1, 2 * g_j + g_j1
         return nu // 2 * count, nu // 2 * count  # nu in (0, 4): constant fill
 
-    rows, cols = _strip_counts(inst)
+    rows, cols = inst._strip_counts
     return {
         nu: SubInstance(
             m=inst.m,

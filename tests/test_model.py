@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import format_reference as ref
 
 from drtomo.model import (
     BinaryImage,
@@ -98,6 +101,84 @@ class TestValidateInstance:
             blocks=((0,),), reliable=frozenset({(2, 2)}),
         )
         assert any(e.kind == "reliability" for e in validate_instance(inst))
+
+
+HUGE = 10**20
+
+
+@st.composite
+def rough_instances(draw):
+    """Instances that break each rule of validate_instance now and then."""
+    def rarely(options, usual):
+        return draw(st.sampled_from([usual] * 9 + options))
+
+    k = rarely([1, 0, -1, 3], 2)
+    bw, bh = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m, n = max(k, 1) * bw + rarely([1, -1, -bw * max(k, 1)], 0), max(k, 1) * bh + rarely([1], 0)
+    epsilon = draw(st.sampled_from([0, 0, 1, 2, -1]))
+    kk = k * k
+
+    def values(top, count):
+        out = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+        if out and draw(st.integers(0, 4)) == 0:
+            out[draw(st.integers(0, count - 1))] = draw(st.sampled_from([-1, top + 1, HUGE, -HUGE]))
+        return out
+
+    bw, bh = max(bw + rarely([1, -1], 0), 0), bh + rarely([1], 0)  # now and then a grid one off
+    blocks = [values(kk, bw) for _ in range(bh)]
+    if draw(st.integers(0, 9)) == 0:
+        blocks[0].append(0)  # ragged
+    corners = [(k * bu + 1, k * bv + 1) for bv in range(bh) for bu in range(bw)]
+    reliable = set(corners)
+    if corners and draw(st.integers(0, 3)) == 0:
+        reliable = draw(st.sets(st.sampled_from(corners)))
+    reliable |= draw(st.sets(st.sampled_from([(2, 2), (0, 1), (1.0, 1), (1, 1, 1), "ab", (m + 1, 1)]), max_size=1))
+    return Instance(
+        k=k,
+        epsilon=epsilon,
+        m=m,
+        n=n,
+        row_sums=tuple(values(max(m, 0), max(n + rarely([1, -1], 0), 0))),
+        col_sums=tuple(values(max(n, 0), max(m + rarely([1], 0), 0))),
+        blocks=tuple(map(tuple, blocks)),
+        reliable=frozenset(reliable),
+    )
+
+
+class TestCorners:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bw, bh", [(0, 2), (2, 0), (1, 1), (3, 2), (2, 5)])
+    def test_row_major_from_the_bottom(self, k, bw, bh):
+        inst = dataclasses.replace(zero_instance(), k=k, m=k * bw, n=k * bh)
+        want = [(k * bu + 1, k * bv + 1) for bv in range(bh) for bu in range(bw)]
+        assert list(inst.corners()) == want
+
+
+class TestValidateAgainstReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(rough_instances())
+    def test_same_findings_in_the_same_order(self, inst):
+        assert validate_instance(inst) == ref.validate_instance(inst)
+
+    def test_every_kind_on_fixed_instances(self):
+        kinds = set()
+        base = zero_instance(4, 4)
+        cases = [
+            dataclasses.replace(base, k=1),
+            dataclasses.replace(base, m=3),
+            dataclasses.replace(base, row_sums=(0, 0, 0)),
+            dataclasses.replace(base, blocks=((0, 0), (0,))),
+            dataclasses.replace(base, row_sums=(5, -1, 0, HUGE)),
+            dataclasses.replace(base, blocks=((0, 5), (-1, 4))),
+            dataclasses.replace(base, reliable=base.reliable | {(2, 2)}),
+            dataclasses.replace(base, reliable=base.reliable - {(1, 1)}),
+            dataclasses.replace(base, row_sums=(1, 0, 0, 0)),
+        ]
+        for inst in cases:
+            errs = validate_instance(inst)
+            assert errs == ref.validate_instance(inst)
+            kinds |= {e.kind for e in errs}
+        assert kinds == {"dimension", "shape", "value", "reliability", "sum-mismatch"}
 
 
 class TestVerifySolution:

@@ -68,6 +68,14 @@ class TestProperize:
         assert img is not None
         assert verify_solution(proper, perm.apply_to_image(img)).satisfied
 
+    def test_swapped_instance_shares_block_views(self):
+        inst = make_exact_instance(random_image(8, 6, 0.5, 3), 2)
+        views = inst._grid, inst._reliable_grid, inst._strip_counts
+        proper, perm = properize(inst)
+        assert perm.row_swapped or perm.col_swapped
+        shared = proper._grid, proper._reliable_grid, proper._strip_counts
+        assert all(a is b for a, b in zip(shared, views))
+
     def test_requires_exact_dr(self):
         inst = single_block_instance(1, (1, 0), (1, 0), epsilon=1)
         with pytest.raises(ValueError):
@@ -194,6 +202,10 @@ class TestGlueProperties:
         assert cases is not None
         subs = derive_sub_sums(proper, *cases)
         assert sorted(subs) == [0, 1, 2, 3, 4]
+        # strip counts, against counting each strip's values one by one
+        rows, cols = proper._strip_counts
+        assert rows == [[row.count(v) for v in range(5)] for row in proper.blocks]
+        assert cols == [[col.count(v) for v in range(5)] for col in zip(*proper.blocks)]
         # the five block sets partition the block grid by value
         assert sum(len(sub.I) for sub in subs.values()) == len(list(proper.corners()))
         for nu, sub in subs.items():
