@@ -177,10 +177,22 @@ def derive_sub_sums(
 _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_trivial}
 
 
-def _solve_proper(
-    proper: Instance,
-) -> Optional[tuple[BinaryImage, dict[int, SubInstance], dict[Corner, int]]]:
-    """Assembled solution of a proper instance, its subproblems and block codes."""
+def _solve_checked(
+    inst: Instance,
+) -> Optional[tuple[StripPermutation, BinaryImage, dict[int, SubInstance], dict[Corner, int]]]:
+    """The pipeline solve_dr and check_unique share.
+
+    Returns the strip permutation and the proper frame's verified image,
+    subproblems and block codes; None if inst is infeasible, ValueError
+    if it is malformed.  Verifying in the proper frame decides the
+    original too, since properize's swaps map solutions one-to-one.
+    """
+    errs = validate_instance(inst)
+    if any(e.kind != "sum-mismatch" for e in errs):
+        raise ValueError("; ".join(str(e) for e in errs))
+    if errs:
+        return None
+    proper, perm = properize(inst)
     cases = _classify_all(proper)
     if cases is None:
         return None
@@ -197,7 +209,10 @@ def _solve_proper(
     bw = proper.m // 2
     grid = np.zeros(proper.n // 2 * bw, dtype=np.uint8)
     grid[[(j >> 1) * bw + (i >> 1) for i, j in codes]] = list(codes.values())
-    return BinaryImage(_decode(grid.reshape(-1, bw))), subs, codes
+    img = BinaryImage(_decode(grid.reshape(-1, bw)))
+    if not verify_solution(proper, img).satisfied:
+        return None
+    return perm, img, subs, codes
 
 
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
@@ -206,21 +221,13 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     Returns None exactly when the instance is infeasible.  The returned
     image satisfies every constraint and admits no forward local switch.
     """
-    errs = validate_instance(inst)
-    if any(e.kind != "sum-mismatch" for e in errs):
-        raise ValueError("; ".join(str(e) for e in errs))
-    if errs:
-        return None
-    proper, perm = properize(inst)
-    solved = _solve_proper(proper)
+    solved = _solve_checked(inst)
     if solved is None:
         return None
-    img = perm.apply_to_image(solved[0])
-    if not verify_solution(inst, img).satisfied:
-        return None
+    perm, img, _, _ = solved
     # un-swapping a strip can flip a diagonal block or re-pair block types,
     # so re-establish the no-forward-switch form on the final image
-    return switches.reduce(img)
+    return switches.reduce(perm.apply_to_image(img))
 
 
 def check_unique(inst: Instance) -> Optional[bool]:
@@ -231,18 +238,10 @@ def check_unique(inst: Instance) -> Optional[bool]:
     per-value subproblem is uniquely solvable and no reversed local
     switch applies to the solver's reduced solution.
     """
-    errs = validate_instance(inst)
-    if any(e.kind != "sum-mismatch" for e in errs):
-        raise ValueError("; ".join(str(e) for e in errs))
-    if errs:
-        return None
-    proper, _ = properize(inst)
-    solved = _solve_proper(proper)
+    solved = _solve_checked(inst)
     if solved is None:
         return None
-    img, subs, codes = solved
-    if not verify_solution(proper, img).satisfied:
-        return None
+    _, img, subs, codes = solved
     if subs[1].I and not unique_dr1(subs[1]):
         return False
     if subs[3].I and not unique_dr3(subs[3]):

@@ -1,9 +1,9 @@
 """Single-value subproblems: place exactly nu ones in every listed block.
 
 Each subproblem lives on a set I of 2x2 block corners with prescribed
-pair sums per strip.  nu = 1 has a closed-form placement, nu = 3 is its
-complement, nu = 2 reduces to a unit-capacity flow, nu in {0, 4} is a
-constant fill.
+pair sums for every strip holding a block of I.  nu = 1 has a
+closed-form placement, nu = 3 is its complement, nu = 2 reduces to a
+unit-capacity flow, nu in {0, 4} is a constant fill.
 
 A subsolver (fill_trivial, solve_dr1, solve_dr2, solve_dr3) takes one
 SubInstance and returns None when it is infeasible, otherwise a dict
@@ -11,12 +11,23 @@ mapping every corner of I to the block code placed there: a 4-bit
 integer whose bit dx + 2*dy holds cell (dx, dy) of the block, dy = 0 the
 bottom row (model._CODE).  So 1 is the lone lower-left one, 3 the bottom
 pair, 5 the left pair, 9 the main diagonal and 15 the full block.
+
+For nu = 2 a block is colored zeta (bottom pair), eta (left pair) or
+not at all (diagonal); the pair sums fix the zeta blocks per row strip
+and the eta blocks per column strip.  solve_dr2 finds a coloring as one
+max flow source -> strip -> block -> sink.  unique_dr2 runs no flow: a
+coloring meeting the targets saturates every source arc, so the source
+lies on no residual cycle and is left out, and the residual graph is
+built from the coloring with three arcs per block.  A colored block has
+an arc to the strip coloring it, one from its other strip and one from
+the sink; an uncolored block has arcs from both strips and to the sink.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -50,120 +61,95 @@ class SubInstance:
     pair_row_sums: dict[int, tuple[int, int]]
     pair_col_sums: dict[int, tuple[int, int]]
 
-    def rho_map(self) -> dict[int, int]:
-        return Counter(j for _, j in self.I)
 
-    def sigma_map(self) -> dict[int, int]:
-        return Counter(i for i, _ in self.I)
+def _strip_blocks(sub: SubInstance) -> tuple[Counter[int], Counter[int]]:
+    """Blocks of I per corner row and per corner column.
 
-
-@dataclass(frozen=True)
-class TwoColorSystem:
-    """Pick per block at most one of two colors so each strip meets its target.
-
-    row_targets[j] counts blocks of strip j to be colored zeta;
-    col_targets[i] counts blocks of strip i to be colored eta.
+    Raises ValueError when a strip holding a block of I has no pair sums.
     """
-
-    I: frozenset[Corner]
-    row_targets: dict[int, int]
-    col_targets: dict[int, int]
+    rho = Counter(j for _, j in sub.I)
+    sigma = Counter(i for i, _ in sub.I)
+    for name, blocks, sums in zip(
+        ("row", "column"), (rho, sigma), (sub.pair_row_sums, sub.pair_col_sums)
+    ):
+        missing = blocks.keys() - sums.keys()
+        if missing:
+            raise ValueError(f"no {name} pair sums for strip {min(missing)}")
+    return rho, sigma
 
 
 class FlowNetwork:
-    """source -> strip (capacity = target) -> block (1) -> sink (1)."""
+    """source -> strip (capacity = target) -> block (1) -> sink (1).
 
-    def __init__(self, sys: TwoColorSystem):
-        rows = sorted(sys.row_targets)
-        cols = sorted(sys.col_targets)
-        blocks = sorted(sys.I)
-        self.source = 0
-        self.sink = 1
-        self.row_node = {j: 2 + idx for idx, j in enumerate(rows)}
-        self.col_node = {i: 2 + len(rows) + idx for idx, i in enumerate(cols)}
-        self.block_node = {b: 2 + len(rows) + len(cols) + idx for idx, b in enumerate(blocks)}
-        self.size = 2 + len(rows) + len(cols) + len(blocks)
-        self.arcs: list[tuple[int, int, int]] = []  # (u, v, capacity)
-        for j in rows:
-            self.arcs.append((self.source, self.row_node[j], sys.row_targets[j]))
-        for i in cols:
-            self.arcs.append((self.source, self.col_node[i], sys.col_targets[i]))
-        for i, j in blocks:
-            node = self.block_node[(i, j)]
-            if j in self.row_node:
-                self.arcs.append((self.row_node[j], node, 1))
-            if i in self.col_node:
-                self.arcs.append((self.col_node[i], node, 1))
-            self.arcs.append((node, self.sink, 1))
-        self.demand = sum(sys.row_targets.values()) + sum(sys.col_targets.values())
+    Every strip of I needs a target.  The arcs list the source arcs of the
+    row strips, then of the column strips (each in sorted order), then per
+    block of `blocks` its row arc, its column arc and its sink arc.
+    """
+
+    source = 0
+    sink = 1
+
+    def __init__(
+        self, I: frozenset[Corner], row_targets: dict[int, int], col_targets: dict[int, int]
+    ):
+        rows = sorted(row_targets)
+        cols = sorted(col_targets)
+        self.blocks = sorted(I)
+        row_node = {j: 2 + idx for idx, j in enumerate(rows)}
+        col_node = {i: 2 + len(rows) + idx for idx, i in enumerate(cols)}
+        first = 2 + len(rows) + len(cols)
+        self.size = first + len(self.blocks)
+        self.arcs: list[tuple[int, int, int]] = [  # (u, v, capacity)
+            (self.source, row_node[j], row_targets[j]) for j in rows
+        ] + [(self.source, col_node[i], col_targets[i]) for i in cols]
+        for node, (i, j) in enumerate(self.blocks, first):
+            self.arcs += ((row_node[j], node, 1), (col_node[i], node, 1), (node, self.sink, 1))
+        self.demand = sum(row_targets.values()) + sum(col_targets.values())
 
 
-def _max_flow_python(net: FlowNetwork) -> dict[tuple[int, int], int]:
-    """BFS augmenting paths; fine for the handful-of-blocks case."""
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {u: [] for u in range(net.size)}
-    for u, v, c in net.arcs:
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-        adj[u].append(v)
-        adj[v].append(u)
-    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
+def _max_flow_python(net: FlowNetwork) -> list[int]:
+    """BFS augmenting paths; fine for the handful-of-blocks case.
+
+    Returns the flow on each arc of net.arcs.  Residual arc 2k runs along
+    arc k and 2k + 1 against it, so e ^ 1 is the reverse of residual arc e.
+    """
+    head: list[int] = []
+    residual: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(net.size)]
+    for k, (u, v, c) in enumerate(net.arcs):
+        adj[u].append(2 * k)
+        adj[v].append(2 * k + 1)
+        head += (v, u)
+        residual += (c, 0)
     while True:
-        prev: dict[int, int] = {net.source: net.source}
+        via = {net.source: -1}  # residual arc the search reached each node by
         queue = deque([net.source])
-        while queue and net.sink not in prev:
+        while queue and net.sink not in via:
             u = queue.popleft()
-            for v in adj[u]:
-                if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
-                    prev[v] = u
+            for e in adj[u]:
+                v = head[e]
+                if v not in via and residual[e] > 0:
+                    via[v] = e
                     queue.append(v)
-        if net.sink not in prev:
-            return flow
+        if net.sink not in via:
+            return residual[1::2]
         path = []
         v = net.sink
         while v != net.source:
-            path.append((prev[v], v))
-            v = prev[v]
-        push = min(cap[e] - flow[e] for e in path)
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min(residual[e] for e in path)
         for e in path:
-            flow[e] += push
-            flow[(e[1], e[0])] -= push
+            residual[e] -= push
+            residual[e ^ 1] += push
 
 
-def _max_flow_scipy(net: FlowNetwork) -> dict[tuple[int, int], int]:
-    us = np.fromiter((a[0] for a in net.arcs), dtype=np.int32)
-    vs = np.fromiter((a[1] for a in net.arcs), dtype=np.int32)
-    cs = np.fromiter((a[2] for a in net.arcs), dtype=np.int32)
+def _max_flow_scipy(net: FlowNetwork) -> list[int]:
+    """scipy's maximum_flow; returns the flow on each arc of net.arcs."""
+    flat = np.fromiter(chain.from_iterable(net.arcs), np.int32, 3 * len(net.arcs))
+    us, vs, cs = flat.reshape(-1, 3).T
     graph = csr_matrix((cs, (us, vs)), shape=(net.size, net.size))
-    flows = np.asarray(maximum_flow(graph, net.source, net.sink).flow[us, vs]).ravel()
-    return dict(zip(zip(us.tolist(), vs.tolist()), flows.tolist()))
-
-
-def solve_two_color(sys: TwoColorSystem) -> Optional[tuple[set[Corner], set[Corner]]]:
-    """Return (zeta blocks, eta blocks) meeting every strip target, or None."""
-    if any(t < 0 for t in sys.row_targets.values()) or any(
-        t < 0 for t in sys.col_targets.values()
-    ):
-        return None
-    net = FlowNetwork(sys)
-    if net.demand == 0:
-        return set(), set()
-    if len(sys.I) < _SCIPY_THRESHOLD:
-        flow = _max_flow_python(net)
-    else:
-        flow = _max_flow_scipy(net)
-    value = sum(flow[(net.source, net.row_node[j])] for j in net.row_node) + sum(
-        flow[(net.source, net.col_node[i])] for i in net.col_node
-    )
-    if value < net.demand:
-        return None
-    zeta, eta = set(), set()
-    for (i, j), node in net.block_node.items():
-        if j in net.row_node and flow.get((net.row_node[j], node), 0) > 0:
-            zeta.add((i, j))
-        elif i in net.col_node and flow.get((net.col_node[i], node), 0) > 0:
-            eta.add((i, j))
-    return zeta, eta
+    return np.asarray(maximum_flow(graph, net.source, net.sink).flow[us, vs]).ravel().tolist()
 
 
 # --------------------------------------------------------------------------
@@ -171,12 +157,12 @@ def solve_two_color(sys: TwoColorSystem) -> Optional[tuple[set[Corner], set[Corn
 # --------------------------------------------------------------------------
 
 def _dr1_feasible(sub: SubInstance) -> bool:
-    rho, sigma = sub.rho_map(), sub.sigma_map()
+    rho, sigma = _strip_blocks(sub)
     for j, (rj, rj1) in sub.pair_row_sums.items():
-        if rj < 0 or rj1 < 0 or rj + rj1 != rho.get(j, 0):
+        if rj < 0 or rj1 < 0 or rj + rj1 != rho[j]:
             return False
     for i, (ci, ci1) in sub.pair_col_sums.items():
-        if ci < 0 or ci1 < 0 or ci + ci1 != sigma.get(i, 0):
+        if ci < 0 or ci1 < 0 or ci + ci1 != sigma[i]:
             return False
     return True
 
@@ -216,19 +202,17 @@ def unique_dr1(sub: SubInstance) -> bool:
 
 def _invert(sub: SubInstance) -> SubInstance:
     """Complementary sums: a block holds 3 ones iff its complement holds 1."""
-    rho, sigma = sub.rho_map(), sub.sigma_map()
+    rho, sigma = _strip_blocks(sub)
     return SubInstance(
         m=sub.m,
         n=sub.n,
         nu=1,
         I=sub.I,
         pair_row_sums={
-            j: (2 * rho.get(j, 0) - r[0], 2 * rho.get(j, 0) - r[1])
-            for j, r in sub.pair_row_sums.items()
+            j: (2 * rho[j] - r[0], 2 * rho[j] - r[1]) for j, r in sub.pair_row_sums.items()
         },
         pair_col_sums={
-            i: (2 * sigma.get(i, 0) - c[0], 2 * sigma.get(i, 0) - c[1])
-            for i, c in sub.pair_col_sums.items()
+            i: (2 * sigma[i] - c[0], 2 * sigma[i] - c[1]) for i, c in sub.pair_col_sums.items()
         },
     )
 
@@ -250,22 +234,25 @@ def unique_dr3(sub: SubInstance) -> bool:
 # nu = 2
 # --------------------------------------------------------------------------
 
-def _two_color_system(sub: SubInstance) -> Optional[TwoColorSystem]:
-    rho, sigma = sub.rho_map(), sub.sigma_map()
-    row_targets, col_targets = {}, {}
-    for j, (rj, rj1) in sub.pair_row_sums.items():
-        if rj < rj1:
-            raise ValueError(f"row pair sums at strip {j} not ordered")
-        if (rj - rj1) % 2 or rj + rj1 != 2 * rho.get(j, 0):
-            return None
-        row_targets[j] = (rj - rj1) // 2
-    for i, (ci, ci1) in sub.pair_col_sums.items():
-        if ci < ci1:
-            raise ValueError(f"column pair sums at strip {i} not ordered")
-        if (ci - ci1) % 2 or ci + ci1 != 2 * sigma.get(i, 0):
-            return None
-        col_targets[i] = (ci - ci1) // 2
-    return TwoColorSystem(I=sub.I, row_targets=row_targets, col_targets=col_targets)
+def _two_color_targets(sub: SubInstance) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """Zeta blocks per row strip and eta blocks per column strip, or None.
+
+    None means no coloring can meet the pair sums (a parity or block count
+    mismatch); pair sums not ordered larger first raise ValueError.
+    """
+    targets = []
+    for name, sums, blocks in zip(
+        ("row", "column"), (sub.pair_row_sums, sub.pair_col_sums), _strip_blocks(sub)
+    ):
+        wanted = {}
+        for s, (a, b) in sums.items():
+            if a < b:
+                raise ValueError(f"{name} pair sums at strip {s} not ordered")
+            if (a - b) % 2 or a + b != 2 * blocks[s]:
+                return None
+            wanted[s] = (a - b) // 2
+        targets.append(wanted)
+    return targets[0], targets[1]
 
 
 _ZETA = _CODE[BlockType.B1]  # both ones in the bottom line
@@ -280,17 +267,20 @@ def solve_dr2(sub: SubInstance) -> Optional[Codes]:
     left line, and every uncolored block falls back to the diagonal.
     """
     assert sub.nu == 2
-    sys = _two_color_system(sub)
-    if sys is None:
+    targets = _two_color_targets(sub)
+    if targets is None:
         return None
-    colored = solve_two_color(sys)
-    if colored is None:
+    net = FlowNetwork(sub.I, *targets)
+    if net.demand == 0:
+        return dict.fromkeys(sub.I, _DIAGONAL)
+    flows = (_max_flow_python if len(sub.I) < _SCIPY_THRESHOLD else _max_flow_scipy)(net)
+    first = len(net.arcs) - 3 * len(net.blocks)  # the source arcs come first
+    if sum(flows[:first]) < net.demand:
         return None
-    zeta, eta = colored
-    out = dict.fromkeys(sub.I, _DIAGONAL)
-    out.update(dict.fromkeys(zeta, _ZETA))
-    out.update(dict.fromkeys(eta, _ETA))
-    return out
+    return {
+        block: _ZETA if zeta else _ETA if eta else _DIAGONAL
+        for block, zeta, eta in zip(net.blocks, flows[first::3], flows[first + 1 :: 3])
+    }
 
 
 def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
@@ -298,42 +288,48 @@ def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
 
     The coloring read from the block codes (zeta = bottom pair, code 3;
     eta = left pair, code 5; any other or missing block uncolored) is a
-    unit flow on the FlowNetwork that must saturate every source arc.
-    Every other coloring is a flow of the same value, so it differs from
-    this one by a circulation; one exists iff the residual graph of this
-    flow has a directed cycle (Ahuja, Magnanti and Orlin, Network Flows,
-    1993), that is, iff some strong component of the residual graph has
-    more than one node.
+    unit flow in solve_dr2's network.  Every other coloring differs from
+    it by a circulation, which exists iff the residual graph (three arcs
+    per block, see the module docstring) has a directed cycle (Ahuja,
+    Magnanti and Orlin, Network Flows, 1993), that is, iff some strong
+    component has more than one node.  Raises ValueError for an
+    infeasible subproblem or a coloring that misses a strip target.
     """
     assert sub.nu == 2
-    sys = _two_color_system(sub)
-    if sys is None:
+    targets = _two_color_targets(sub)
+    if targets is None:
         raise ValueError("solution given for an infeasible subproblem")
-    net = FlowNetwork(sys)
-    flow: Counter[tuple[int, int]] = Counter()
-    for (i, j), node in net.block_node.items():
+    row_targets, col_targets = targets
+    sink = 0
+    row_node = {j: 1 + idx for idx, j in enumerate(row_targets)}
+    col_node = {i: 1 + len(row_node) + idx for idx, i in enumerate(col_targets)}
+    first = 1 + len(row_node) + len(col_node)
+    zeta: Counter[int] = Counter()
+    eta: Counter[int] = Counter()
+    tails: list[int] = []
+    heads: list[int] = []
+    for node, (i, j) in enumerate(sub.I, first):
         code = codes.get((i, j))
+        row, col = row_node[j], col_node[i]
         if code == _ZETA:
-            strip = net.row_node[j]
+            zeta[j] += 1
+            tails += (node, col, sink)
+            heads += (row, node, node)
         elif code == _ETA:
-            strip = net.col_node[i]
+            eta[i] += 1
+            tails += (node, row, sink)
+            heads += (col, node, node)
         else:
-            continue
-        flow[(net.source, strip)] += 1
-        flow[(strip, node)] = flow[(node, net.sink)] = 1
-    residual = []
-    for u, v, c in net.arcs:
-        f = flow[(u, v)]
-        if u == net.source and f != c:
-            raise ValueError("solution misses the strip targets of its subproblem")
-        if f < c:
-            residual.append((u, v))
-        if f > 0:
-            residual.append((v, u))
-    us, vs = np.array(residual, dtype=np.int32).reshape(-1, 2).T
-    graph = csr_matrix((np.ones(len(us)), (us, vs)), shape=(net.size, net.size))
+            tails += (row, col, node)
+            heads += (node, node, sink)
+    if any(zeta[j] != t for j, t in row_targets.items()) or any(
+        eta[i] != t for i, t in col_targets.items()
+    ):
+        raise ValueError("solution misses the strip targets of its subproblem")
+    size = first + len(sub.I)
+    graph = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(size, size))
     components, _ = connected_components(graph, directed=True, connection="strong")
-    return components == net.size
+    return components == size
 
 
 # --------------------------------------------------------------------------
@@ -344,13 +340,13 @@ def fill_trivial(sub: SubInstance) -> Optional[Codes]:
     """Constant fill for the forced block values 0 and 4."""
     assert sub.nu in (0, 4)
     bit = sub.nu // 4
-    rho, sigma = sub.rho_map(), sub.sigma_map()
+    rho, sigma = _strip_blocks(sub)
     for j, (rj, rj1) in sub.pair_row_sums.items():
-        want = 2 * rho.get(j, 0) * bit
+        want = 2 * rho[j] * bit
         if rj != want or rj1 != want:
             return None
     for i, (ci, ci1) in sub.pair_col_sums.items():
-        want = 2 * sigma.get(i, 0) * bit
+        want = 2 * sigma[i] * bit
         if ci != want or ci1 != want:
             return None
     return dict.fromkeys(sub.I, 15 * bit)

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drtomo
@@ -15,14 +16,12 @@ from drtomo.subsolvers import (
     _SCIPY_THRESHOLD,
     FlowNetwork,
     SubInstance,
-    TwoColorSystem,
     _max_flow_python,
     _max_flow_scipy,
     fill_trivial,
     solve_dr1,
     solve_dr2,
     solve_dr3,
-    solve_two_color,
     unique_dr1,
     unique_dr2,
     unique_dr3,
@@ -62,35 +61,28 @@ def assert_solves(sol: dict, s: SubInstance):
 
 
 FOUR_BLOCKS = [(1, 1), (3, 1), (1, 3), (3, 3)]
+ZETA, ETA, DIAGONAL = 3, 5, 9  # the codes of the nu = 2 coloring
 
 
 class TestTwoColor:
+    """solve_dr2's coloring: pair sums (blocks + target, blocks - target) per strip."""
+
     def test_four_block_square(self):
-        sys = TwoColorSystem(
-            I=frozenset(FOUR_BLOCKS),
-            row_targets={1: 1, 3: 1},
-            col_targets={1: 1, 3: 1},
-        )
-        result = solve_two_color(sys)
-        assert result is not None
-        zeta, eta = result
-        assert not zeta & eta
+        s = sub(2, FOUR_BLOCKS, {1: (3, 1), 3: (3, 1)}, {1: (3, 1), 3: (3, 1)})
+        sol = solve_dr2(s)
+        assert sol is not None
+        assert_solves(sol, s)
         for j in (1, 3):
-            assert sum(1 for (_, jj) in zeta if jj == j) == 1
+            assert sum(1 for (_, jj), code in sol.items() if jj == j and code == ZETA) == 1
         for i in (1, 3):
-            assert sum(1 for (ii, _) in eta if ii == i) == 1
+            assert sum(1 for (ii, _), code in sol.items() if ii == i and code == ETA) == 1
 
     def test_all_zero_targets(self):
-        sys = TwoColorSystem(I=frozenset(FOUR_BLOCKS), row_targets={1: 0}, col_targets={1: 0})
-        assert solve_two_color(sys) == (set(), set())
+        s = sub(2, FOUR_BLOCKS, {1: (2, 2), 3: (2, 2)}, {1: (2, 2), 3: (2, 2)})
+        assert solve_dr2(s) == dict.fromkeys(FOUR_BLOCKS, DIAGONAL)
 
     def test_single_block_double_demand_infeasible(self):
-        sys = TwoColorSystem(I=frozenset({(1, 1)}), row_targets={1: 1}, col_targets={1: 1})
-        assert solve_two_color(sys) is None
-
-    def test_negative_target_infeasible(self):
-        sys = TwoColorSystem(I=frozenset({(1, 1)}), row_targets={1: -1}, col_targets={})
-        assert solve_two_color(sys) is None
+        assert solve_dr2(sub(2, [(1, 1)], {1: (2, 0)}, {1: (2, 0)})) is None
 
 
 def random_two_color_system(rng, n_blocks):
@@ -105,7 +97,7 @@ def random_two_color_system(rng, n_blocks):
     if rng.random() < 1 / 3:
         rows = {j: rng.randint(0, n) for j, n in Counter(j for _, j in corners).items()}
         cols = {i: rng.randint(0, n) for i, n in Counter(i for i, _ in corners).items()}
-    return TwoColorSystem(I=frozenset(corners), row_targets=dict(rows), col_targets=dict(cols))
+    return frozenset(corners), dict(rows), dict(cols)
 
 
 class TestFlowBackends:
@@ -115,28 +107,43 @@ class TestFlowBackends:
         for trial in range(120):
             large = trial % 2 == 1
             lo, hi = (_SCIPY_THRESHOLD, 3 * _SCIPY_THRESHOLD) if large else (1, _SCIPY_THRESHOLD - 1)
-            system = random_two_color_system(rng, rng.randint(lo, hi))
-            net = FlowNetwork(system)
-            targets = {net.row_node[j]: t for j, t in system.row_targets.items()}
-            targets.update({net.col_node[i]: t for i, t in system.col_targets.items()})
+            net = FlowNetwork(*random_two_color_system(rng, rng.randint(lo, hi)))
+            targets = {v: c for u, v, c in net.arcs if u == net.source}
             feasible = []
             for backend in (_max_flow_python, _max_flow_scipy):
-                flow = backend(net)
-                assert all(0 <= flow[(u, v)] <= c for u, v, c in net.arcs)
-                value = sum(flow[(u, v)] for u, v, _ in net.arcs if u == net.source)
+                flows = backend(net)
+                assert len(flows) == len(net.arcs)
+                assert all(0 <= f <= c for f, (_, _, c) in zip(flows, net.arcs))
+                value = sum(f for f, (u, _, _) in zip(flows, net.arcs) if u == net.source)
                 feasible.append(value == net.demand)
                 if value == net.demand:
                     out = Counter()
                     into = Counter()
-                    for u, v, _ in net.arcs:
+                    for f, (u, v, _) in zip(flows, net.arcs):
                         if u in targets:
-                            out[u] += flow[(u, v)]
-                            into[v] += flow[(u, v)]
+                            out[u] += f
+                            into[v] += f
                     assert all(out[node] == t for node, t in targets.items())
-                    assert all(into[net.block_node[b]] <= 1 for b in system.I)
+                    assert all(f <= 1 for f in into.values())
             assert feasible[0] == feasible[1]
             verdicts[(large, feasible[0])] += 1
         assert len(verdicts) == 4
+
+
+@pytest.mark.parametrize(
+    "solver, s",
+    [
+        (solve_dr1, sub(1, [(1, 1)], {1: (1, 0)}, {})),
+        (solve_dr2, sub(2, [(1, 1)], {1: (2, 0)}, {})),
+        (solve_dr3, sub(3, [(1, 1)], {}, {1: (2, 1)})),
+        (fill_trivial, sub(4, [(1, 1)], {1: (4, 4)}, {})),
+        (lambda s: unique_dr2(s, {(1, 1): ZETA}), sub(2, [(1, 1)], {1: (2, 0)}, {})),
+    ],
+    ids=["dr1", "dr2", "dr3", "fill", "unique_dr2"],
+)
+def test_strip_without_pair_sums_rejected(solver, s):
+    with pytest.raises(ValueError, match="strip 1"):
+        solver(s)
 
 
 class TestDr1:
@@ -265,6 +272,41 @@ class TestUniqueDr2:
         wrong = {(1, 1): block_code(ones)}
         with pytest.raises(ValueError):
             unique_dr2(s, wrong)
+
+
+class TestUniqueDr2Enumerated:
+    def test_verdict_on_every_valid_coloring(self):
+        """5 to 8 blocks on a 3x3 strip grid, every zeta/eta/uncolored coloring tried."""
+        rng = random.Random(11)
+        grid = [(i, j) for i in (1, 3, 5) for j in (1, 3, 5)]
+        colors = (ZETA, ETA, DIAGONAL)  # a diagonal block is uncolored
+        verdicts = Counter()
+        for _ in range(150):
+            corners = sorted(rng.sample(grid, rng.randint(5, 8)))
+            planted = rng.choices(colors, k=len(corners))
+            rows, cols = sorted({j for _, j in corners}), sorted({i for i, _ in corners})
+            # one 0/1 column per strip, and the planted coloring's targets
+            in_row = np.array([[j == r for r in rows] for _, j in corners], dtype=int)
+            in_col = np.array([[i == c for c in cols] for i, _ in corners], dtype=int)
+            zeta = np.array([c == ZETA for c in planted]) @ in_row
+            eta = np.array([c == ETA for c in planted]) @ in_col
+            # a strip of b blocks and target t has pair sums (b + t, b - t)
+            s = sub(
+                2,
+                corners,
+                {j: (b + t, b - t) for j, b, t in zip(rows, in_row.sum(0).tolist(), zeta.tolist())},
+                {i: (b + t, b - t) for i, b, t in zip(cols, in_col.sum(0).tolist(), eta.tolist())},
+            )
+            colorings = np.array(list(itertools.product(colors, repeat=len(corners))))
+            meets = (((colorings == ZETA) @ in_row == zeta).all(1)) & (
+                ((colorings == ETA) @ in_col == eta).all(1)
+            )
+            valid = [dict(zip(corners, c)) for c in colorings[meets].tolist()]
+            assert solve_dr2(s) in valid
+            for codes in valid:
+                assert unique_dr2(s, codes) == (len(valid) == 1)
+            verdicts[len(valid) == 1] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 class TestFillTrivial:
