@@ -1,16 +1,34 @@
 """Exhaustive reference solver."""
 
 import dataclasses
+import itertools
 import random
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from drtomo.model import BinaryImage, Instance, make_exact_instance, random_image, verify_solution
+from drtomo import oracle
+from drtomo.hardness import (
+    OneInThreeInstance,
+    build_board,
+    extract_assignment,
+    gen_sat_instance,
+    lift_instance,
+)
+from drtomo.model import (
+    BinaryImage,
+    Instance,
+    make_exact_instance,
+    perturb_instance,
+    random_image,
+    verify_solution,
+)
 from drtomo.oracle import SearchBudget, constrained_solve, oracle_count, oracle_solve
 
 from conftest import single_block_instance
+from oracle_reference import reference_search
 
 
 class TestSearchBudget:
@@ -19,6 +37,15 @@ class TestSearchBudget:
             SearchBudget(max_solutions=0)
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=-1)
+
+    @pytest.mark.parametrize(
+        "cap", [float("nan"), float("inf"), 2.5, 1.0, True, False, "3", None, 0, -1]
+    )
+    @pytest.mark.parametrize("name", ["max_solutions", "max_nodes"])
+    def test_caps_must_be_integers_of_at_least_one(self, name, cap):
+        """A cap that is not an int would let `nodes > cap` or `count >= cap` never hold."""
+        with pytest.raises(ValueError, match=name):
+            SearchBudget(**{name: cap})
 
 
 class TestOracleSolve:
@@ -212,3 +239,107 @@ class TestDeepSearch:
         sols, _ = oracle_solve(inst, SearchBudget(max_solutions=1))
         assert len(sols) == 1 and verify_solution(inst, sols[0]).satisfied
         assert sys.getrecursionlimit() == limit
+
+
+@st.composite
+def search_inputs(draw):
+    """A small instance (exact, noisy or lifted to k = 3 or 4), some pins and a budget."""
+    if draw(st.booleans()):
+        m, n, k_lift = draw(st.sampled_from([4, 6, 8])), draw(st.sampled_from([4, 6, 8])), 2
+    else:
+        m, n, k_lift = 4, draw(st.sampled_from([2, 4])), draw(st.sampled_from([3, 4]))
+    img = random_image(m, n, draw(st.floats(0.1, 0.9)), draw(st.integers(0, 2**31)))
+    inst = make_exact_instance(img, 2)
+    eps = draw(st.sampled_from([0, 1, 1, 2]))
+    if eps:
+        inst = dataclasses.replace(inst, epsilon=eps)
+        inst = perturb_instance(inst, draw(st.floats(0.1, 1.0)), draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):  # move one unit between two rows; often infeasible
+        rows = list(inst.row_sums)
+        a, b = draw(st.permutations(range(n)))[:2]
+        if rows[a] < m and rows[b] > 0:
+            rows[a] += 1
+            rows[b] -= 1
+        inst = dataclasses.replace(inst, row_sums=tuple(rows))
+    if k_lift > 2:
+        inst = lift_instance(inst, k_lift)
+    cells = [(p, q) for p in range(1, inst.m + 1) for q in range(1, inst.n + 1)]
+    pinned = draw(st.lists(st.sampled_from(cells), max_size=4, unique=True))
+    fixed = {c: draw(st.integers(0, 1)) for c in pinned}
+    max_solutions = draw(st.sampled_from([1, 2, 3, 10, 1_000_000]))
+    max_nodes = draw(st.sampled_from([1, 2, 5, 30, 200, 50_000_000]))
+    return inst, fixed, max_solutions, max_nodes
+
+
+def _bits(images):
+    return [img.a.tolist() for img in images]
+
+
+class TestAgainstReferenceSearch:
+    """The propagating search against the plain one in `oracle_reference`.
+
+    Propagation only cuts subtrees without a solution, so both visit the
+    solutions in one order, and the search tree of the propagating search
+    maps into the plain one vertex by vertex.
+    """
+
+    FULL_NODES = 20_000  # the cap under which both searches list every solution
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_inputs())
+    def test_same_solutions_order_and_verdicts_fewer_nodes(self, case):
+        inst, fixed, max_solutions, max_nodes = case
+        full = reference_search(inst, 10**6, self.FULL_NODES, fixed)
+        for ms, mn in ((10**6, self.FULL_NODES), (max_solutions, max_nodes)):
+            ref = reference_search(inst, ms, mn, fixed)
+            got = oracle._run(inst, SearchBudget(ms, mn), True, fixed)
+            if ref.exhausted:
+                assert _bits(got.solutions) == _bits(ref.solutions)
+                assert (got.count, got.exhausted) == (ref.count, True)
+            assert got.nodes <= ref.nodes
+            # fewer nodes per solution: at least the plain search's solutions, in its order
+            assert _bits(got.solutions[: len(ref.solutions)]) == _bits(ref.solutions)
+            if full.exhausted:
+                assert _bits(got.solutions) == _bits(full.solutions[: len(got.solutions)])
+            for img in got.solutions:
+                assert verify_solution(inst, img).satisfied
+                assert all(img.a[q - 1, p - 1] == bit for (p, q), bit in fixed.items())
+            counted = oracle._run(inst, SearchBudget(ms, mn), False, fixed)
+            assert (counted.count, counted.exhausted) == (got.count, got.exhausted)
+            assert counted.nodes == got.nodes
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_inputs())
+    def test_public_entry_points_match_reference(self, case):
+        inst, fixed, max_solutions, max_nodes = case
+        budget = SearchBudget(max_solutions, max_nodes)
+        ref = reference_search(inst, max_solutions, max_nodes)
+        if ref.exhausted:
+            sols, exhausted = oracle_solve(inst, budget)
+            assert (_bits(sols), exhausted) == (_bits(ref.solutions), True)
+            assert oracle_count(inst, budget) == (ref.count, True)
+        ref = reference_search(inst, max_solutions, max_nodes, fixed)
+        if ref.exhausted:
+            sols, exhausted = constrained_solve(inst, fixed, budget)
+            assert (_bits(sols), exhausted) == (_bits(ref.solutions), True)
+
+
+class TestGadgetBoardsWithinNodeBudget:
+    """Propagation decides a gadget board in a few hundred nodes; a plain search needs 0.2M-0.8M."""
+
+    BUDGET = SearchBudget(max_nodes=10_000)
+
+    def test_unsatisfiable_board_exhausted_infeasible(self):
+        sat = OneInThreeInstance(3, ((1, 2, 3), (-1, -2, -3)))
+        sols, exhausted = oracle_solve(gen_sat_instance(sat), self.BUDGET)
+        assert exhausted and sols == []
+
+    def test_satisfiable_60x60_board_enumerated(self):
+        sat = OneInThreeInstance(4, ((1, -2, 3), (2, 3, -4)))
+        spec, board = build_board(sat), gen_sat_instance(sat)
+        assert (board.m, board.n) == (60, 60)
+        sols, exhausted = oracle_solve(board, self.BUDGET)
+        assert exhausted
+        assert all(verify_solution(board, s).satisfied for s in sols)
+        satisfying = [a for a in itertools.product((False, True), repeat=4) if sat.satisfied_by(a)]
+        assert sorted(extract_assignment(spec, s) for s in sols) == sorted(satisfying)
