@@ -6,7 +6,8 @@ mean True, ones in the left column mean False.  A diagonal of connectors
 copies each variable and its negation across the board, every clause
 gets a chip whose two verifier lines admit exactly one crossing one, and
 the uncertain (value 1, plus or minus epsilon) blocks sit exactly where
-a one may or may not pass through.
+a one may or may not pass through.  Every other block is exact with
+value 0 or 2, so a block is uncertain exactly when its value is 1.
 
 Also here: the lifting that embeds a 2x2-block instance into one with
 larger blocks while preserving feasibility.
@@ -18,13 +19,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BinaryImage, BlockType, Corner, Instance, classify_block
+import numpy as np
+
+from .formats import FormatError, _ints
+from .model import BinaryImage, BlockType, Instance, _instance_of_grids, classify_block
 from .oracle import SearchBudget, constrained_solve
 
 Cell = tuple[int, int]
-
-EXACT = "="
-NOISY = "~"
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,11 @@ class OneInThreeInstance:
 
 
 def parse_sat(text: str) -> OneInThreeInstance:
-    """Read the `p 1in3 <vars> <clauses>` header format."""
+    """Read the `p 1in3 <vars> <clauses>` header format.
+
+    Numbers are ASCII decimal integers with an optional sign; a malformed
+    line raises FormatError (a ValueError) naming its line.
+    """
     clauses = []
     header: Optional[tuple[int, int]] = None
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -73,12 +78,14 @@ def parse_sat(text: str) -> OneInThreeInstance:
         if line.startswith("p"):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "1in3":
-                raise ValueError(f"line {no}: bad header {line!r}")
-            header = (int(fields[2]), int(fields[3]))
+                raise FormatError(f"bad header {line!r}", no)
+            if header is not None:
+                raise FormatError("repeated 'p 1in3' header", no)
+            header = tuple(_ints(fields[2:], no))
             continue
-        lits = tuple(int(x) for x in line.split())
+        lits = tuple(_ints(line.split(), no))
         if len(lits) != 3:
-            raise ValueError(f"line {no}: expected three literals")
+            raise FormatError("expected three literals", no)
         clauses.append(lits)
     if header is None:
         raise ValueError("missing 'p 1in3' header")
@@ -161,65 +168,59 @@ def build_board(sat: OneInThreeInstance) -> BoardSpec:
     return spec
 
 
-def _board_constraints(spec: BoardSpec) -> tuple[dict[Corner, tuple[str, int]], list[int], list[int]]:
-    """Block constraint function f plus row and column sums."""
+def _board_constraints(spec: BoardSpec) -> tuple[np.ndarray, list[int], list[int]]:
+    """Block values as a [bv, bu] array, plus row and column sums.
+
+    Every component claims its blocks as exact 0, exact 2 or uncertain 1,
+    so the value alone tells an uncertain block; blocks no component
+    claims are exact 0.
+    """
     sat = spec.sat
     S, T, N = len(sat.clauses), sat.num_vars, spec.side
-    f: dict[Corner, tuple[str, int]] = {}
+    values = np.full((N // 2, N // 2), -1)  # -1: not claimed yet
 
-    def set_f(i: int, j: int, kind: str, value: int) -> None:
-        prev = f.get((i, j))
-        if prev is not None and prev != (kind, value):
+    def claim(i: int, j: int, value: int) -> None:
+        prev = values[j // 2, i // 2]
+        if prev != -1 and prev != value:
             raise AssertionError(f"conflicting block constraint at ({i},{j})")
-        f[(i, j)] = (kind, value)
+        values[j // 2, i // 2] = value
 
     a_last = spec.anchors[S]
     # initializer: uncertain single ones on its anti-diagonal
     for u in range(T):
         for v in range(T):
-            if u + v == T - 1:
-                set_f(a_last + 2 * u, 1 + 2 * v, NOISY, 1)
-            else:
-                set_f(a_last + 2 * u, 1 + 2 * v, EXACT, 0)
+            claim(a_last + 2 * u, 1 + 2 * v, int(u + v == T - 1))
     # connectors: exact pairs on their anti-diagonals
     for s in range(1, S + 2):
         a = spec.anchors[s - 1]
         for u in range(T):
             for v in range(T):
-                set_f(a + 2 * u, a + 2 * v, EXACT, 2 if u + v == T - 1 else 0)
+                claim(a + 2 * u, a + 2 * v, 2 if u + v == T - 1 else 0)
     for s in range(1, S + 1):
         a = spec.anchors[s - 1]
         U, N_s = sat.unnegated(s), sat.negated(s)
         # vertical collector columns: two uncertain blocks around each chip
         for t in range(1, T + 1):
-            lo, hi = 3 - 4 * t, 4 * (T - t) + 1
-            for v_t in range(lo, hi + 1):
-                if v_t % 2 == 0:
-                    continue
-                kind = (NOISY, 1) if v_t in (-1, 1) else (EXACT, 0)
-                set_f(a + 2 * (T - t), a + 2 * T + 4 * t - 3 + v_t, *kind)
+            for v_t in range(3 - 4 * t, 4 * (T - t) + 2, 2):
+                claim(a + 2 * (T - t), a + 2 * T + 4 * t - 3 + v_t, int(v_t in (-1, 1)))
         # horizontal collector rows
         for t in range(1, T + 1):
-            lo, hi = 3 - 4 * t, 4 * (T - t) + 1
-            for u_t in range(lo, hi + 1):
-                if u_t % 2 == 0:
-                    continue
-                kind = (NOISY, 1) if u_t in (-1, 1) else (EXACT, 0)
-                set_f(a + 2 * T + 4 * t - 1 + u_t, a + 6 * T + 2 * t, *kind)
+            for u_t in range(3 - 4 * t, 4 * (T - t) + 2, 2):
+                claim(a + 2 * T + 4 * t - 1 + u_t, a + 6 * T + 2 * t, int(u_t in (-1, 1)))
         # unused corner of the clause chip, above the vertical collector
         for u in range(T):
             for v in range(T):
-                set_f(a + 2 * u, a + 6 * T + 2 * v, EXACT, 0)
+                claim(a + 2 * u, a + 6 * T + 2 * v, 0)
         # vertical verifier: a one may cross only at the clause's literals
         for t in range(1, T + 1):
             for v in (1, 2):
                 hit = (t in U and v == 1) or (t in N_s and v == 2)
-                set_f(a + 2 * T, a + 2 * T + 4 * t - 2 * v, NOISY if hit else EXACT, 1 if hit else 0)
+                claim(a + 2 * T, a + 2 * T + 4 * t - 2 * v, int(hit))
         # horizontal verifier
         for t in range(1, T + 1):
             for u in (1, 2):
                 hit = (t in U and u == 2) or (t in N_s and u == 1)
-                set_f(a + 2 * T + 2 + 4 * t - 2 * u, a + 6 * T, NOISY if hit else EXACT, 1 if hit else 0)
+                claim(a + 2 * T + 2 + 4 * t - 2 * u, a + 6 * T, int(hit))
         # transmitter: the two off-diagonals carry the signal.  A variable
         # absent from the clause needs both side blocks open so its value
         # can pass straight through; a clause variable needs only the one
@@ -228,27 +229,13 @@ def _board_constraints(spec: BoardSpec) -> tuple[dict[Corner, tuple[str, int]], 
             t = (u + 1) // 2
             open_plus = u % 2 == 1 and t not in N_s
             open_minus = u % 2 == 1 and t not in U
-            set_f(
-                a + 2 * T + 2 + 2 * u,
-                a + 2 * T + 2 * (u - 1),
-                NOISY if open_plus else EXACT,
-                1 if open_plus else 0,
-            )
-            set_f(
-                a + 2 * T + 2 + 2 * (u - 1),
-                a + 2 * T + 2 * u,
-                NOISY if open_minus else EXACT,
-                1 if open_minus else 0,
-            )
+            claim(a + 2 * T + 2 + 2 * u, a + 2 * T + 2 * (u - 1), int(open_plus))
+            claim(a + 2 * T + 2 + 2 * (u - 1), a + 2 * T + 2 * u, int(open_minus))
         for u in range(2 * T):
             for v in range(2 * T):
                 if u - v not in (-1, 1):
-                    set_f(a + 2 * T + 2 + 2 * u, a + 2 * T + 2 * v, EXACT, 0)
-
-    # every block not claimed by a component is zero
-    for i in range(1, N, 2):
-        for j in range(1, N, 2):
-            f.setdefault((i, j), (EXACT, 0))
+                    claim(a + 2 * T + 2 + 2 * u, a + 2 * T + 2 * v, 0)
+    values[values == -1] = 0  # every block not claimed by a component is zero
 
     rows = [0] * N
     cols = [0] * N
@@ -271,7 +258,7 @@ def _board_constraints(spec: BoardSpec) -> tuple[dict[Corner, tuple[str, int]], 
             cols[a + 2 * T + 4 * l + 2] = 2
             cols[a + 2 * T + 4 * l + 3] = 1
             cols[a + 2 * T + 4 * l + 4] = 0
-    return f, rows, cols
+    return values, rows, cols
 
 
 def gen_sat_instance(sat: OneInThreeInstance, epsilon: int = 1) -> Instance:
@@ -284,29 +271,11 @@ def gen_sat_instance(sat: OneInThreeInstance, epsilon: int = 1) -> Instance:
             "encoding is only validated for windows covering 0, 1 and 2",
             stacklevel=2,
         )
-    spec = build_board(sat)
-    f, rows, cols = _board_constraints(spec)
-    N = spec.side
-    blocks = [[0] * (N // 2) for _ in range(N // 2)]
-    reliable = set()
-    for (i, j), (kind, value) in f.items():
-        blocks[(j - 1) // 2][(i - 1) // 2] = value
-        if kind == EXACT:
-            reliable.add((i, j))
-    return Instance(
-        k=2,
-        epsilon=epsilon,
-        m=N,
-        n=N,
-        row_sums=tuple(rows),
-        col_sums=tuple(cols),
-        blocks=tuple(tuple(r) for r in blocks),
-        reliable=frozenset(reliable),
-    )
+    values, rows, cols = _board_constraints(build_board(sat))
+    return _instance_of_grids(2, epsilon, tuple(rows), tuple(cols), values, values != 1)
 
 
-_TRUE_ONES = {(0, 0), (1, 0)}  # bottom row of the chip
-_FALSE_ONES = {(0, 0), (0, 1)}  # left column
+_CHIP = {True: BlockType.B1, False: BlockType.B31}  # ones in the bottom row / left column
 
 
 def embed_assignment(
@@ -314,26 +283,23 @@ def embed_assignment(
 ) -> Optional[BinaryImage]:
     """Image encoding an assignment, or None if it breaks some clause.
 
-    Pins the initializer chips, zeroes everything outside the candidate
-    cells, and lets constraint search complete the rest; the completion
-    is unique, and it exists exactly for the satisfying assignments.
+    Pins the initializer chips and lets constraint search complete the
+    rest.  Every cell outside the candidate cells lies in a zero row, a
+    zero column or an exact zero block, so the search zeroes it before
+    branching.  The completion is unique, and it exists exactly for the
+    satisfying assignments.
     """
     if len(assignment) != spec.sat.num_vars:
         raise ValueError("assignment arity does not match the formula")
     if (inst.m, inst.n) != (spec.side, spec.side):
         raise ValueError("instance does not match the board")
-    candidates = spec.candidate_cells
     fixed: dict[Cell, int] = {}
-    for p in range(1, inst.m + 1):
-        for q in range(1, inst.n + 1):
-            if (p, q) not in candidates:
-                fixed[(p, q)] = 0
     for t, value in enumerate(assignment, start=1):
         x, y = spec.init_chips[t]
-        ones = _TRUE_ONES if value else _FALSE_ONES
+        ones = _CHIP[value].cells
         for dx in (0, 1):
             for dy in (0, 1):
-                fixed[(x + dx, y + dy)] = 1 if (dx, dy) in ones else 0
+                fixed[(x + dx, y + dy)] = int((dx, dy) in ones)
     budget = SearchBudget(max_solutions=2, max_nodes=2_000_000)
     solutions, exhausted = constrained_solve(inst, fixed, budget)
     if not solutions:
@@ -347,18 +313,16 @@ def embed_assignment(
 
 def extract_assignment(spec: BoardSpec, img: BinaryImage) -> tuple[bool, ...]:
     """Read the truth assignment off the initializer chips."""
+    if (img.m, img.n) != (spec.side, spec.side):
+        raise ValueError(f"image is {img.m}x{img.n}, the board is {spec.side}x{spec.side}")
     out = []
     for t in range(1, spec.sat.num_vars + 1):
-        chip = spec.init_chips[t]
-        kind = classify_block(img, chip)
-        if kind == BlockType.B1:
-            out.append(True)
-        elif kind == BlockType.B31:
-            out.append(False)
-        else:
+        kind = classify_block(img, spec.init_chips[t])
+        if kind not in _CHIP.values():
             raise ValueError(
                 f"chip for variable {t} holds {kind.name}, not a truth value"
             )
+        out.append(kind == _CHIP[True])
     return tuple(out)
 
 

@@ -95,62 +95,38 @@ class BlockType(enum.Enum):
     B3(1)/B3(2) in the left/right column, B3(3) on the main diagonal
     (lower-left plus upper-right) and B3(4) on the anti-diagonal.
     C(r, c) has three ones with the unique zero at (row r, column c).
+
+    A type's value is its block code: a 4-bit integer whose bit dx + 2*dy
+    holds cell (dx, dy) of the block, dy = 0 the bottom row.  The solver
+    glues subproblem answers together in this form and the switch engine
+    reads images in it; BlockType(code) names a code.
     """
 
-    EMPTY = "empty"
-    A11 = "a11"
-    A12 = "a12"
-    A21 = "a21"
-    A22 = "a22"
-    B1 = "b1"
-    B2 = "b2"
-    B31 = "b31"
-    B32 = "b32"
-    B33 = "b33"
-    B34 = "b34"
-    C11 = "c11"
-    C12 = "c12"
-    C21 = "c21"
-    C22 = "c22"
-    FULL = "full"
+    EMPTY = 0
+    A11 = 1
+    A12 = 2
+    A21 = 4
+    A22 = 8
+    B1 = 3
+    B2 = 12
+    B31 = 5
+    B32 = 10
+    B33 = 9
+    B34 = 6
+    C11 = 14
+    C12 = 13
+    C21 = 11
+    C22 = 7
+    FULL = 15
 
     @property
     def cells(self) -> frozenset[tuple[int, int]]:
         """Offsets (dx, dy) in {0,1}^2 of the ones, dy = 0 bottom row."""
-        return _PATTERN[self]
+        return frozenset((bit & 1, bit >> 1) for bit in range(4) if self.value >> bit & 1)
 
     @property
     def count(self) -> int:
-        return len(_PATTERN[self])
-
-
-def _patterns() -> dict[BlockType, frozenset[tuple[int, int]]]:
-    t = BlockType
-    pat = {
-        t.EMPTY: frozenset(),
-        t.B1: frozenset({(0, 0), (1, 0)}),
-        t.B2: frozenset({(0, 1), (1, 1)}),
-        t.B31: frozenset({(0, 0), (0, 1)}),
-        t.B32: frozenset({(1, 0), (1, 1)}),
-        t.B33: frozenset({(0, 0), (1, 1)}),
-        t.B34: frozenset({(1, 0), (0, 1)}),
-        t.FULL: frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}),
-    }
-    for r in (1, 2):
-        for c in (1, 2):
-            cell = (c - 1, r - 1)
-            pat[t[f"A{r}{c}"]] = frozenset({cell})
-            pat[t[f"C{r}{c}"]] = pat[t.FULL] - {cell}
-    return pat
-
-
-_PATTERN = _patterns()
-
-# Block codes: a 2x2 block as one 4-bit integer, bit dx + 2*dy holding cell
-# (dx, dy) of the block.  The solver glues subproblem answers together in
-# this form and the switch engine reads images in it.
-_CODE = {t: sum(1 << (dx + 2 * dy) for dx, dy in t.cells) for t in BlockType}
-_TYPE_OF = [t for _, t in sorted((c, t) for t, c in _CODE.items())]
+        return bin(self.value).count("1")
 
 
 def _codes(a: np.ndarray) -> np.ndarray:
@@ -412,7 +388,7 @@ def classify_block(img: BinaryImage, corner: Corner) -> BlockType:
     i, j = corner
     if not (1 <= i <= img.m - 1 and 1 <= j <= img.n - 1 and i % 2 == 1 and j % 2 == 1):
         raise ValueError(f"({i},{j}) is not a 2x2 corner point of a {img.m}x{img.n} image")
-    return _TYPE_OF[int(_codes(img.a[j - 1 : j + 1, i - 1 : i + 1])[0, 0])]
+    return BlockType(int(_codes(img.a[j - 1 : j + 1, i - 1 : i + 1])[0, 0]))
 
 
 def degrade(img: BinaryImage, k: int) -> GrayImage:
@@ -487,5 +463,7 @@ def random_image(m: int, n: int, density: float, seed: int) -> BinaryImage:
     """Seeded random binary image; each cell is one with the given probability."""
     if m <= 0 or n <= 0:
         raise ValueError(f"image size {m}x{n} must be positive")
+    if not 0 <= density <= 1:  # also rejects NaN
+        raise ValueError(f"density must be in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
     return BinaryImage((rng.random((n, m)) < density).astype(np.uint8))

@@ -7,10 +7,11 @@ unit-capacity flow, nu in {0, 4} is a constant fill.
 
 A subsolver (fill_trivial, solve_dr1, solve_dr2, solve_dr3) takes one
 SubInstance and returns None when it is infeasible, otherwise a dict
-mapping every corner of I to the block code placed there: a 4-bit
-integer whose bit dx + 2*dy holds cell (dx, dy) of the block, dy = 0 the
-bottom row (model._CODE).  So 1 is the lone lower-left one, 3 the bottom
-pair, 5 the left pair, 9 the main diagonal and 15 the full block.
+mapping every corner of I to the block code placed there, the value of
+its BlockType: a 4-bit integer whose bit dx + 2*dy holds cell (dx, dy)
+of the block, dy = 0 the bottom row.  So 1 is the lone lower-left one
+(A11), 3 the bottom pair (B1), 5 the left pair (B31), 9 the main
+diagonal (B33) and 15 the full block.
 
 For nu = 2 a block is colored zeta (bottom pair), eta (left pair) or
 not at all (diagonal); the pair sums fix the zeta blocks per row strip
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_flow
 
-from .model import _CODE, BlockType, Corner
+from .model import BlockType, Corner
 
 Codes = dict[Corner, int]  # block code per corner, see the module docstring
 
@@ -255,9 +256,9 @@ def _two_color_targets(sub: SubInstance) -> Optional[tuple[dict[int, int], dict[
     return targets[0], targets[1]
 
 
-_ZETA = _CODE[BlockType.B1]  # both ones in the bottom line
-_ETA = _CODE[BlockType.B31]  # both ones in the left line
-_DIAGONAL = _CODE[BlockType.B33]
+_ZETA = BlockType.B1.value  # both ones in the bottom line
+_ETA = BlockType.B31.value  # both ones in the left line
+_DIAGONAL = BlockType.B33.value
 
 
 def solve_dr2(sub: SubInstance) -> Optional[Codes]:

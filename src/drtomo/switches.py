@@ -6,8 +6,8 @@ main diagonal.  Forward application drives an image toward the reduced
 form; the existence of an applicable reversed rewrite on a solution
 certifies that the solution is not unique.
 
-The fast routines read an image as one array of 4-bit block codes (bit
-dx + 2*dy holds cell (dx, dy) of the block):
+The fast routines read an image as one array of 4-bit block codes, the
+values of its blocks' BlockTypes (bit dx + 2*dy holds cell (dx, dy)):
 
 - `reduce` runs classes 1 to 6 to a fixpoint, then flips every remaining
   anti-diagonal block at once.  This equals applying find_switch's first
@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import _CODE, _TYPE_OF, BinaryImage, BlockType, Corner, Instance, _codes, _decode
+from .model import BinaryImage, BlockType, Corner, Instance, _codes, _decode
 from .model import classify_block, verify_solution
 
 _T = BlockType
@@ -90,15 +90,15 @@ def _rules(orientation: str, direction: str) -> list[tuple[int, dict, dict]]:
 # Rules in block-code form
 # --------------------------------------------------------------------------
 
-_B33, _B34 = _CODE[_T.B33], _CODE[_T.B34]
+_B33, _B34 = _T.B33.value, _T.B34.value
 
 
 def _coded(rule_map: dict) -> dict[int, int]:
-    return {_CODE[s]: _CODE[t] for s, t in rule_map.items()}
+    return {s.value: t.value for s, t in rule_map.items()}
 
 
 def _slot_bits(rule_map: dict) -> int:
-    return sum(1 << _CODE[t] for t in rule_map)
+    return sum(1 << t.value for t in rule_map)
 
 
 def _meets_table(rules: list[tuple[int, dict, dict]]) -> np.ndarray:
@@ -184,8 +184,8 @@ def _switch_move(direction: str, found: tuple) -> SwitchMove:
         cls,
         direction,
         corners,
-        tuple(_TYPE_OF[c] for c in sources),
-        tuple(_TYPE_OF[c] for c in targets),
+        tuple(map(BlockType, sources)),
+        tuple(map(BlockType, targets)),
     )
 
 
@@ -208,7 +208,7 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
             raise ValueError(f"block at {corner} is not of type {src.name}")
     a = img.mutable()
     for (i, j), tgt in zip(move.corners, move.targets):
-        a[j - 1 : j + 1, i - 1 : i + 1] = _decode(np.array([[_CODE[tgt]]], dtype=np.uint8))
+        a[j - 1 : j + 1, i - 1 : i + 1] = _decode(np.array([[tgt.value]], dtype=np.uint8))
     return BinaryImage(a)
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from drtomo import cli, formats
@@ -130,6 +131,14 @@ class TestGenerators:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("density", ["1.5", "-0.5", "nan"])
+    def test_density_outside_unit_interval_writes_nothing(self, tmp_path, capsys, density):
+        out = tmp_path / "phantom.pbm"
+        argv = ["gen-phantom", "-m", "4", "-n", "4", "--density", density, "-o", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: density must be in [0, 1]")
+        assert not out.exists()
+
 class TestSatCommands:
     def test_gen_embed_extract_pipeline(self, tmp_path, capsys):
         sat_path = tmp_path / "demo.sat"
@@ -155,6 +164,24 @@ class TestSatCommands:
         sat_path = tmp_path / "demo.sat"
         sat_path.write_text(DEMO_SAT_TEXT)
         assert cli.main(["embed", str(sat_path), "--assign", "TX"]) == 2
+
+    def test_malformed_formula_usage_error(self, tmp_path, capsys):
+        sat_path = tmp_path / "bad.sat"
+        sat_path.write_text("p 1in3 4 1\np 1in3 4 1\n1 -2 3\n")
+        assert cli.main(["gen-sat", str(sat_path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: repeated 'p 1in3' header\n"
+
+    def test_extract_from_padded_image_usage_error(self, tmp_path, capsys):
+        sat_path = tmp_path / "demo.sat"
+        sat_path.write_text(DEMO_SAT_TEXT)
+        img_path = str(tmp_path / "board.pbm")
+        assert cli.main(["embed", str(sat_path), "--assign", "TTFF", "-o", img_path]) == 0
+        img = formats.read_image((tmp_path / "board.pbm").read_bytes())
+        padded = BinaryImage(np.pad(img.a, ((0, 6), (0, 6))))
+        padded_path = write_img(tmp_path, padded, "padded.pbm")
+        assert cli.main(["extract", str(sat_path), padded_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: image is 40x40")
 
 
 class TestLiftOracleTv:

@@ -1,9 +1,14 @@
 """Gadget boards for 1-in-3 satisfiability and the block-size lifting."""
 
 import itertools
+import random
+import warnings
 
+import numpy as np
 import pytest
 
+from drtomo import hardness
+from drtomo.formats import FormatError
 from drtomo.hardness import (
     BoardSpec,
     OneInThreeInstance,
@@ -22,7 +27,7 @@ from drtomo.model import (
     validate_instance,
     verify_solution,
 )
-from drtomo.oracle import SearchBudget, oracle_solve
+from drtomo.oracle import SearchBudget, constrained_solve, oracle_solve
 
 from conftest import single_block_instance
 
@@ -72,6 +77,26 @@ class TestOneInThree:
     def test_parse_skips_comment_lines(self):
         sat = parse_sat("c header comment\np 1in3 3 1\n1 -2 3\n")
         assert sat.clauses == ((1, -2, 3),)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p 1in3 1_0 1\n1 2 3\n", 1),  # int() reads 10
+            ("p 1in3 3 1\n1 2 \u0663\n", 2),  # Arabic-Indic three
+            ("p 1in3 3 1\n1 2 \uff14\n", 2),  # fullwidth four
+            ("p 1in3 x 1\n1 2 3\n", 1),
+            ("p 1in3 3 1\n1 two 3\n", 2),
+            ("p 1in3 3 1\np 1in3 3 1\n1 2 3\n", 2),  # repeated header
+            ("p 1in3 3 2\n1 2 3\np 1in3 3 1\n", 3),
+        ],
+    )
+    def test_malformed_numbers_and_headers_name_their_line(self, text, line):
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            parse_sat(text)
+
+    def test_signed_and_zero_padded_numbers_accepted(self):
+        sat = parse_sat("p 1in3 +3 01\n+1 -2 03\n")
+        assert sat == OneInThreeInstance(3, ((1, -2, 3),))
 
 
 class TestBuildBoard:
@@ -183,6 +208,81 @@ class TestEmbedExtract:
         a[y - 1, x - 1] = a[y, x] = 1  # force a diagonal pattern
         with pytest.raises(ValueError):
             extract_assignment(spec, BinaryImage(a))
+
+    def test_pins_only_the_initializer_chips(self, demo_board, monkeypatch):
+        spec, inst = demo_board
+        pinned = []
+
+        def spy(inst, fixed, budget):
+            pinned.append(dict(fixed))
+            return constrained_solve(inst, fixed, budget)
+
+        monkeypatch.setattr(hardness, "constrained_solve", spy)
+        embed_assignment(spec, inst, (True, True, False, False))
+        chips = {
+            (x + dx, y + dy) for x, y in spec.init_chips.values() for dx in (0, 1) for dy in (0, 1)
+        }
+        assert len(pinned) == 1 and set(pinned[0]) == chips
+        x, y = spec.init_chips[1]  # True: ones in the bottom row
+        assert [pinned[0][(x + dx, y + dy)] for dy in (0, 1) for dx in (0, 1)] == [1, 1, 0, 0]
+        x, y = spec.init_chips[3]  # False: ones in the left column
+        assert [pinned[0][(x + dx, y + dy)] for dy in (0, 1) for dx in (0, 1)] == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("pad", [(0, 6), (6, 0), (2, 2)])
+    def test_image_of_another_size_rejected(self, demo_board, pad):
+        spec, inst = demo_board
+        img = embed_assignment(spec, inst, (True, True, False, False))
+        padded = BinaryImage(np.pad(img.a, ((0, pad[0]), (0, pad[1]))))
+        with pytest.raises(ValueError, match="34x34"):
+            extract_assignment(spec, padded)
+
+
+def _boards():
+    """Seeded formulas with T 3-6 variables and S 1-3 clauses, boards at eps 1-3."""
+    rng = random.Random(9)
+    for T in range(3, 7):
+        for S in range(1, 4):
+            clauses = []
+            for _ in range(S):
+                chosen = rng.sample(range(1, T + 1), 3)
+                clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+            sat = OneInThreeInstance(T, tuple(clauses))
+            for eps in (1, 2, 3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    yield build_board(sat), gen_sat_instance(sat, eps)
+
+
+class TestBoardFacts:
+    """What the board encoding and the embedding rely on, on many boards."""
+
+    @pytest.fixture(scope="class")
+    def boards(self):
+        return list(_boards())
+
+    def test_cells_outside_candidates_are_forced_zero(self, boards):
+        # each lies in a zero row, a zero column or an exact block of value 0,
+        # so pre-elimination zeroes it before the search branches
+        for spec, inst in boards:
+            N = spec.side
+            zero_row = np.array(inst.row_sums) == 0
+            zero_col = np.array(inst.col_sums) == 0
+            zero_block = (inst._grid == 0) & inst._reliable_grid
+            forced = (
+                zero_row[:, None]
+                | zero_col[None, :]
+                | np.kron(zero_block, np.ones((2, 2), dtype=bool))
+            )  # [q - 1, p - 1]
+            candidate = np.zeros((N, N), dtype=bool)
+            for p, q in spec.candidate_cells:
+                candidate[q - 1, p - 1] = True
+            assert forced[~candidate].all(), (spec.sat, inst.epsilon)
+
+    def test_unreliable_exactly_at_value_one(self, boards):
+        for spec, inst in boards:
+            for i, j in inst.corners():
+                assert inst.is_reliable(i, j) == (inst.value(i, j) != 1), (spec.sat, (i, j))
+            assert set(np.unique(inst._grid)) <= {0, 1, 2}
 
 
 class TestLiftInstance:

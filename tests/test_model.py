@@ -253,6 +253,49 @@ class TestClassifyBlock:
         assert BlockType.FULL.count == 4
 
 
+def _pattern_table() -> dict[str, frozenset]:
+    """The 16 block names and their ones, written out from the naming rule.
+
+    A(r, c) holds a single one at row r, column c (r = 1 bottom, c = 1
+    left); C(r, c) holds three ones with the zero there; the B types are
+    listed by hand.  Offsets are (dx, dy) = (c - 1, r - 1).
+    """
+    full = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+    table = {
+        "EMPTY": frozenset(),
+        "FULL": full,
+        "B1": frozenset({(0, 0), (1, 0)}),  # bottom row
+        "B2": frozenset({(0, 1), (1, 1)}),  # top row
+        "B31": frozenset({(0, 0), (0, 1)}),  # left column
+        "B32": frozenset({(1, 0), (1, 1)}),  # right column
+        "B33": frozenset({(0, 0), (1, 1)}),  # main diagonal
+        "B34": frozenset({(1, 0), (0, 1)}),  # anti-diagonal
+    }
+    for r in (1, 2):
+        for c in (1, 2):
+            table[f"A{r}{c}"] = frozenset({(c - 1, r - 1)})
+            table[f"C{r}{c}"] = full - {(c - 1, r - 1)}
+    return table
+
+
+class TestBlockTypeCodes:
+    def test_every_name_has_its_cells(self):
+        table = _pattern_table()
+        assert sorted(table) == sorted(t.name for t in BlockType)
+        for name, cells in table.items():
+            t = BlockType[name]
+            assert t.cells == cells, name
+            assert t.count == len(cells), name
+            img = BinaryImage.from_ones(2, 2, [(1 + dx, 1 + dy) for dx, dy in cells])
+            assert classify_block(img, (1, 1)) is t, name
+
+    def test_value_is_the_block_code(self):
+        for name, cells in _pattern_table().items():
+            code = sum(1 << (dx + 2 * dy) for dx, dy in cells)
+            assert BlockType[name].value == code, name
+            assert BlockType(code) is BlockType[name], name
+
+
 class TestDegrade:
     def test_all_ones(self):
         img = BinaryImage(np.ones((4, 4), dtype=np.uint8))
@@ -353,6 +396,11 @@ class TestRandomImage:
     def test_density_extremes(self):
         assert random_image(5, 5, 0.0, 0).popcount() == 0
         assert random_image(5, 5, 1.0, 0).popcount() == 25
+
+    @pytest.mark.parametrize("density", [1.5, -0.1, float("nan"), float("inf")])
+    def test_density_outside_unit_interval_raises(self, density):
+        with pytest.raises(ValueError, match="density"):
+            random_image(5, 5, density, 0)
 
     @pytest.mark.parametrize("m, n", [(0, 4), (4, 0), (-1, 3)])
     def test_nonpositive_size_raises(self, m, n):

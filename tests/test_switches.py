@@ -21,7 +21,6 @@ from drtomo.switches import (
     REVERSED,
     SwitchMove,
     TVValue,
-    _CODE,
     _H_RULES,
     _V_RULES,
     _LocalTV,
@@ -87,6 +86,26 @@ class TestFindSwitch:
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
             find_switch(BinaryImage.zeros(3, 4))
+
+
+class TestReversedClassThreeTargets:
+    """Both reversed class-3 slots key on B33, so only slot order sets the targets."""
+
+    def test_horizontal_pair_splits_into_bottom_and_top_rows(self):
+        img = image_of_types({(1, 1): T.B33, (3, 1): T.B33}, 4, 2)
+        want = ("horizontal", 3, ((1, 1), (3, 1)), (T.B33, T.B33), (T.B1, T.B2))
+        move = find_switch(img, REVERSED)
+        assert (move.orientation, move.cls, move.corners, move.sources, move.targets) == want
+        class3 = [mv for mv in all_switches(img, REVERSED) if mv.cls == 3]
+        assert [(mv.orientation, mv.cls, mv.corners, mv.sources, mv.targets) for mv in class3] == [want]
+
+    def test_vertical_pair_splits_into_right_and_left_columns(self):
+        img = image_of_types({(1, 1): T.B33, (1, 3): T.B33}, 2, 4)
+        want = ("vertical", 3, ((1, 1), (1, 3)), (T.B33, T.B33), (T.B32, T.B31))
+        move = find_switch(img, REVERSED)
+        assert (move.orientation, move.cls, move.corners, move.sources, move.targets) == want
+        class3 = [mv for mv in all_switches(img, REVERSED) if mv.cls == 3]
+        assert [(mv.orientation, mv.cls, mv.corners, mv.sources, mv.targets) for mv in class3] == [want]
 
 
 class TestApplySwitch:
@@ -323,7 +342,7 @@ even_images = st.one_of(bit_images(), type_images(_WEIGHTED), type_images(_SPARS
 
 
 def codes(types) -> tuple[int, ...]:
-    return tuple(_CODE[t] for t in types)
+    return tuple(t.value for t in types)
 
 
 class TestAgainstReferences:
