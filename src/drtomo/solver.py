@@ -248,4 +248,5 @@ def check_unique(inst: Instance) -> Optional[bool]:
         return False
     if subs[2].I and not unique_dr2(subs[2], codes):
         return False
-    return not switches.has_reversed_switch(switches.reduce(img))
+    # the proper-frame solution is already reduced: no forward pair survives the strip cases
+    return not switches.has_reversed_switch(img)

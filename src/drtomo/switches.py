@@ -9,18 +9,37 @@ certifies that the solution is not unique.
 The fast routines read an image as one array of 4-bit block codes, the
 values of its blocks' BlockTypes (bit dx + 2*dy holds cell (dx, dy)):
 
-- `reduce` runs classes 1 to 6 to a fixpoint, then flips every remaining
-  anti-diagonal block at once.  This equals applying find_switch's first
-  forward move until none applies: no forward rule of classes 1 to 6
-  reads B33 or B34, and none writes B34.  So a class-7 move neither
-  enables nor disables any other move, and once classes 1 to 6 are
-  exhausted the remaining moves are exactly the B34 flips.  Within
-  classes 1 to 6, each strip keeps one bit mask of block positions per
-  code, so the first active strip and the first matching pair in it are
-  lowest set bits, and a move costs constant work.
+- `reduce` runs each strip to its own fixpoint under classes 1 to 6,
+  horizontal strips first, then flips every remaining anti-diagonal block
+  at once.  A strip is two adjacent lines, a slot one side of a two-block
+  rule.  This equals applying find_switch's first forward move until
+  none applies:
+  - Class 7 commutes to the end: no forward rule of classes 1 to 6 reads
+    B33 or B34, and none writes B34.
+  - Horizontal rules 1 to 6 move a lone one between the strip's two
+    lines (A11/A21, A12/A22), move a hole between them (C11/C21,
+    C12/C22), or turn B1 or B2 into B33.  The vertical slots are {A11,
+    A21}, {A12, A22}, {C11, C21}, {C12, C22}, {B31} and {B32}, and none
+    holds B1, B2 or B33; so a horizontal move leaves each block in the
+    same vertical slot or outside all of them.  The same holds with the
+    orientations swapped.
+  - So a strip's moves depend only on its own blocks, and the first-move
+    order takes a strip at its lowest applicable class, since a lower
+    class applicable anywhere would be taken first.  A horizontal and a
+    vertical rewrite of one block change different things, the row and
+    the column of its lone one or hole, so running all horizontal strips
+    and then all vertical ones gives the codes of any interleaving.
+  - A vertical strip runs as a row of the transposed code grid: under
+    transposition the forward vertical rules 1 to 6 are the horizontal
+    ones (class 3 lists its slots in the other order, which does not
+    change a forward move).
+  - In a strip of len blocks, Phi = (len + 1) * #{B1, B2} + #{A11, A12}
+    starts at most len * (len + 1) and drops with every forward move of
+    classes 1 to 6, so the strip stops after at most that many moves.
 - `has_reversed_switch` answers from the same codes: any B33 block
-  admits the reversed class-7 flip, and otherwise a reversed rule
-  applies iff some strip holds codes from both of its slots.
+  admits the reversed class-7 flip.  Every other reversed rule but class
+  6 reads a B33, so without one the answer is whether some strip holds
+  a code of each slot of reversed class 6.
 - `tv_descend` scores a move by the change of total variation over the
   gradient sites that read one of its at most 8 changed cells.  A site
   (p, q) reads cells (p, q), (p+1, q) and (p, q+1), so every other site
@@ -97,24 +116,6 @@ def _coded(rule_map: dict) -> dict[int, int]:
     return {s.value: t.value for s, t in rule_map.items()}
 
 
-def _slot_bits(rule_map: dict) -> int:
-    return sum(1 << t.value for t in rule_map)
-
-
-def _meets_table(rules: list[tuple[int, dict, dict]]) -> np.ndarray:
-    """Bit k of meets[w]: bit set w of codes meets both slots of rules[k].
-
-    For a rule with disjoint slots that is exactly "a strip holding the
-    codes in w admits the rule".
-    """
-    w = np.arange(1 << 16, dtype=np.uint16)
-    meets = np.zeros(1 << 16, dtype=np.uint8)
-    for k, (_, slot_a, slot_b) in enumerate(rules):
-        hit = (w & _slot_bits(slot_a) != 0) & (w & _slot_bits(slot_b) != 0)
-        meets |= hit.view(np.uint8) << k
-    return meets
-
-
 _ORIENTATIONS = ("horizontal", "vertical")  # orientation index 0 and 1
 # rules 1-6 in code form: _CODED[direction][o][cls - 1] = (slot A, slot B)
 _CODED = {
@@ -122,9 +123,6 @@ _CODED = {
     for d in (FORWARD, REVERSED)
 }
 _CODED7 = {FORWARD: _coded(_CLASS7), REVERSED: _coded(_invert(_CLASS7))}
-# the rules 1-6 a strip admits, from the set of codes it holds
-_FWD_MEETS = [_meets_table(_rules(o, FORWARD)).tobytes() for o in _ORIENTATIONS]
-_REV_MEETS = [_meets_table(_rules(o, REVERSED)) for o in _ORIENTATIONS]
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +175,13 @@ def _scan(grid: list[list[int]], direction: str) -> Iterator[tuple]:
                 yield 7, "horizontal", ((2 * u + 1, 2 * v + 1),), (c,), (flip[c],)
 
 
+def _even_codes(img: BinaryImage) -> np.ndarray:
+    """The image's code grid; every rewrite reads whole blocks."""
+    if img.m % 2 or img.n % 2:
+        raise ValueError("image dimensions must be even")
+    return _codes(img.a)
+
+
 def _switch_move(direction: str, found: tuple) -> SwitchMove:
     cls, orientation, corners, sources, targets = found
     return SwitchMove(
@@ -191,14 +196,12 @@ def _switch_move(direction: str, found: tuple) -> SwitchMove:
 
 def find_switch(img: BinaryImage, direction: str = FORWARD) -> Optional[SwitchMove]:
     """First applicable rewrite under the documented scan order, if any."""
-    if img.m % 2 or img.n % 2:
-        raise ValueError("image dimensions must be even")
-    found = next(_scan(_codes(img.a).tolist(), direction), None)
+    found = next(_scan(_even_codes(img).tolist(), direction), None)
     return None if found is None else _switch_move(direction, found)
 
 
 def all_switches(img: BinaryImage, direction: str = FORWARD) -> list[SwitchMove]:
-    return [_switch_move(direction, f) for f in _scan(_codes(img.a).tolist(), direction)]
+    return [_switch_move(direction, f) for f in _scan(_even_codes(img).tolist(), direction)]
 
 
 def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
@@ -216,85 +219,67 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
 # Reduction and the reversed-switch test
 # --------------------------------------------------------------------------
 
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
+# _TRANSPOSED[c] is the code of block c mirrored in its main diagonal
+# (cell (dx, dy) to (dy, dx)); it maps the forward vertical rules 1 to 6
+# onto the horizontal ones, so a vertical strip reduces as a row of the
+# transposed code grid.
+_TRANSPOSED = np.array([c & 9 | (c & 2) << 1 | (c & 4) >> 1 for c in range(16)], dtype=np.uint8)
+# The distinct slots of the horizontal forward rules 1 to 6, and each rule
+# as the indices of its two slots.  A code lies in at most one slot and has
+# one forward target in all of them; _SLOT_OF[c] is 6 for a code in none.
+_SLOTS = list({frozenset(slot): slot for rule in _CODED[FORWARD][0] for slot in rule}.values())
+_PAIRS = [tuple(_SLOTS.index(slot) for slot in rule) for rule in _CODED[FORWARD][0]]
+_FORWARD_TARGET = {c: t for slot in _SLOTS for c, t in slot.items()}
+_SLOT_OF = [next((k for k, slot in enumerate(_SLOTS) if c in slot), len(_SLOTS)) for c in range(16)]
+
+
+def _reduce_rows(grid: list[list[int]]) -> bool:
+    """Run every row of a code grid, in place, to its own fixpoint under the
+    horizontal forward rules 1 to 6; whether any block changed.
+
+    A row keeps one bit mask of positions per slot, so the lowest rule with
+    both slots present and its first pair are read from lowest set bits.
+    """
+    moved = False
+    for row in grid:
+        here = set(row)
+        if not any(not here.isdisjoint(a) and not here.isdisjoint(b) for a, b in _CODED[FORWARD][0]):
+            continue
+        moved = True
+        masks = [0] * (len(_SLOTS) + 1)  # the last one collects blocks in no slot
+        for p, c in enumerate(row):
+            masks[_SLOT_OF[c]] |= 1 << p
+        while True:
+            for a, b in _PAIRS:
+                if masks[a] and masks[b]:
+                    break
+            else:
+                break
+            for k, bit in ((a, masks[a] & -masks[a]), (b, masks[b] & -masks[b])):
+                p = bit.bit_length() - 1
+                code = row[p] = _FORWARD_TARGET[row[p]]
+                masks[k] ^= bit
+                masks[_SLOT_OF[code]] |= bit
+    return moved
 
 
 def reduce(img: BinaryImage) -> BinaryImage:
     """Apply forward rewrites until none applies.  Deterministic.
 
-    Equivalent to repeatedly applying find_switch's first forward move
-    (see the module docstring); a step cap guards against a (provably
-    impossible) endless loop.
+    Equivalent to repeatedly applying find_switch's first forward move:
+    the horizontal strips, then the vertical strips, each run to its own
+    fixpoint, then every anti-diagonal block flips (see the module
+    docstring).
     """
-    if img.m % 2 or img.n % 2:
-        raise ValueError("image dimensions must be even")
-    codes = _codes(img.a)
-    grid = codes.tolist()  # grid[v][u]: horizontal strip v, vertical strip u
-    h, w = codes.shape
-    # Strip s of orientation 0 (horizontal) is grid row s, of orientation 1
-    # (vertical) grid column s.  masks[o][s][c] has bit p set iff position
-    # p of the strip holds code c; words[o][s] has bit c set iff some
-    # position does, so _FWD_MEETS[o][words[o][s]] has bit k set iff the
-    # strip admits forward rule k+1; active[o][k] has bit s set iff it does.
-    masks = ([[0] * 16 for _ in range(h)], [[0] * 16 for _ in range(w)])
-    for v, row in enumerate(grid):
-        row_mask, v_bit = masks[0][v], 1 << v
-        for u, c in enumerate(row):
-            row_mask[c] |= 1 << u
-            masks[1][u][c] |= v_bit
-    present = np.left_shift(np.uint16(1), codes, dtype=np.uint16)
-    words = [
-        np.bitwise_or.reduce(present, axis=1).tolist(),
-        np.bitwise_or.reduce(present, axis=0).tolist(),
-    ]
-    active = [[0] * 6, [0] * 6]
-    for o in (0, 1):
-        for s, word in enumerate(words[o]):
-            for k in range(6):
-                if _FWD_MEETS[o][word] >> k & 1:
-                    active[o][k] |= 1 << s
-
-    def rewrite(u: int, v: int, slot: dict[int, int]) -> None:
-        c = grid[v][u]
-        c2 = grid[v][u] = slot[c]
-        for o, s, p in ((0, v, u), (1, u, v)):
-            strip = masks[o][s]
-            strip[c] ^= 1 << p
-            strip[c2] |= 1 << p
-            old = words[o][s]
-            word = old | 1 << c2
-            if not strip[c]:
-                word ^= 1 << c
-            words[o][s] = word
-            changed = _FWD_MEETS[o][old] ^ _FWD_MEETS[o][word]
-            for k in range(6):
-                if changed >> k & 1:
-                    active[o][k] ^= 1 << s
-
-    order = [(o, k) for k in range(6) for o in (0, 1)]
-    moved = False
-    for _ in range(16 * h * w + 16):
-        hit = next(((o, k) for o, k in order if active[o][k]), None)
-        if hit is None:
-            break
-        o, k = hit
-        s = _lowest_bit(active[o][k])
-        strip = masks[o][s]
-        # first pair of the strip: the first block of either slot and the
-        # first block of the other one; slot codes hold disjoint positions
-        slots = _CODED[FORWARD][o][k]
-        firsts = [(_lowest_bit(sum(strip[c] for c in slot)), slot) for slot in slots]
-        for p, slot in firsts:
-            if o == 0:
-                rewrite(p, s, slot)
-            else:
-                rewrite(s, p, slot)
-        moved = True
-    else:
-        raise RuntimeError("reduction did not terminate within the step cap")
+    codes = _even_codes(img)
+    rows = codes.tolist()
+    moved = _reduce_rows(rows)
     if moved:
-        codes = np.array(grid, dtype=np.uint8)
+        codes = np.array(rows, dtype=np.uint8)
+    columns = _TRANSPOSED[codes.T].tolist()
+    if _reduce_rows(columns):
+        codes = _TRANSPOSED[np.array(columns, dtype=np.uint8).T]
+        moved = True
     flip = codes == _B34
     if not moved and not flip.any():
         return img
@@ -302,19 +287,28 @@ def reduce(img: BinaryImage) -> BinaryImage:
     return BinaryImage(_decode(codes))
 
 
+# bit 2*o + i of _REVERSED_SIX[c]: code c lies in slot i of the reversed
+# class-6 rule of orientation o
+_REVERSED_SIX = np.array(
+    [
+        sum(1 << 2 * o + i for o in (0, 1) for i, slot in enumerate(_CODED[REVERSED][o][5]) if c in slot)
+        for c in range(16)
+    ],
+    dtype=np.uint8,
+)
+
+
 def has_reversed_switch(img: BinaryImage) -> bool:
     """Whether find_switch(img, REVERSED) finds a move."""
-    if img.m % 2 or img.n % 2:
-        raise ValueError("image dimensions must be even")
-    codes = _codes(img.a)
+    codes = _even_codes(img)
     if (codes == _B33).any():
         return True  # the reversed class-7 flip
-    # without B33 only reversed class 6 can apply, and its slots are disjoint
-    present = np.left_shift(np.uint16(1), codes, dtype=np.uint16)
-    return bool(
-        _REV_MEETS[0][np.bitwise_or.reduce(present, axis=1)].any()
-        or _REV_MEETS[1][np.bitwise_or.reduce(present, axis=0)].any()
-    )
+    # every other reversed rule but class 6 reads a B33, and class 6
+    # applies iff some strip holds a code of each of its slots
+    marks = _REVERSED_SIX[codes]
+    rows = np.bitwise_or.reduce(marks, axis=1) & 3  # horizontal strips
+    columns = np.bitwise_or.reduce(marks, axis=0) >> 2  # vertical strips
+    return bool((rows == 3).any() or (columns == 3).any())
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +453,11 @@ def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
 
     Both rewrite directions preserve the constraints, so every step keeps
     the image a solution; ties break toward the scan order and the loop
-    stops at the first local optimum.
+    stops at the first local optimum.  A 2x2 rewrite keeps the k x k block
+    sums only when 2x2 blocks tile each k-block, so k must be even.
     """
+    if inst.k % 2:
+        raise ValueError(f"switch descent needs an even block size k, got k={inst.k}")
     if not verify_solution(inst, img).satisfied:
         raise ValueError("input image does not solve the instance")
     local = _LocalTV(img)

@@ -222,6 +222,15 @@ class TestLiftOracleTv:
             cli.main(["oracle", "--help"])
         assert "5 undecided" in capsys.readouterr().out
 
+    def test_tv_reduce_rejects_odd_block_size(self, tmp_path, capsys):
+        img = random_image(6, 6, 0.5, 5)
+        inst_path = write_inst(tmp_path, make_exact_instance(img, 3))
+        img_path = write_img(tmp_path, img)
+        out_path = tmp_path / "tv.pbm"
+        assert cli.main(["tv-reduce", inst_path, img_path, "-o", str(out_path)]) == 2
+        assert "even block size" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_tv_reduce_prints_trace(self, tmp_path, capsys):
         img = random_image(8, 8, 0.5, 4)
         inst = make_exact_instance(img, 2)

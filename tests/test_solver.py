@@ -23,6 +23,7 @@ from drtomo.solver import (
     _SOLVERS,
     StripPermutation,
     _classify_all,
+    _solve_checked,
     check_unique,
     classify_strip,
     derive_sub_sums,
@@ -234,6 +235,15 @@ class TestGlueProperties:
             assert sub_sums_ok(sub, codes)
             if nu == 2:
                 assert unique_dr2(sub, codes) in (True, False)
+
+
+class TestProperFrameSolution:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_instances())
+    def test_is_already_reduced(self, inst):
+        # check_unique tests this image for reversed switches without reducing it
+        _, img, _, _ = _solve_checked(inst)
+        assert find_switch(img) is None
 
 
 class TestSolveDr:

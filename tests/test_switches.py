@@ -88,6 +88,13 @@ class TestFindSwitch:
             find_switch(BinaryImage.zeros(3, 4))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4, 5)], ids=["odd-width", "odd-height"])
+@pytest.mark.parametrize("func", [all_switches, has_reversed_switch])
+def test_odd_sized_image_rejected(func, shape):
+    with pytest.raises(ValueError, match="even"):
+        func(BinaryImage.zeros(*shape))
+
+
 class TestReversedClassThreeTargets:
     """Both reversed class-3 slots key on B33, so only slot order sets the targets."""
 
@@ -196,6 +203,38 @@ class TestTableInvariance:
         assert ("vertical", 3) in kinds
 
 
+def transposed(t: BlockType) -> BlockType:
+    """The block mirrored in its main diagonal: cell (dx, dy) to (dy, dx)."""
+    return BlockType(sum(1 << (dy + 2 * dx) for dx, dy in t.cells))
+
+
+class TestStripIndependence:
+    """The facts that let reduce run each strip to its own fixpoint."""
+
+    @pytest.mark.parametrize(
+        "rules, others", [(_H_RULES, _V_RULES), (_V_RULES, _H_RULES)], ids=["horizontal", "vertical"]
+    )
+    def test_forward_moves_keep_the_other_orientations_slots(self, rules, others):
+        other_slots = [slot for _, slot_a, slot_b in others for slot in (slot_a, slot_b)]
+        for _, slot_a, slot_b in rules:
+            for source, target in list(slot_a.items()) + list(slot_b.items()):
+                for slot in other_slots:
+                    assert (source in slot) == (target in slot), (source, target, slot)
+
+    def test_forward_vertical_rules_are_transposed_horizontal_ones(self):
+        for (h_cls, h_a, h_b), (v_cls, v_a, v_b) in zip(_H_RULES, _V_RULES):
+            assert h_cls == v_cls
+            t_a, t_b = ({transposed(s): transposed(t) for s, t in slot.items()} for slot in (v_a, v_b))
+            # class 3 lists its two slots in the other order
+            assert (t_a, t_b) == ((h_b, h_a) if h_cls == 3 else (h_a, h_b))
+
+    def test_reduce_matches_stepwise_reduction_on_every_4x4_image(self):
+        # 4x4 is the smallest size where moves of both orientations interleave
+        for value in range(1 << 16):
+            img = BinaryImage(((value >> np.arange(16)) & 1).astype(np.uint8).reshape(4, 4))
+            assert reduce(img) == reduce_by_steps(img), value
+
+
 class TestReduce:
     def test_single_antidiagonal(self):
         img = image_of_types({(1, 1): T.B34}, 2, 2)
@@ -282,6 +321,13 @@ class TestTVDescend:
         if not verify_solution(inst, img).satisfied:
             with pytest.raises(ValueError):
                 tv_descend(inst, img)
+
+    def test_odd_block_size_rejected(self):
+        # 2x2 rewrites keep 3x3 block sums only by chance; seed 5 loses them
+        img = random_image(6, 6, 0.5, 5)
+        inst = make_exact_instance(img, 3)
+        with pytest.raises(ValueError, match="even block size"):
+            tv_descend(inst, img)
 
     def test_minimal_input_unchanged(self):
         img = BinaryImage.zeros(4, 4)
