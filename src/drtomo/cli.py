@@ -220,15 +220,17 @@ def cmd_tv_reduce(args) -> int:
     inst = _read_instance(args.instance)
     img = _read_image(args.image)
     start = switches.tv(img)
-    print(f"tv {start.a} + {start.b}*sqrt(2) = {start.value():.4f}")
+    # printed once the descent has accepted the input, so a rejected run writes nothing
+    report = [f"tv {start.a} + {start.b}*sqrt(2) = {start.value():.4f}"]
 
     def trace(move, t):
-        print(
+        report.append(
             f"{move.direction} class {move.cls} {move.orientation} at "
             f"{move.corners[0]}: tv {t.a} + {t.b}*sqrt(2) = {t.value():.4f}"
         )
 
     final = switches.tv_descend(inst, img, on_step=trace)
+    print("\n".join(report))
     _emit_bytes(formats.write_image(final), args.output)
     return OK
 

@@ -3,9 +3,13 @@
 The pipeline normalizes each two-line strip so its larger sum comes
 first, peels off the forced 0- and 4-valued blocks, classifies every
 strip into one of three count patterns, and splits the rest into the
-per-value subproblems of the subsolvers module.  The assembled image is
-verified against the original instance; a failed verification is the
-infeasibility verdict, which is exact in this setting.
+per-value subproblems of the subsolvers module.  All of it works on
+arrays over the [bv, bu] block grid: one classify_strip call covers
+the row strips and then the column strips, each subproblem is a block
+mask with one pair of sums per strip, and every subsolver writes its
+block codes into one shared code grid under its mask.  The assembled
+image is verified against the original instance; a failed verification
+is the infeasibility verdict, which is exact in this setting.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, Corner, Instance, _decode, validate_instance, verify_solution
+from .model import BinaryImage, Instance, _decode, validate_instance, verify_solution
 from .subsolvers import (
     SubInstance,
     fill_trivial,
@@ -28,22 +32,24 @@ from .subsolvers import (
     unique_dr3,
 )
 
-CASE1, CASE2, CASE3, INFEASIBLE = "case1", "case2", "case3", "infeasible"
+INFEASIBLE, CASE1, CASE2, CASE3 = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
 class StripCase:
-    """How the blocks of one strip split their ones between its two lines.
+    """How the blocks of strips split their ones between their two lines.
 
-    counts = (alpha_j, alpha_j1, beta_j, beta_prime_j, beta_j1, gamma_j,
-    gamma_j1): single-one blocks using the near/far line, two-one blocks
-    with both ones in the near line, balanced two-one blocks, two-one
-    blocks with both ones in the far line (always 0 when feasible), and
-    three-one blocks with their hole in the near/far line.
+    tag holds CASE1, CASE2, CASE3 or INFEASIBLE per strip.  counts[0..6]
+    = (alpha_j, alpha_j1, beta_j, beta_prime_j, beta_j1, gamma_j,
+    gamma_j1), each shaped like tag: single-one blocks using the
+    near/far line, two-one blocks with both ones in the near line,
+    balanced two-one blocks, two-one blocks with both ones in the far
+    line (always 0 when feasible), and three-one blocks with their hole
+    in the near/far line.  All counts of an infeasible strip are 0.
     """
 
-    tag: str
-    counts: tuple[int, int, int, int, int, int, int]
+    tag: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,84 +98,75 @@ def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
     return perm.apply_to_instance(inst), perm
 
 
-def classify_strip(rj: int, rj1: int, v1: int, v2: int, v3: int) -> StripCase:
-    """Split a strip's ones between its lines from the sums alone.
+_VALUES = np.arange(5)[:, None, None]
+# per count (alpha_j, alpha_j1, beta_j, beta_prime_j, beta_j1, gamma_j,
+# gamma_j1): its block value, and the ones it puts into the near and the
+# far line
+_CLASS = np.array((1, 1, 2, 2, 2, 3, 3))
+_LINES = np.array(((1, 0, 2, 1, 0, 1, 2), (0, 1, 0, 1, 2, 2, 1)))
+# row 2*nu + line: the ones the blocks of value nu put into that line
+_PAIRS = (_LINES * (_CLASS == _VALUES)).reshape(10, 7)
 
-    rj, rj1 are the strip's two line sums, larger first, after removing
+# classify_strip as linear maps of (rj, rj1, v1, v2, v3), then of those
+# five followed by the far line's ones from each stage: beta_prime_j,
+# alpha_j1 and gamma_j
+_RJ, _RJ1, _V1, _V2, _V3, _BP, _A1, _G = np.eye(8, dtype=np.int64)
+_F = _RJ1 - _V3  # far-line ones beyond one per three-one block
+# per stage: how far _F reaches past the stage's start, then its blocks
+_STAGES = np.array((_F, _F - _V2, _F - _V2 - _V1, _V2, _V1, _V3))[:, :5]
+_COUNTS = np.array((_V1 - _A1, _A1, _V2 - _BP, _BP, 0 * _BP, _G, _V3 - _G))
+# the counts, then the near and far line sums they rebuild less the given
+# ones, and rj - rj1: a feasible strip has 0, 0 and a value >= 0 there
+_SPLIT = np.concatenate((_COUNTS, _LINES @ _COUNTS - (_RJ, _RJ1), [_RJ - _RJ1]))
+
+
+def classify_strip(rj, rj1, v1, v2, v3) -> StripCase:
+    """Split strips' ones between their lines from the sums alone.
+
+    rj, rj1 are each strip's two line sums, larger first, after removing
     the contribution of 0- and 4-valued blocks; v1, v2, v3 count the
-    blocks of the strip holding that many ones.
+    blocks of the strip holding that many ones.  The arguments are
+    scalars or arrays of one shape.  Beyond one one from every three-one
+    block, the far line takes one from each balanced two-one block (case
+    1), then from each single-one block (case 2), then a second one from
+    each three-one block (case 3); the case is the stage its sum ends in,
+    and a strip is feasible iff the split gives back both line sums.
     """
-    if rj < rj1 or rj1 < 0 or rj + rj1 != v1 + 2 * v2 + 3 * v3:
-        return StripCase(INFEASIBLE, (0, 0, 0, 0, 0, 0, 0))
-    if v3 <= rj1 < v2 + v3:
-        return StripCase(CASE1, (v1, 0, v2 + v3 - rj1, rj1 - v3, 0, 0, v3))
-    if v2 + v3 <= rj1 < v1 + v2 + v3:
-        return StripCase(CASE2, (v1 + v2 + v3 - rj1, rj1 - v2 - v3, 0, v2, 0, 0, v3))
-    if v1 + v2 + v3 <= rj1 <= v1 + v2 + 2 * v3:
-        return StripCase(
-            CASE3, (0, v1, 0, v2, 0, rj1 - v1 - v2 - v3, v1 + v2 + 2 * v3 - rj1)
-        )
-    return StripCase(INFEASIBLE, (0, 0, 0, 0, 0, 0, 0))
+    x = np.array((rj, rj1, v1, v2, v3))
+    y = _STAGES @ x
+    reach, blocks = y[:3], y[3:]
+    split = _SPLIT @ np.concatenate((x, np.minimum(np.maximum(reach, 0), blocks)))
+    ok = (split[7:9] == 0).all(0) & (split[9] >= 0)
+    return StripCase(ok * (CASE1 + (reach[1] >= 0) + (reach[2] >= 0)), split[:7] * ok)
 
 
-def _classify_all(
-    inst: Instance,
-) -> Optional[tuple[dict[int, StripCase], dict[int, StripCase]]]:
-    """Strip cases for both orientations of a proper instance, or None."""
-    found = []
-    for sums, counts in zip((inst.row_sums, inst.col_sums), inst._strip_counts):
-        cases: dict[int, StripCase] = {}
-        for s, (_, v1, v2, v3, v4) in enumerate(counts):
-            line = 2 * s + 1
-            case = classify_strip(sums[line - 1] - 2 * v4, sums[line] - 2 * v4, v1, v2, v3)
-            if case.tag == INFEASIBLE:
-                return None
-            cases[line] = case
-        found.append(cases)
-    return found[0], found[1]
+def _value_counts(inst: Instance) -> np.ndarray:
+    """Blocks of each value 0..4 per strip, [5, bh + bw]: row strips, then column strips."""
+    rows, cols = inst._strip_counts
+    return np.array(rows + cols).T
 
 
-def derive_sub_sums(
-    inst: Instance,
-    h_cases: dict[int, StripCase],
-    v_cases: dict[int, StripCase],
-) -> dict[int, SubInstance]:
+def _classify_all(inst: Instance) -> Optional[StripCase]:
+    """Cases of a proper instance's row strips, then its column strips, or None."""
+    v = _value_counts(inst)
+    near, far = np.array(inst.row_sums + inst.col_sums).reshape(-1, 2).T - 2 * v[4]
+    cases = classify_strip(near, far, v[1], v[2], v[3])
+    return None if np.count_nonzero(cases.tag) < len(cases.tag) else cases
+
+
+def derive_sub_sums(inst: Instance, cases: StripCase) -> dict[int, SubInstance]:
     """Per-value subproblems of a classified proper instance.
 
     The strip cases fix, per strip, how many ones each value class puts
     into each of the two lines; those totals become the subproblems' pair
-    sums.  A subproblem lists exactly the strips that hold one of its
-    blocks.
+    sums, (0, 0) in a strip that holds no block of the value.
     """
-    corners: list[list[Corner]] = [[] for _ in range(5)]
-    for j, row in zip(range(1, inst.n, 2), inst.blocks):
-        for i, value in zip(range(1, inst.m, 2), row):
-            corners[value].append((i, j))
-
-    def pair(case: StripCase, nu: int, count: int) -> tuple[int, int]:
-        a_j, a_j1, b_j, bp_j, _, g_j, g_j1 = case.counts
-        if nu == 1:
-            return a_j, a_j1
-        if nu == 2:
-            return 2 * b_j + bp_j, bp_j
-        if nu == 3:
-            return g_j + 2 * g_j1, 2 * g_j + g_j1
-        return nu // 2 * count, nu // 2 * count  # nu in (0, 4): constant fill
-
-    rows, cols = inst._strip_counts
+    v = _value_counts(inst)
+    pairs = _PAIRS @ cases.counts
+    pairs[8:] = 2 * v[4]  # full blocks, which the strip cases leave out
+    masks = inst._grid == _VALUES
     return {
-        nu: SubInstance(
-            m=inst.m,
-            n=inst.n,
-            nu=nu,
-            I=frozenset(corners[nu]),
-            pair_row_sums={
-                2 * s + 1: pair(h_cases[2 * s + 1], nu, c[nu]) for s, c in enumerate(rows) if c[nu]
-            },
-            pair_col_sums={
-                2 * s + 1: pair(v_cases[2 * s + 1], nu, c[nu]) for s, c in enumerate(cols) if c[nu]
-            },
-        )
+        nu: SubInstance._of_strips(nu, masks[nu], pairs[2 * nu : 2 * nu + 2].T, v[nu])
         for nu in range(5)
     }
 
@@ -179,13 +176,13 @@ _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_t
 
 def _solve_checked(
     inst: Instance,
-) -> Optional[tuple[StripPermutation, BinaryImage, dict[int, SubInstance], dict[Corner, int]]]:
+) -> Optional[tuple[StripPermutation, BinaryImage, dict[int, SubInstance], np.ndarray]]:
     """The pipeline solve_dr and check_unique share.
 
     Returns the strip permutation and the proper frame's verified image,
-    subproblems and block codes; None if inst is infeasible, ValueError
-    if it is malformed.  Verifying in the proper frame decides the
-    original too, since properize's swaps map solutions one-to-one.
+    subproblems and [bv, bu] block code grid; None if inst is infeasible,
+    ValueError if it is malformed.  Verifying in the proper frame decides
+    the original too, since properize's swaps map solutions one-to-one.
     """
     errs = validate_instance(inst)
     if any(e.kind != "sum-mismatch" for e in errs):
@@ -196,23 +193,20 @@ def _solve_checked(
     cases = _classify_all(proper)
     if cases is None:
         return None
-    subs = derive_sub_sums(proper, *cases)
-    codes: dict[Corner, int] = {}
+    subs = derive_sub_sums(proper, cases)
+    # the five masks partition the grid, so every block gets its code
+    grid = np.zeros(proper._grid.shape, np.uint8)
     for nu, sub in subs.items():
-        if not sub.I:
+        if not np.count_nonzero(sub.mask):
             continue
         part = _SOLVERS[nu](sub)
         if part is None:
             return None
-        codes.update(part)
-    # the five block sets partition the grid, so every block gets its code
-    bw = proper.m // 2
-    grid = np.zeros(proper.n // 2 * bw, dtype=np.uint8)
-    grid[[(j >> 1) * bw + (i >> 1) for i, j in codes]] = list(codes.values())
-    img = BinaryImage(_decode(grid.reshape(-1, bw)))
+        grid[sub.mask] = part
+    img = BinaryImage(_decode(grid))
     if not verify_solution(proper, img).satisfied:
         return None
-    return perm, img, subs, codes
+    return perm, img, subs, grid
 
 
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
@@ -241,12 +235,12 @@ def check_unique(inst: Instance) -> Optional[bool]:
     solved = _solve_checked(inst)
     if solved is None:
         return None
-    _, img, subs, codes = solved
-    if subs[1].I and not unique_dr1(subs[1]):
+    _, img, subs, grid = solved
+    if np.count_nonzero(subs[1].mask) and not unique_dr1(subs[1]):
         return False
-    if subs[3].I and not unique_dr3(subs[3]):
+    if np.count_nonzero(subs[3].mask) and not unique_dr3(subs[3]):
         return False
-    if subs[2].I and not unique_dr2(subs[2], codes):
+    if np.count_nonzero(subs[2].mask) and not unique_dr2(subs[2], grid[subs[2].mask]):
         return False
     # the proper-frame solution is already reduced: no forward pair survives the strip cases
     return not switches.has_reversed_switch(img)

@@ -1,17 +1,21 @@
-"""Single-value subproblems: place exactly nu ones in every listed block.
+"""Single-value subproblems: place exactly nu ones in every masked block.
 
-Each subproblem lives on a set I of 2x2 block corners with prescribed
-pair sums for every strip holding a block of I.  nu = 1 has a
-closed-form placement, nu = 3 is its complement, nu = 2 reduces to a
-unit-capacity flow, nu in {0, 4} is a constant fill.
+A subproblem lives on the [bv, bu] block grid of a proper instance: a
+boolean mask selects its blocks, and every horizontal and vertical strip
+carries one pair of line sums, (0, 0) where the strip holds none of
+them.  nu = 1 has a closed-form placement, nu = 3 is its complement,
+nu = 2 reduces to a unit-capacity flow, nu in {0, 4} is a constant fill.
+The frozenset of block corners `I` is built on request only, for
+callers at the API edge.
 
 A subsolver (fill_trivial, solve_dr1, solve_dr2, solve_dr3) takes one
-SubInstance and returns None when it is infeasible, otherwise a dict
-mapping every corner of I to the block code placed there, the value of
-its BlockType: a 4-bit integer whose bit dx + 2*dy holds cell (dx, dy)
-of the block, dy = 0 the bottom row.  So 1 is the lone lower-left one
-(A11), 3 the bottom pair (B1), 5 the left pair (B31), 9 the main
-diagonal (B33) and 15 the full block.
+SubInstance and returns None when it is infeasible, otherwise a uint8
+array with the code of every masked block in row-major [bv, bu] order,
+so `grid[sub.mask] = part` writes it into a code grid.  A block code is
+the value of its BlockType: a 4-bit integer whose bit dx + 2*dy holds
+cell (dx, dy) of the block, dy = 0 the bottom row.  So 1 is the lone
+lower-left one (A11), 3 the bottom pair (B1), 5 the left pair (B31), 9
+the main diagonal (B33) and 15 the full block.
 
 For nu = 2 a block is colored zeta (bottom pair), eta (left pair) or
 not at all (diagonal); the pair sums fix the zeta blocks per row strip
@@ -26,9 +30,9 @@ the sink; an uncolored block has arcs from both strips and to the sink.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,8 +40,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .model import BlockType, Corner
-
-Codes = dict[Corner, int]  # block code per corner, see the module docstring
 
 # Backend switch, measured on a 2-core Xeon VM: scipy's maximum_flow costs
 # 0.3-0.5 ms a call even on a 5-node network, the Python search 10-30 us;
@@ -49,75 +51,98 @@ _SCIPY_THRESHOLD = 64
 
 @dataclass(frozen=True)
 class SubInstance:
-    """Blocks I with target nu ones each, plus per-strip line sum pairs.
+    """Blocks of a [bv, bu] mask with target nu ones each, plus per-strip pair sums.
 
-    pair_row_sums[j] = (r_j, r_{j+1}) for each j occurring as a corner row
-    of I; pair_col_sums[i] = (c_i, c_{i+1}) likewise for corner columns.
+    rows[bv] = (r_j, r_{j+1}) for the horizontal strip at corner row
+    j = 2*bv + 1, cols[bu] = (c_i, c_{i+1}) for the vertical strip at
+    corner column i = 2*bu + 1; both are integer arrays, one pair per
+    strip of the mask, else ValueError.
     """
 
-    m: int
-    n: int
     nu: int
-    I: frozenset[Corner]
-    pair_row_sums: dict[int, tuple[int, int]]
-    pair_col_sums: dict[int, tuple[int, int]]
+    mask: np.ndarray  # bool [bh, bw]
+    rows: np.ndarray  # int [bh, 2]
+    cols: np.ndarray  # int [bw, 2]
 
+    def __post_init__(self):
+        if (self.rows.shape, self.cols.shape) != ((len(self.mask), 2), (self.mask.shape[1], 2)):
+            raise ValueError(
+                f"pair sums of shapes {self.rows.shape} and {self.cols.shape} "
+                f"do not give one pair per strip of a {self.mask.shape} mask"
+            )
 
-def _strip_blocks(sub: SubInstance) -> tuple[Counter[int], Counter[int]]:
-    """Blocks of I per corner row and per corner column.
+    @classmethod
+    def _of_strips(
+        cls, nu: int, mask: np.ndarray, sums: np.ndarray, blocks: np.ndarray
+    ) -> "SubInstance":
+        """Subproblem of pair sums [S, 2] and block counts [S], row strips then column strips.
 
-    Raises ValueError when a strip holding a block of I has no pair sums.
-    """
-    rho = Counter(j for _, j in sub.I)
-    sigma = Counter(i for i, _ in sub.I)
-    for name, blocks, sums in zip(
-        ("row", "column"), (rho, sigma), (sub.pair_row_sums, sub.pair_col_sums)
-    ):
-        missing = blocks.keys() - sums.keys()
-        if missing:
-            raise ValueError(f"no {name} pair sums for strip {min(missing)}")
-    return rho, sigma
+        rows and cols are the two parts of sums, so they fit the mask by
+        construction; sums and blocks become the `_strips` view.
+        """
+        sub = object.__new__(cls)
+        bh = len(mask)
+        sub.__dict__.update(nu=nu, mask=mask, rows=sums[:bh], cols=sums[bh:], _strips=(sums, blocks))
+        return sub
+
+    @cached_property
+    def _strips(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pair sums [S, 2] and block counts [S] of the row strips, then the column strips."""
+        blocks = np.concatenate((self.mask.sum(1), self.mask.sum(0)))
+        return np.concatenate((self.rows, self.cols)), blocks
+
+    @cached_property
+    def I(self) -> frozenset[Corner]:
+        """Corners (2*bu + 1, 2*bv + 1) of the masked blocks."""
+        bv, bu = np.nonzero(self.mask)
+        return frozenset(zip((2 * bu + 1).tolist(), (2 * bv + 1).tolist()))
 
 
 class FlowNetwork:
     """source -> strip (capacity = target) -> block (1) -> sink (1).
 
-    Every strip of I needs a target.  The arcs list the source arcs of the
-    row strips, then of the column strips (each in sorted order), then per
-    block of `blocks` its row arc, its column arc and its sink arc.
+    targets lists the row strips, then the column strips of sub; strips
+    holding no block of it get no node.  The arc arrays (tail, head,
+    capacity) list the source arcs of the row strips, then of the column
+    strips, then per block, sorted by corner (i, j), its row arc, its
+    column arc and its sink arc.
     """
 
     source = 0
     sink = 1
 
-    def __init__(
-        self, I: frozenset[Corner], row_targets: dict[int, int], col_targets: dict[int, int]
-    ):
-        rows = sorted(row_targets)
-        cols = sorted(col_targets)
-        self.blocks = sorted(I)
-        row_node = {j: 2 + idx for idx, j in enumerate(rows)}
-        col_node = {i: 2 + len(rows) + idx for idx, i in enumerate(cols)}
-        first = 2 + len(rows) + len(cols)
-        self.size = first + len(self.blocks)
-        self.arcs: list[tuple[int, int, int]] = [  # (u, v, capacity)
-            (self.source, row_node[j], row_targets[j]) for j in rows
-        ] + [(self.source, col_node[i], col_targets[i]) for i in cols]
-        for node, (i, j) in enumerate(self.blocks, first):
-            self.arcs += ((row_node[j], node, 1), (col_node[i], node, 1), (node, self.sink, 1))
-        self.demand = sum(row_targets.values()) + sum(col_targets.values())
+    def __init__(self, sub: SubInstance, targets: np.ndarray):
+        has = sub._strips[1] > 0
+        strips = np.arange(2, 2 + np.count_nonzero(has), dtype=np.int32)
+        node = np.zeros(len(has), np.int32)  # of each strip holding a block
+        node[has] = strips
+        bu, bv = np.nonzero(sub.mask.T)
+        first = 2 + len(strips)
+        self.size = first + len(bu)
+        self.demand = int(targets.sum())
+        arcs = np.zeros((3, len(strips) + 3 * len(bu)), np.int32)
+        self.tail, self.head, self.capacity = arcs
+        arcs[1:, : len(strips)] = strips, targets[has]
+        # views [row/column/sink arc, block] of the arcs after the source arcs
+        tail, head, capacity = arcs[:, len(strips) :].reshape(3, len(bu), 3).transpose(0, 2, 1)
+        block = np.arange(first, self.size)
+        tail[:] = node[bv], node[len(sub.mask) + bu], block
+        head[:2] = block
+        head[2] = self.sink
+        capacity[:] = 1
 
 
-def _max_flow_python(net: FlowNetwork) -> list[int]:
+def _max_flow_python(net: FlowNetwork) -> np.ndarray:
     """BFS augmenting paths; fine for the handful-of-blocks case.
 
-    Returns the flow on each arc of net.arcs.  Residual arc 2k runs along
-    arc k and 2k + 1 against it, so e ^ 1 is the reverse of residual arc e.
+    Returns the flow on each arc of net.  Residual arc 2k runs along arc
+    k and 2k + 1 against it, so e ^ 1 is the reverse of residual arc e.
     """
     head: list[int] = []
     residual: list[int] = []
     adj: list[list[int]] = [[] for _ in range(net.size)]
-    for k, (u, v, c) in enumerate(net.arcs):
+    arcs = zip(net.tail.tolist(), net.head.tolist(), net.capacity.tolist())
+    for k, (u, v, c) in enumerate(arcs):
         adj[u].append(2 * k)
         adj[v].append(2 * k + 1)
         head += (v, u)
@@ -133,7 +158,7 @@ def _max_flow_python(net: FlowNetwork) -> list[int]:
                     via[v] = e
                     queue.append(v)
         if net.sink not in via:
-            return residual[1::2]
+            return np.array(residual[1::2])
         path = []
         v = net.sink
         while v != net.source:
@@ -145,85 +170,49 @@ def _max_flow_python(net: FlowNetwork) -> list[int]:
             residual[e ^ 1] += push
 
 
-def _max_flow_scipy(net: FlowNetwork) -> list[int]:
-    """scipy's maximum_flow; returns the flow on each arc of net.arcs."""
-    flat = np.fromiter(chain.from_iterable(net.arcs), np.int32, 3 * len(net.arcs))
-    us, vs, cs = flat.reshape(-1, 3).T
-    graph = csr_matrix((cs, (us, vs)), shape=(net.size, net.size))
-    return np.asarray(maximum_flow(graph, net.source, net.sink).flow[us, vs]).ravel().tolist()
+def _max_flow_scipy(net: FlowNetwork) -> np.ndarray:
+    """scipy's maximum_flow; returns the flow on each arc of net."""
+    graph = csr_matrix((net.capacity, (net.tail, net.head)), shape=(net.size, net.size))
+    return np.asarray(maximum_flow(graph, net.source, net.sink).flow[net.tail, net.head]).ravel()
 
 
 # --------------------------------------------------------------------------
 # nu = 1 and its complement nu = 3
 # --------------------------------------------------------------------------
 
-def _dr1_feasible(sub: SubInstance) -> bool:
-    rho, sigma = _strip_blocks(sub)
-    for j, (rj, rj1) in sub.pair_row_sums.items():
-        if rj < 0 or rj1 < 0 or rj + rj1 != rho[j]:
-            return False
-    for i, (ci, ci1) in sub.pair_col_sums.items():
-        if ci < 0 or ci1 < 0 or ci + ci1 != sigma[i]:
-            return False
-    return True
-
-
-def solve_dr1(sub: SubInstance) -> Optional[Codes]:
+def solve_dr1(sub: SubInstance) -> Optional[np.ndarray]:
     """Place one one per block; closed form, deterministic.
 
     Within the vertical strip of column i, the first c_i blocks counted
     from the bottom use column i and the rest column i+1; rows likewise.
     """
     assert sub.nu == 1
-    if not _dr1_feasible(sub):
+    sums, blocks = sub._strips
+    if np.count_nonzero(sums < 0) or np.count_nonzero(sums[:, 0] + sums[:, 1] != blocks):
         return None
-    by_col: dict[int, list[int]] = {}
-    by_row: dict[int, list[int]] = {}
-    for i, j in sub.I:
-        by_col.setdefault(i, []).append(j)
-        by_row.setdefault(j, []).append(i)
-    dx: dict[Corner, bool] = {}  # the one sits in column i + 1
-    for i, js in by_col.items():
-        for rank, j in enumerate(sorted(js)):
-            dx[(i, j)] = rank >= sub.pair_col_sums[i][0]
-    out: Codes = {}
-    for j, cols in by_row.items():
-        for rank, i in enumerate(sorted(cols)):
-            dy = rank >= sub.pair_row_sums[j][0]
-            out[(i, j)] = 1 << (dx[(i, j)] + 2 * dy)
-    return out
+    # a block uses its strip's second line iff its rank there, counted
+    # from 1, exceeds the strip's first pair sum
+    dx = (sub.mask.cumsum(0) > sub.cols[:, 0]).view(np.uint8)
+    dy = (sub.mask.cumsum(1) > sub.rows[:, :1]).view(np.uint8)
+    return (1 << (dx + 2 * dy))[sub.mask]
 
 
 def unique_dr1(sub: SubInstance) -> bool:
     assert sub.nu == 1
-    return all(r[0] * r[1] == 0 for r in sub.pair_row_sums.values()) and all(
-        c[0] * c[1] == 0 for c in sub.pair_col_sums.values()
-    )
+    sums, _ = sub._strips
+    return not np.count_nonzero(sums[:, 0] * sums[:, 1])
 
 
 def _invert(sub: SubInstance) -> SubInstance:
     """Complementary sums: a block holds 3 ones iff its complement holds 1."""
-    rho, sigma = _strip_blocks(sub)
-    return SubInstance(
-        m=sub.m,
-        n=sub.n,
-        nu=1,
-        I=sub.I,
-        pair_row_sums={
-            j: (2 * rho[j] - r[0], 2 * rho[j] - r[1]) for j, r in sub.pair_row_sums.items()
-        },
-        pair_col_sums={
-            i: (2 * sigma[i] - c[0], 2 * sigma[i] - c[1]) for i, c in sub.pair_col_sums.items()
-        },
-    )
+    sums, blocks = sub._strips
+    return SubInstance._of_strips(1, sub.mask, 2 * blocks[:, None] - sums, blocks)
 
 
-def solve_dr3(sub: SubInstance) -> Optional[Codes]:
+def solve_dr3(sub: SubInstance) -> Optional[np.ndarray]:
     assert sub.nu == 3
     inner = solve_dr1(_invert(sub))
-    if inner is None:
-        return None
-    return {corner: 15 ^ code for corner, code in inner.items()}
+    return None if inner is None else 15 ^ inner
 
 
 def unique_dr3(sub: SubInstance) -> bool:
@@ -235,25 +224,22 @@ def unique_dr3(sub: SubInstance) -> bool:
 # nu = 2
 # --------------------------------------------------------------------------
 
-def _two_color_targets(sub: SubInstance) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-    """Zeta blocks per row strip and eta blocks per column strip, or None.
+def _two_color_targets(sub: SubInstance) -> Optional[np.ndarray]:
+    """Zeta blocks per row strip, then eta blocks per column strip, or None.
 
-    None means no coloring can meet the pair sums (a parity or block count
-    mismatch); pair sums not ordered larger first raise ValueError.
+    None means no coloring can meet the pair sums: a strip of b blocks
+    needs the pair (b + t, b - t) for its target t.  Pair sums not
+    ordered larger first raise ValueError.
     """
-    targets = []
-    for name, sums, blocks in zip(
-        ("row", "column"), (sub.pair_row_sums, sub.pair_col_sums), _strip_blocks(sub)
-    ):
-        wanted = {}
-        for s, (a, b) in sums.items():
-            if a < b:
-                raise ValueError(f"{name} pair sums at strip {s} not ordered")
-            if (a - b) % 2 or a + b != 2 * blocks[s]:
-                return None
-            wanted[s] = (a - b) // 2
-        targets.append(wanted)
-    return targets[0], targets[1]
+    sums, blocks = sub._strips
+    a, b = sums.T
+    if np.count_nonzero(a < b):
+        s, bh = int(np.argmax(a < b)), len(sub.rows)
+        name, s = ("row", s) if s < bh else ("column", s - bh)
+        raise ValueError(f"{name} pair sums at strip {2 * s + 1} not ordered")
+    if np.count_nonzero(a + b != 2 * blocks):
+        return None
+    return a - blocks
 
 
 _ZETA = BlockType.B1.value  # both ones in the bottom line
@@ -261,7 +247,7 @@ _ETA = BlockType.B31.value  # both ones in the left line
 _DIAGONAL = BlockType.B33.value
 
 
-def solve_dr2(sub: SubInstance) -> Optional[Codes]:
+def solve_dr2(sub: SubInstance) -> Optional[np.ndarray]:
     """Place two ones per block; requires in-strip ordered pair sums.
 
     A block colored zeta puts both ones in its lower line, eta in its
@@ -271,24 +257,27 @@ def solve_dr2(sub: SubInstance) -> Optional[Codes]:
     targets = _two_color_targets(sub)
     if targets is None:
         return None
-    net = FlowNetwork(sub.I, *targets)
-    if net.demand == 0:
-        return dict.fromkeys(sub.I, _DIAGONAL)
-    flows = (_max_flow_python if len(sub.I) < _SCIPY_THRESHOLD else _max_flow_scipy)(net)
-    first = len(net.arcs) - 3 * len(net.blocks)  # the source arcs come first
-    if sum(flows[:first]) < net.demand:
+    blocks = np.count_nonzero(sub.mask)
+    if not np.count_nonzero(targets):
+        return np.full(blocks, _DIAGONAL, np.uint8)
+    net = FlowNetwork(sub, targets)
+    flows = (_max_flow_python if blocks < _SCIPY_THRESHOLD else _max_flow_scipy)(net)
+    first = len(flows) - 3 * blocks  # the source arcs come first
+    if flows[:first].sum() < net.demand:
         return None
-    return {
-        block: _ZETA if zeta else _ETA if eta else _DIAGONAL
-        for block, zeta, eta in zip(net.blocks, flows[first::3], flows[first + 1 :: 3])
-    }
+    # the network lists blocks by corner (i, j), the row-major order of mask.T
+    codes = np.empty(sub.mask.T.shape, np.uint8)
+    eta = np.where(flows[first + 1 :: 3], _ETA, _DIAGONAL)
+    codes[sub.mask.T] = np.where(flows[first::3], _ZETA, eta)
+    return codes.T[sub.mask]
 
 
-def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
+def unique_dr2(sub: SubInstance, codes: np.ndarray) -> bool:
     """True iff no other coloring meets the same strip targets.
 
-    The coloring read from the block codes (zeta = bottom pair, code 3;
-    eta = left pair, code 5; any other or missing block uncolored) is a
+    codes holds one block code per masked block, in row-major order as
+    solve_dr2 returns them; the coloring read from them (zeta = bottom
+    pair, code 3; eta = left pair, code 5; any other code uncolored) is a
     unit flow in solve_dr2's network.  Every other coloring differs from
     it by a circulation, which exists iff the residual graph (three arcs
     per block, see the module docstring) has a directed cycle (Ahuja,
@@ -300,35 +289,31 @@ def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
     targets = _two_color_targets(sub)
     if targets is None:
         raise ValueError("solution given for an infeasible subproblem")
-    row_targets, col_targets = targets
-    sink = 0
-    row_node = {j: 1 + idx for idx, j in enumerate(row_targets)}
-    col_node = {i: 1 + len(row_node) + idx for idx, i in enumerate(col_targets)}
-    first = 1 + len(row_node) + len(col_node)
-    zeta: Counter[int] = Counter()
-    eta: Counter[int] = Counter()
-    tails: list[int] = []
-    heads: list[int] = []
-    for node, (i, j) in enumerate(sub.I, first):
-        code = codes.get((i, j))
-        row, col = row_node[j], col_node[i]
-        if code == _ZETA:
-            zeta[j] += 1
-            tails += (node, col, sink)
-            heads += (row, node, node)
-        elif code == _ETA:
-            eta[i] += 1
-            tails += (node, row, sink)
-            heads += (col, node, node)
-        else:
-            tails += (row, col, node)
-            heads += (node, node, sink)
-    if any(zeta[j] != t for j, t in row_targets.items()) or any(
-        eta[i] != t for i, t in col_targets.items()
-    ):
+    bh, bw = sub.mask.shape
+    bv, bu = np.nonzero(sub.mask)
+    zeta, eta = codes == _ZETA, codes == _ETA
+    colored = np.concatenate(
+        (np.bincount(bv[zeta], minlength=bh), np.bincount(bu[eta], minlength=bw))
+    )
+    if np.count_nonzero(colored != targets):
         raise ValueError("solution misses the strip targets of its subproblem")
-    size = first + len(sub.I)
-    graph = csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(size, size))
+    # nodes: the sink 0, every row strip, every column strip, the blocks;
+    # a strip without blocks is an isolated node and changes no verdict
+    size = 1 + bh + bw + len(bv)
+    node = np.arange(1 + bh + bw, size)
+    # uncolored arcs row -> block, column -> block, block -> sink; a
+    # coloring reverses the arc of its strip and the sink arc
+    ends = np.array(((1 + bv, node), (1 + bh + bu, node), (node, 0 * node)), np.int32)
+    flip = np.array((zeta, eta, zeta | eta))
+    tails = np.where(flip, ends[:, 1], ends[:, 0]).ravel()
+    heads = np.where(flip, ends[:, 0], ends[:, 1]).ravel()
+    # int32 indices and float64 data, which csr_matrix and
+    # connected_components take without converting
+    indptr = np.zeros(size + 1, np.int32)
+    indptr[1:] = np.cumsum(np.bincount(tails, minlength=size))
+    graph = csr_matrix(
+        (np.ones(len(tails)), heads[np.argsort(tails, kind="stable")], indptr), shape=(size, size)
+    )
     components, _ = connected_components(graph, directed=True, connection="strong")
     return components == size
 
@@ -337,17 +322,11 @@ def unique_dr2(sub: SubInstance, codes: Codes) -> bool:
 # nu in {0, 4}
 # --------------------------------------------------------------------------
 
-def fill_trivial(sub: SubInstance) -> Optional[Codes]:
+def fill_trivial(sub: SubInstance) -> Optional[np.ndarray]:
     """Constant fill for the forced block values 0 and 4."""
     assert sub.nu in (0, 4)
     bit = sub.nu // 4
-    rho, sigma = _strip_blocks(sub)
-    for j, (rj, rj1) in sub.pair_row_sums.items():
-        want = 2 * rho[j] * bit
-        if rj != want or rj1 != want:
-            return None
-    for i, (ci, ci1) in sub.pair_col_sums.items():
-        want = 2 * sigma[i] * bit
-        if ci != want or ci1 != want:
-            return None
-    return dict.fromkeys(sub.I, 15 * bit)
+    sums, blocks = sub._strips
+    if np.count_nonzero(sums != 2 * bit * blocks[:, None]):
+        return None
+    return np.full(np.count_nonzero(sub.mask), 15 * bit, np.uint8)

@@ -55,6 +55,36 @@ def code_cells(code: int) -> frozenset:
     return frozenset((dx, dy) for dx in (0, 1) for dy in (0, 1) if code >> (dx + 2 * dy) & 1)
 
 
+def sub_instance(nu: int, I, rows: dict, cols: dict, m: int = 8, n: int = 8):
+    """SubInstance over an m x n image from corners and {corner row/column: pair} dicts.
+
+    Strips missing from the dicts get the pair (0, 0).
+    """
+    from drtomo.subsolvers import SubInstance
+
+    mask = np.zeros((n // 2, m // 2), dtype=bool)
+    for i, j in I:
+        mask[j // 2, i // 2] = True
+    row_pairs = np.zeros((n // 2, 2), dtype=np.int64)
+    col_pairs = np.zeros((m // 2, 2), dtype=np.int64)
+    for pairs, sums in ((row_pairs, rows), (col_pairs, cols)):
+        for s, pair in sums.items():
+            pairs[s // 2] = pair
+    return SubInstance(nu, mask, row_pairs, col_pairs)
+
+
+def codes_by_corner(sub, part) -> dict:
+    """{corner: code} of a subsolver answer, which lists the masked blocks row by row."""
+    bv, bu = np.nonzero(sub.mask)
+    assert len(part) == len(bv)
+    return dict(zip(zip((2 * bu + 1).tolist(), (2 * bv + 1).tolist()), np.asarray(part).tolist()))
+
+
+def part_of(sub, codes: dict) -> np.ndarray:
+    """The codes {corner: code} as a subsolver lists them: masked blocks row by row."""
+    return np.array([codes[c] for c in sorted(codes, key=lambda c: (c[1], c[0]))], dtype=np.uint8)
+
+
 def brute_force_sub(sub) -> list[dict]:
     """All block-code assignments {corner: code} solving a SubInstance, by enumeration."""
     blocks = sorted(sub.I)
@@ -68,21 +98,21 @@ def brute_force_sub(sub) -> list[dict]:
 
 
 def sub_sums_ok(sub, codes: dict) -> bool:
-    """Whether block codes meet every pair sum of a SubInstance."""
-    for j, pair in sub.pair_row_sums.items():
+    """Whether block codes {corner: code} meet the pair sums of every strip of a SubInstance."""
+    for bv, pair in enumerate(sub.rows.tolist()):
         got = [0, 0]
         for (_, jj), code in codes.items():
-            if jj == j:
+            if jj == 2 * bv + 1:
                 got[0] += (code & 1) + (code >> 1 & 1)
                 got[1] += (code >> 2 & 1) + (code >> 3 & 1)
-        if tuple(got) != tuple(pair):
+        if got != pair:
             return False
-    for i, pair in sub.pair_col_sums.items():
+    for bu, pair in enumerate(sub.cols.tolist()):
         got = [0, 0]
         for (ii, _), code in codes.items():
-            if ii == i:
+            if ii == 2 * bu + 1:
                 got[0] += (code & 1) + (code >> 2 & 1)
                 got[1] += (code >> 1 & 1) + (code >> 3 & 1)
-        if tuple(got) != tuple(pair):
+        if got != pair:
             return False
     return True

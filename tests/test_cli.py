@@ -228,7 +228,19 @@ class TestLiftOracleTv:
         img_path = write_img(tmp_path, img)
         out_path = tmp_path / "tv.pbm"
         assert cli.main(["tv-reduce", inst_path, img_path, "-o", str(out_path)]) == 2
-        assert "even block size" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "even block size" in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
+
+    def test_tv_reduce_rejects_image_that_does_not_solve(self, tmp_path, capsys):
+        inst_path = write_inst(tmp_path, make_exact_instance(random_image(8, 8, 0.5, 4), 2))
+        img_path = write_img(tmp_path, random_image(8, 8, 0.5, 5))
+        out_path = tmp_path / "tv.pbm"
+        assert cli.main(["tv-reduce", inst_path, img_path, "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "does not solve" in captured.err
+        assert captured.out == ""
         assert not out_path.exists()
 
     def test_tv_reduce_prints_trace(self, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Exact solver pipeline: properization, strip cases, solving, uniqueness."""
 
+import dataclasses
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drtomo.formats import write_image
 from drtomo.model import (
     BinaryImage,
     BlockType,
@@ -33,7 +37,8 @@ from drtomo.solver import (
 from drtomo.subsolvers import unique_dr2
 from drtomo.switches import find_switch
 
-from conftest import single_block_instance, sub_sums_ok
+import solver_reference as ref
+from conftest import codes_by_corner, single_block_instance, sub_sums_ok
 from test_switches import image_of_types
 
 
@@ -87,17 +92,17 @@ class TestClassifyStrip:
     def test_case1(self):
         case = classify_strip(5, 1, 1, 1, 1)
         assert case.tag == CASE1
-        assert case.counts == (1, 0, 1, 0, 0, 0, 1)
+        assert case.counts.tolist() == [1, 0, 1, 0, 0, 0, 1]
 
     def test_case2(self):
         case = classify_strip(4, 2, 1, 1, 1)
         assert case.tag == CASE2
-        assert case.counts == (1, 0, 0, 1, 0, 0, 1)
+        assert case.counts.tolist() == [1, 0, 0, 1, 0, 0, 1]
 
     def test_case3(self):
         case = classify_strip(3, 3, 1, 1, 1)
         assert case.tag == CASE3
-        assert case.counts == (0, 1, 0, 1, 0, 0, 1)
+        assert case.counts.tolist() == [0, 1, 0, 1, 0, 0, 1]
 
     def test_mass_balance_violation(self):
         assert classify_strip(4, 1, 1, 1, 1).tag == INFEASIBLE
@@ -148,14 +153,15 @@ class TestDeriveSubSums:
         inst = self.fixture()
         cases = _classify_all(inst)
         assert cases is not None
-        subs = derive_sub_sums(inst, *cases)
+        subs = derive_sub_sums(inst, cases)
         assert subs[1].I == frozenset({(1, 1)})
-        assert subs[1].pair_row_sums[1] == (1, 0)
-        assert subs[2].pair_row_sums[1] == (2, 0)
-        assert subs[3].pair_row_sums[1] == (2, 1)
-        assert subs[1].pair_col_sums[1] == (1, 0)
-        assert subs[2].pair_col_sums[3] == (1, 1)
-        assert subs[3].pair_col_sums[5] == (2, 1)
+        # strip j (corner row or column) is entry (j - 1) // 2
+        assert subs[1].rows[0].tolist() == [1, 0]
+        assert subs[2].rows[0].tolist() == [2, 0]
+        assert subs[3].rows[0].tolist() == [2, 1]
+        assert subs[1].cols[0].tolist() == [1, 0]
+        assert subs[2].cols[1].tolist() == [1, 1]
+        assert subs[3].cols[2].tolist() == [2, 1]
         assert not subs[0].I and not subs[4].I
 
     def test_fixture_solves(self):
@@ -171,15 +177,15 @@ class TestDeriveSubSums:
         inst = make_exact_instance(img, 2)
         cases = _classify_all(inst)
         assert cases is not None
-        subs = derive_sub_sums(inst, *cases)
+        subs = derive_sub_sums(inst, cases)
         assert subs[4].I == frozenset({(1, 1)})
-        assert subs[1].pair_row_sums[1] == (1, 0)
+        assert subs[1].rows[0].tolist() == [1, 0]
 
 
 @st.composite
-def exact_instances(draw):
-    """Exact instances of random or block-type images, 2x2 to 32x32."""
-    m, n = (2 * draw(st.integers(1, 16)) for _ in range(2))
+def exact_instances(draw, max_side=32):
+    """Exact instances of random or block-type images, 2x2 to max_side x max_side."""
+    m, n = (2 * draw(st.integers(1, max_side // 2)) for _ in range(2))
     seed = draw(st.integers(0, 2**31 - 1))
     if draw(st.booleans()):
         return make_exact_instance(random_image(m, n, draw(st.floats(0.05, 0.95)), seed), 2)
@@ -201,7 +207,7 @@ class TestGlueProperties:
         proper, _ = properize(inst)
         cases = _classify_all(proper)
         assert cases is not None
-        subs = derive_sub_sums(proper, *cases)
+        subs = derive_sub_sums(proper, cases)
         assert sorted(subs) == [0, 1, 2, 3, 4]
         # strip counts, against counting each strip's values one by one
         rows, cols = proper._strip_counts
@@ -211,30 +217,89 @@ class TestGlueProperties:
         assert sum(len(sub.I) for sub in subs.values()) == len(list(proper.corners()))
         for nu, sub in subs.items():
             assert all(proper.value(*corner) == nu for corner in sub.I)
-        # per strip, the pair sums over nu add up to the two line sums
-        for pairs, sums, attr in (
-            ("pair_row_sums", proper.row_sums, 1),
-            ("pair_col_sums", proper.col_sums, 0),
-        ):
+            assert sub.mask.shape == (proper.n // 2, proper.m // 2)
+            assert int(sub.mask.sum()) == len(sub.I)
+        # per strip, the pair sums over nu add up to the two line sums; a
+        # value's pair holds nu ones per block of the strip, so (0, 0) where
+        # the strip holds none
+        for pairs, sums, attr in (("rows", proper.row_sums, 1), ("cols", proper.col_sums, 0)):
             for line in range(1, len(sums), 2):
                 got = [0, 0]
-                for sub in subs.values():
-                    p = getattr(sub, pairs)
-                    assert (line in p) == any(c[attr] == line for c in sub.I)
-                    got[0] += p.get(line, (0, 0))[0]
-                    got[1] += p.get(line, (0, 0))[1]
+                for nu, sub in subs.items():
+                    p = getattr(sub, pairs)[line // 2].tolist()
+                    assert min(p) >= 0
+                    assert p[0] + p[1] == nu * sum(c[attr] == line for c in sub.I)
+                    got[0] += p[0]
+                    got[1] += p[1]
                 assert tuple(got) == (sums[line - 1], sums[line])
         # every subsolver answers with nu ones per block that meet its pair sums
         for nu, sub in subs.items():
             if not sub.I:
                 continue
-            codes = _SOLVERS[nu](sub)
-            assert codes is not None
+            part = _SOLVERS[nu](sub)
+            assert part is not None and part.dtype == np.uint8
+            codes = codes_by_corner(sub, part)
             assert set(codes) == sub.I
             assert all(bin(code).count("1") == nu for code in codes.values())
             assert sub_sums_ok(sub, codes)
             if nu == 2:
-                assert unique_dr2(sub, codes) in (True, False)
+                assert unique_dr2(sub, part) in (True, False)
+
+
+@st.composite
+def perturbed(draw, inst):
+    """inst with one row sum and one column sum moved by the same +-1, so both totals still agree."""
+    q, p = draw(st.integers(0, inst.n - 1)), draw(st.integers(0, inst.m - 1))
+    d = draw(st.sampled_from((-1, 1)))
+    rows, cols = list(inst.row_sums), list(inst.col_sums)
+    if not (0 <= rows[q] + d <= inst.m and 0 <= cols[p] + d <= inst.n):
+        d = -d
+    if 0 <= rows[q] + d <= inst.m and 0 <= cols[p] + d <= inst.n:
+        rows[q] += d
+        cols[p] += d
+    return dataclasses.replace(inst, row_sums=tuple(rows), col_sums=tuple(cols))
+
+
+class TestAgainstReference:
+    """The array pipeline against the dict pipeline it replaced (tests/solver_reference.py)."""
+
+    def test_classify_strip(self):
+        tags = {ref.INFEASIBLE: INFEASIBLE, ref.CASE1: CASE1, ref.CASE2: CASE2, ref.CASE3: CASE3}
+        grid = np.array(list(itertools.product(range(-1, 10), range(-1, 10), *[range(4)] * 3))).T
+        cases = classify_strip(*grid)
+        for args, tag, counts in zip(grid.T.tolist(), cases.tag.tolist(), cases.counts.T.tolist()):
+            want = ref.classify_strip(*args)
+            assert (tag, tuple(counts)) == (tags[want.tag], want.counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_images_verdicts_and_codes(self, data):
+        inst = data.draw(exact_instances(max_side=48))
+        for case in (inst, data.draw(perturbed(inst))):
+            img, want = solve_dr(case), ref.solve_dr(case)
+            assert (img is None) == (want is None)
+            if img is not None:
+                assert write_image(img) == write_image(want)
+            assert check_unique(case) == ref.check_unique(case)
+            proper, _ = properize(case)
+            cases, ref_cases = _classify_all(proper), ref.classify_all(proper)
+            assert (cases is None) == (ref_cases is None)
+            if cases is None:
+                continue
+            subs, ref_subs = derive_sub_sums(proper, cases), ref.derive_sub_sums(proper, *ref_cases)
+            for nu, sub in subs.items():
+                want = ref_subs[nu]
+                assert sub.I == want.I
+                for got, pairs in ((sub.rows, want.pair_row_sums), (sub.cols, want.pair_col_sums)):
+                    assert {2 * s + 1: tuple(p) for s, p in enumerate(got.tolist()) if p != [0, 0]} == {
+                        s: p for s, p in pairs.items() if p != (0, 0)
+                    }
+                if not sub.I:
+                    continue
+                part, want_codes = _SOLVERS[nu](sub), ref.SOLVERS[nu](want)
+                assert (part is None) == (want_codes is None)
+                if part is not None:
+                    assert codes_by_corner(sub, part) == want_codes
 
 
 class TestProperFrameSolution:

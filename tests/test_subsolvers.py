@@ -1,5 +1,6 @@
 """Per-value subproblem solvers, checked against brute-force enumeration."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -27,13 +28,22 @@ from drtomo.subsolvers import (
     unique_dr3,
 )
 
-from conftest import block_code, brute_force_sub, code_cells, iter_block_patterns, sub_sums_ok
+from conftest import (
+    block_code,
+    brute_force_sub,
+    code_cells,
+    codes_by_corner,
+    iter_block_patterns,
+    part_of,
+    sub_instance as sub,
+    sub_sums_ok,
+)
 
 
-def sub(nu, I, rows, cols, m=8, n=8):
-    return SubInstance(
-        m=m, n=n, nu=nu, I=frozenset(I), pair_row_sums=rows, pair_col_sums=cols
-    )
+def answer(solver, s: SubInstance):
+    """A subsolver's codes as {corner: code}, or None."""
+    part = solver(s)
+    return None if part is None else codes_by_corner(s, part)
 
 
 def block_pattern(codes, corner):
@@ -51,8 +61,10 @@ def cell_bits(codes) -> dict:
     }
 
 
-def assert_solves(sol: dict, s: SubInstance):
-    """One code per block of I, nu ones in each, and every pair sum met."""
+def assert_solves(part: np.ndarray, s: SubInstance):
+    """One uint8 code per block of I, nu ones in each, and every pair sum met."""
+    assert part.dtype == np.uint8
+    sol = codes_by_corner(s, part)
     assert set(sol) == s.I
     for corner in s.I:
         assert 0 <= sol[corner] < 16
@@ -69,9 +81,10 @@ class TestTwoColor:
 
     def test_four_block_square(self):
         s = sub(2, FOUR_BLOCKS, {1: (3, 1), 3: (3, 1)}, {1: (3, 1), 3: (3, 1)})
-        sol = solve_dr2(s)
-        assert sol is not None
-        assert_solves(sol, s)
+        part = solve_dr2(s)
+        assert part is not None
+        assert_solves(part, s)
+        sol = codes_by_corner(s, part)
         for j in (1, 3):
             assert sum(1 for (_, jj), code in sol.items() if jj == j and code == ZETA) == 1
         for i in (1, 3):
@@ -79,14 +92,18 @@ class TestTwoColor:
 
     def test_all_zero_targets(self):
         s = sub(2, FOUR_BLOCKS, {1: (2, 2), 3: (2, 2)}, {1: (2, 2), 3: (2, 2)})
-        assert solve_dr2(s) == dict.fromkeys(FOUR_BLOCKS, DIAGONAL)
+        assert answer(solve_dr2, s) == dict.fromkeys(FOUR_BLOCKS, DIAGONAL)
 
     def test_single_block_double_demand_infeasible(self):
         assert solve_dr2(sub(2, [(1, 1)], {1: (2, 0)}, {1: (2, 0)})) is None
 
 
 def random_two_color_system(rng, n_blocks):
-    """Targets from a random coloring (feasible) or, a third of the time, random."""
+    """Targets from a random coloring (feasible) or, a third of the time, random.
+
+    Returns a SubInstance over a 32x32 image whose pair sums carry the
+    targets, and the targets of its row strips, then its column strips.
+    """
     corners = rng.sample([(i, j) for i in range(1, 33, 2) for j in range(1, 33, 2)], n_blocks)
     colors = {c: rng.choice("zen") for c in corners}
     rows = Counter({j: 0 for _, j in corners})
@@ -97,7 +114,18 @@ def random_two_color_system(rng, n_blocks):
     if rng.random() < 1 / 3:
         rows = {j: rng.randint(0, n) for j, n in Counter(j for _, j in corners).items()}
         cols = {i: rng.randint(0, n) for i, n in Counter(i for i, _ in corners).items()}
-    return frozenset(corners), dict(rows), dict(cols)
+    # a strip of b blocks and target t has pair sums (b + t, b - t)
+    pairs = [
+        {strip: (blocks[strip] + t, blocks[strip] - t) for strip, t in sums.items()}
+        for sums, blocks in zip(
+            (rows, cols), (Counter(j for _, j in corners), Counter(i for i, _ in corners))
+        )
+    ]
+    targets = np.zeros(32, dtype=np.int64)
+    for offset, sums in ((0, rows), (16, cols)):
+        for strip, t in sums.items():
+            targets[offset + strip // 2] = t
+    return sub(2, corners, *pairs, m=32, n=32), targets
 
 
 class TestFlowBackends:
@@ -108,18 +136,19 @@ class TestFlowBackends:
             large = trial % 2 == 1
             lo, hi = (_SCIPY_THRESHOLD, 3 * _SCIPY_THRESHOLD) if large else (1, _SCIPY_THRESHOLD - 1)
             net = FlowNetwork(*random_two_color_system(rng, rng.randint(lo, hi)))
-            targets = {v: c for u, v, c in net.arcs if u == net.source}
+            arcs = list(zip(net.tail.tolist(), net.head.tolist(), net.capacity.tolist()))
+            targets = {v: c for u, v, c in arcs if u == net.source}
             feasible = []
             for backend in (_max_flow_python, _max_flow_scipy):
-                flows = backend(net)
-                assert len(flows) == len(net.arcs)
-                assert all(0 <= f <= c for f, (_, _, c) in zip(flows, net.arcs))
-                value = sum(f for f, (u, _, _) in zip(flows, net.arcs) if u == net.source)
+                flows = backend(net).tolist()
+                assert len(flows) == len(arcs)
+                assert all(0 <= f <= c for f, (_, _, c) in zip(flows, arcs))
+                value = sum(f for f, (u, _, _) in zip(flows, arcs) if u == net.source)
                 feasible.append(value == net.demand)
                 if value == net.demand:
                     out = Counter()
                     into = Counter()
-                    for f, (u, v, _) in zip(flows, net.arcs):
+                    for f, (u, v, _) in zip(flows, arcs):
                         if u in targets:
                             out[u] += f
                             into[v] += f
@@ -131,33 +160,34 @@ class TestFlowBackends:
 
 
 @pytest.mark.parametrize(
-    "solver, s",
+    "solver, s, field",
     [
-        (solve_dr1, sub(1, [(1, 1)], {1: (1, 0)}, {})),
-        (solve_dr2, sub(2, [(1, 1)], {1: (2, 0)}, {})),
-        (solve_dr3, sub(3, [(1, 1)], {}, {1: (2, 1)})),
-        (fill_trivial, sub(4, [(1, 1)], {1: (4, 4)}, {})),
-        (lambda s: unique_dr2(s, {(1, 1): ZETA}), sub(2, [(1, 1)], {1: (2, 0)}, {})),
+        (solve_dr1, sub(1, [(1, 1)], {1: (1, 0)}, {}), "cols"),
+        (solve_dr2, sub(2, [(1, 1)], {1: (2, 0)}, {}), "cols"),
+        (solve_dr3, sub(3, [(1, 1)], {}, {1: (2, 1)}), "rows"),
+        (fill_trivial, sub(4, [(1, 1)], {1: (4, 4)}, {}), "cols"),
+        (lambda s: unique_dr2(s, np.array([ZETA], np.uint8)), sub(2, [(1, 1)], {1: (2, 0)}, {}), "cols"),
     ],
     ids=["dr1", "dr2", "dr3", "fill", "unique_dr2"],
 )
-def test_strip_without_pair_sums_rejected(solver, s):
-    with pytest.raises(ValueError, match="strip 1"):
-        solver(s)
+def test_strip_without_pair_sums_rejected(solver, s, field):
+    # drop the pair of strip 1, which holds the block
+    with pytest.raises(ValueError, match="one pair per strip"):
+        solver(dataclasses.replace(s, **{field: getattr(s, field)[1:]}))
 
 
 class TestDr1:
     def test_four_block_construction(self):
         s = sub(1, FOUR_BLOCKS, {1: (1, 1), 3: (1, 1)}, {1: (1, 1), 3: (1, 1)})
-        sol = solve_dr1(s)
-        assert sol is not None
-        ones = {cell for cell, b in cell_bits(sol).items() if b}
+        part = solve_dr1(s)
+        assert part is not None
+        ones = {cell for cell, b in cell_bits(codes_by_corner(s, part)).items() if b}
         assert ones == {(1, 1), (3, 2), (2, 3), (4, 4)}
-        assert_solves(sol, s)
+        assert_solves(part, s)
 
     def test_single_block_corner(self):
         s = sub(1, [(3, 5)], {5: (1, 0)}, {3: (1, 0)})
-        sol = solve_dr1(s)
+        sol = answer(solve_dr1, s)
         assert {c for c, b in cell_bits(sol).items() if b} == {(3, 5)}
 
     def test_mass_violation_infeasible(self):
@@ -184,9 +214,9 @@ class TestDr1:
 class TestDr3:
     def test_single_block(self):
         s = sub(3, [(1, 1)], {1: (2, 1)}, {1: (2, 1)})
-        sol = solve_dr3(s)
-        assert sol is not None
-        assert_solves(sol, s)
+        part = solve_dr3(s)
+        assert part is not None
+        assert_solves(part, s)
 
     def test_negative_inverted_sum_infeasible(self):
         s = sub(3, [(1, 1)], {1: (3, 0)}, {1: (2, 1)})
@@ -194,9 +224,9 @@ class TestDr3:
 
     def test_complement_of_four_block_example(self):
         s = sub(3, FOUR_BLOCKS, {1: (3, 3), 3: (3, 3)}, {1: (3, 3), 3: (3, 3)})
-        sol = solve_dr3(s)
-        assert sol is not None
-        assert_solves(sol, s)
+        part = solve_dr3(s)
+        assert part is not None
+        assert_solves(part, s)
         assert not unique_dr3(s)
         assert len(brute_force_sub(s)) > 1
 
@@ -206,15 +236,15 @@ class TestDr2:
         return sub(2, [(1, 1)], {1: rows}, {1: cols})
 
     def test_bottom_pair(self):
-        sol = solve_dr2(self.one_block((2, 0), (1, 1)))
+        sol = answer(solve_dr2, self.one_block((2, 0), (1, 1)))
         assert block_pattern(sol, (1, 1)) == {(0, 0), (1, 0)}
 
     def test_left_pair(self):
-        sol = solve_dr2(self.one_block((1, 1), (2, 0)))
+        sol = answer(solve_dr2, self.one_block((1, 1), (2, 0)))
         assert block_pattern(sol, (1, 1)) == {(0, 0), (0, 1)}
 
     def test_diagonal_default_never_antidiagonal(self):
-        sol = solve_dr2(self.one_block((1, 1), (1, 1)))
+        sol = answer(solve_dr2, self.one_block((1, 1), (1, 1)))
         assert block_pattern(sol, (1, 1)) == {(0, 0), (1, 1)}
 
     def test_unordered_sums_rejected(self):
@@ -231,9 +261,10 @@ class TestDr2:
             {1: (3, 1), 3: (2, 2)},
             {1: (3, 1), 3: (2, 2)},
         )
-        sol = solve_dr2(s)
-        assert sol is not None
-        assert_solves(sol, s)
+        part = solve_dr2(s)
+        assert part is not None
+        assert_solves(part, s)
+        sol = codes_by_corner(s, part)
         allowed = [{(0, 0), (1, 0)}, {(0, 0), (0, 1)}, {(0, 0), (1, 1)}]
         for corner in s.I:
             assert block_pattern(sol, corner) in allowed
@@ -257,7 +288,7 @@ class TestUniqueDr2:
     def test_infeasible_input_rejected(self):
         s = sub(2, [(1, 1)], {1: (2, 0)}, {1: (2, 0)})
         with pytest.raises(ValueError):
-            unique_dr2(s, {})
+            unique_dr2(s, np.array([], np.uint8))
 
     @pytest.mark.parametrize(
         "rows, ones",
@@ -271,7 +302,7 @@ class TestUniqueDr2:
         assert solve_dr2(s) is not None
         wrong = {(1, 1): block_code(ones)}
         with pytest.raises(ValueError):
-            unique_dr2(s, wrong)
+            unique_dr2(s, part_of(s, wrong))
 
 
 class TestUniqueDr2Enumerated:
@@ -302,9 +333,9 @@ class TestUniqueDr2Enumerated:
                 ((colorings == ETA) @ in_col == eta).all(1)
             )
             valid = [dict(zip(corners, c)) for c in colorings[meets].tolist()]
-            assert solve_dr2(s) in valid
+            assert answer(solve_dr2, s) in valid
             for codes in valid:
-                assert unique_dr2(s, codes) == (len(valid) == 1)
+                assert unique_dr2(s, part_of(s, codes)) == (len(valid) == 1)
             verdicts[len(valid) == 1] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 10
 
@@ -312,14 +343,14 @@ class TestUniqueDr2Enumerated:
 class TestFillTrivial:
     def test_zero_fill(self):
         s = sub(0, [(1, 1), (3, 1)], {1: (0, 0)}, {1: (0, 0), 3: (0, 0)})
-        sol = fill_trivial(s)
+        sol = answer(fill_trivial, s)
         assert set(cell_bits(sol).values()) == {0}
 
     def test_full_fill(self):
         s = sub(4, [(1, 1), (3, 1)], {1: (4, 4)}, {1: (2, 2), 3: (2, 2)})
-        sol = fill_trivial(s)
-        assert set(cell_bits(sol).values()) == {1}
-        assert_solves(sol, s)
+        part = fill_trivial(s)
+        assert set(cell_bits(codes_by_corner(s, part)).values()) == {1}
+        assert_solves(part, s)
 
     def test_sum_disagreement_infeasible(self):
         s = sub(4, [(1, 1)], {1: (1, 2)}, {1: (2, 2)})
@@ -386,9 +417,7 @@ class TestOracleEquivalence:
         tried = 0
         while tried < 100:
             s = random_subinstance(rng, 2)
-            if any(a < b for a, b in s.pair_row_sums.values()) or any(
-                a < b for a, b in s.pair_col_sums.values()
-            ):
+            if (s.rows[:, 0] < s.rows[:, 1]).any() or (s.cols[:, 0] < s.cols[:, 1]).any():
                 continue
             tried += 1
             sols = brute_force_sub(s)
