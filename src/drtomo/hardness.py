@@ -9,6 +9,20 @@ the uncertain (value 1, plus or minus epsilon) blocks sit exactly where
 a one may or may not pass through.  Every other block is exact with
 value 0 or 2, so a block is uncertain exactly when its value is 1.
 
+Parsimony, measured and conjectured: a board has exactly one solution
+per satisfying 1-in-3 assignment of its formula.  The test suite checks
+this with the exhaustive oracle's solution count on every formula of
+one or two clauses over three or four variables (604 boards, clauses
+taken as a multiset) and on drawn formulas of up to eight variables and
+four clauses; for a few formulas also at epsilon 2 and 3 and lifted to
+k = 3 and 4, and that `extract_assignment` maps the solutions one to one
+onto the satisfying assignments.  This is a measurement, not a theorem
+of the source paper, and it is not proven here.  If it holds, counting
+the solutions of a noisy instance is #P-hard (counting 1-in-3
+assignments is #P-complete, Creignou & Hermann 1996), and deciding
+whether one is unique is as hard as Unique 1-in-3-SAT (Valiant 1979),
+for every k >= 2 through the lift.
+
 Also here: the lifting that embeds a 2x2-block instance into one with
 larger blocks while preserving feasibility.
 """
@@ -285,9 +299,12 @@ def embed_assignment(
 
     Pins the initializer chips and lets constraint search complete the
     rest.  Every cell outside the candidate cells lies in a zero row, a
-    zero column or an exact zero block, so the search zeroes it before
-    branching.  The completion is unique, and it exists exactly for the
-    satisfying assignments.
+    zero column or an exact zero block, so the oracle's pre-elimination
+    sweep zeroes all of them in one array pass.  Forcing then carries the
+    pins through the candidate cells, so the search takes at most one
+    node.
+    The completion is unique, and it exists exactly for the satisfying
+    assignments.
     """
     if len(assignment) != spec.sat.num_vars:
         raise ValueError("assignment arity does not match the formula")

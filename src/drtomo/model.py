@@ -204,15 +204,17 @@ class Instance:
         return np.fromiter(marks, dtype=bool, count=bw * bh).reshape(bh, bw)
 
     @cached_property
-    def _strip_counts(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Blocks of each value 0..k^2 per strip, from one pass over `_grid`.
+    def _strip_counts(self) -> np.ndarray:
+        """Blocks of each value 0..k^2 per strip, [k^2 + 1, bh + bw], from one pass over `_grid`.
 
-        rows[bv][v] counts the blocks of value v in the horizontal strip at
-        corner row k*bv + 1; cols[bu][v] those in the vertical strip at
-        corner column k*bu + 1.
+        Column s < bh counts the horizontal strip at corner row k*s + 1,
+        column bh + s the vertical strip at corner column k*s + 1; row v
+        holds the counts of value v.
         """
-        onehot = self._grid[:, :, None] == np.arange(self.k * self.k + 1)
-        return onehot.sum(axis=1).tolist(), onehot.sum(axis=0).tolist()
+        onehot = self._grid == np.arange(self.k * self.k + 1)[:, None, None]
+        counts = np.concatenate((onehot.sum(axis=2), onehot.sum(axis=1)), axis=1)
+        counts.flags.writeable = False  # shared by every caller, and by swapped copies
+        return counts
 
     def _with_line_sums(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> "Instance":
         """This instance with other line sums, sharing the block views computed so far."""

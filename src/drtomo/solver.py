@@ -140,15 +140,9 @@ def classify_strip(rj, rj1, v1, v2, v3) -> StripCase:
     return StripCase(ok * (CASE1 + (reach[1] >= 0) + (reach[2] >= 0)), split[:7] * ok)
 
 
-def _value_counts(inst: Instance) -> np.ndarray:
-    """Blocks of each value 0..4 per strip, [5, bh + bw]: row strips, then column strips."""
-    rows, cols = inst._strip_counts
-    return np.array(rows + cols).T
-
-
 def _classify_all(inst: Instance) -> Optional[StripCase]:
     """Cases of a proper instance's row strips, then its column strips, or None."""
-    v = _value_counts(inst)
+    v = inst._strip_counts
     near, far = np.array(inst.row_sums + inst.col_sums).reshape(-1, 2).T - 2 * v[4]
     cases = classify_strip(near, far, v[1], v[2], v[3])
     return None if np.count_nonzero(cases.tag) < len(cases.tag) else cases
@@ -161,7 +155,7 @@ def derive_sub_sums(inst: Instance, cases: StripCase) -> dict[int, SubInstance]:
     into each of the two lines; those totals become the subproblems' pair
     sums, (0, 0) in a strip that holds no block of the value.
     """
-    v = _value_counts(inst)
+    v = inst._strip_counts
     pairs = _PAIRS @ cases.counts
     pairs[8:] = 2 * v[4]  # full blocks, which the strip cases leave out
     masks = inst._grid == _VALUES

@@ -280,9 +280,16 @@ def classify_strip(rj: int, rj1: int, v1: int, v2: int, v3: int) -> StripCase:
     return StripCase(INFEASIBLE, (0, 0, 0, 0, 0, 0, 0))
 
 
+def strip_counts(inst: Instance) -> tuple[list[list[int]], list[list[int]]]:
+    """Blocks of each value 0..4 per row strip and per column strip, counted from `blocks`."""
+    rows = [[row.count(v) for v in range(5)] for row in inst.blocks]
+    cols = [[col.count(v) for v in range(5)] for col in zip(*inst.blocks)]
+    return rows, cols
+
+
 def classify_all(inst: Instance) -> Optional[tuple[dict[int, StripCase], dict[int, StripCase]]]:
     found = []
-    for sums, counts in zip((inst.row_sums, inst.col_sums), inst._strip_counts):
+    for sums, counts in zip((inst.row_sums, inst.col_sums), strip_counts(inst)):
         cases: dict[int, StripCase] = {}
         for s, (_, v1, v2, v3, v4) in enumerate(counts):
             line = 2 * s + 1
@@ -310,7 +317,7 @@ def derive_sub_sums(inst, h_cases, v_cases) -> dict[int, SubInstance]:
             return g_j + 2 * g_j1, 2 * g_j + g_j1
         return nu // 2 * count, nu // 2 * count
 
-    rows, cols = inst._strip_counts
+    rows, cols = strip_counts(inst)
     return {
         nu: SubInstance(
             m=inst.m,

@@ -351,7 +351,7 @@ class TestAgainstReference:
         fresh = dataclasses.replace(parsed)  # equal fields, views not yet computed
         assert np.array_equal(parsed._grid, fresh._grid)
         assert np.array_equal(parsed._reliable_grid, fresh._reliable_grid)
-        assert parsed._strip_counts == fresh._strip_counts
+        assert np.array_equal(parsed._strip_counts, fresh._strip_counts)
 
     @settings(max_examples=200, deadline=None)
     @given(instances(), st.sets(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=4))

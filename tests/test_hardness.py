@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drtomo import hardness
 from drtomo.formats import FormatError
@@ -27,7 +28,7 @@ from drtomo.model import (
     validate_instance,
     verify_solution,
 )
-from drtomo.oracle import SearchBudget, constrained_solve, oracle_solve
+from drtomo.oracle import SearchBudget, constrained_solve, oracle_count, oracle_solve
 
 from conftest import single_block_instance
 
@@ -328,3 +329,75 @@ class TestLiftInstance:
         for k_prime in (4, 6):
             sols, exhausted = oracle_solve(lift_instance(inst, k_prime), budget)
             assert exhausted and not sols
+
+
+def _formulas(T: int, S: int):
+    """Every formula of S clauses over T variables, up to the order of its clauses and literals."""
+    clauses = [
+        tuple(sign * v for sign, v in zip(signs, chosen))
+        for chosen in itertools.combinations(range(1, T + 1), 3)
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    for picked in itertools.combinations_with_replacement(clauses, S):
+        yield OneInThreeInstance(T, picked)
+
+
+def _satisfying(sat: OneInThreeInstance) -> list[tuple[bool, ...]]:
+    """The satisfying 1-in-3 assignments, in ascending order."""
+    return [a for a in itertools.product((False, True), repeat=sat.num_vars) if sat.satisfied_by(a)]
+
+
+FEW = [
+    OneInThreeInstance(3, ((1, 2, 3),)),
+    DEMO_SAT,
+    OneInThreeInstance(4, ((1, -2, 3), (2, 3, -4))),
+    OneInThreeInstance(4, ((1, 2, 3), (-1, -2, -3))),
+    OneInThreeInstance(5, ((1, 2, 3), (-3, 4, 5))),
+    OneInThreeInstance(6, ((1, 2, 3), (4, 5, -6))),
+]
+
+
+class TestParsimony:
+    """A board has exactly one solution per satisfying 1-in-3 assignment (measured; see `hardness`)."""
+
+    def test_every_formula_up_to_four_variables_and_two_clauses(self):
+        boards = 0
+        for T in (3, 4):
+            for S in (1, 2):
+                for sat in _formulas(T, S):
+                    assert oracle_count(gen_sat_instance(sat)) == (len(_satisfying(sat)), True), sat
+                    boards += 1
+        assert boards == 8 + 36 + 32 + 528
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_larger_formulas(self, data):
+        T = data.draw(st.integers(5, 8))
+        clauses = data.draw(
+            st.lists(
+                st.tuples(
+                    st.permutations(range(1, T + 1)).map(lambda vs: vs[:3]),
+                    st.tuples(*[st.sampled_from((1, -1))] * 3),
+                ).map(lambda c: tuple(sign * v for v, sign in zip(*c))),
+                min_size=2,
+                max_size=4,
+            )
+        )
+        sat = OneInThreeInstance(T, tuple(clauses))
+        assert oracle_count(gen_sat_instance(sat)) == (len(_satisfying(sat)), True)
+
+    @pytest.mark.parametrize("sat", FEW, ids=str)
+    def test_wider_windows_and_larger_blocks(self, sat):
+        want = (len(_satisfying(sat)), True)
+        assert oracle_count(gen_sat_instance(sat, 2)) == want
+        with pytest.warns(UserWarning, match="epsilon >= 3"):
+            assert oracle_count(gen_sat_instance(sat, 3)) == want
+        for k in (3, 4):
+            assert oracle_count(lift_instance(gen_sat_instance(sat), k)) == want
+
+    @pytest.mark.parametrize("sat", FEW, ids=str)
+    def test_extract_maps_solutions_one_to_one_onto_assignments(self, sat):
+        spec = build_board(sat)
+        sols, exhausted = oracle_solve(gen_sat_instance(sat))
+        assert exhausted
+        assert sorted(extract_assignment(spec, img) for img in sols) == _satisfying(sat)

@@ -1,6 +1,7 @@
 """Exhaustive reference solver."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drtomo import oracle
+from drtomo import hardness, oracle
 from drtomo.hardness import (
     OneInThreeInstance,
     build_board,
@@ -343,3 +344,195 @@ class TestGadgetBoardsWithinNodeBudget:
         assert all(verify_solution(board, s).satisfied for s in sols)
         satisfying = [a for a in itertools.product((False, True), repeat=4) if sat.satisfied_by(a)]
         assert sorted(extract_assignment(spec, s) for s in sols) == sorted(satisfying)
+
+
+def _digest(images: list[BinaryImage]) -> str:
+    """The first 16 hex digits of the SHA-256 of the solutions' bytes, in order."""
+    h = hashlib.sha256()
+    for img in images:
+        h.update(img.a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _chip_pins(sat: OneInThreeInstance, assignment: tuple[bool, ...]) -> dict[tuple[int, int], int]:
+    """The initializer-chip pins `embed_assignment` sets for an assignment."""
+    spec, fixed = build_board(sat), {}
+    for t, value in enumerate(assignment, start=1):
+        x, y = spec.init_chips[t]
+        for dx in (0, 1):
+            for dy in (0, 1):
+                fixed[(x + dx, y + dy)] = int((dx, dy) in hardness._CHIP[value].cells)
+    return fixed
+
+
+def _noisy6(seed: int) -> Instance:
+    """A 6x6 epsilon = 1 instance with half its blocks unreliable, as the benchmark draws them."""
+    inst = dataclasses.replace(make_exact_instance(random_image(6, 6, 0.5, seed), 2), epsilon=1)
+    return perturb_instance(inst, 0.5, seed + 1)
+
+
+SAT = OneInThreeInstance(4, ((1, -2, 3), (2, 3, -4)))  # two satisfying assignments
+UNSAT = OneInThreeInstance(4, ((1, 2, 3), (-1, -2, -3)))
+FULL = SearchBudget()
+
+
+def _parity_case(name: str):
+    """(instance, pins, budget, collect) of a recorded case."""
+    kind, _, arg = name.partition(" ")
+    if kind == "decide":
+        formula, cap = {"sat": (SAT, 1), "sat-all": (SAT, 10**6), "unsat": (UNSAT, 1)}[arg]
+        return gen_sat_instance(formula), {}, SearchBudget(max_solutions=cap), True
+    if kind == "embed":
+        assignment = tuple(ch == "T" for ch in arg)
+        return gen_sat_instance(SAT), _chip_pins(SAT, assignment), SearchBudget(2, 2_000_000), True
+    if kind == "board-nodes":
+        return gen_sat_instance(SAT), {}, SearchBudget(max_nodes=int(arg)), True
+    if kind == "lifted":
+        return lift_instance(gen_sat_instance(SAT), int(arg)), {}, FULL, False
+    seed, _, cap = arg.partition(" ")
+    inst = _noisy6(int(seed))
+    if kind == "count":
+        return inst, {}, FULL, False
+    if kind == "solve":
+        return inst, {}, FULL, True
+    if kind == "pinned":
+        return inst, {(1, 1): 1, (4, 3): 0, (6, 6): 1}, FULL, True
+    if kind == "max-solutions":
+        return inst, {}, SearchBudget(max_solutions=int(cap)), True
+    return inst, {}, SearchBudget(max_nodes=int(cap)), True  # max-nodes
+
+
+def _record(name: str) -> tuple[str, int, int, bool]:
+    inst, fixed, budget, collect = _parity_case(name)
+    s = oracle._run(inst, budget, collect, fixed)
+    return _digest(s.solutions), s.count, s.nodes, s.exhausted
+
+
+def _image(rows: list[str]) -> BinaryImage:
+    """An image from text rows, top row first, as it is drawn."""
+    return BinaryImage(np.array([[int(ch) for ch in row] for row in reversed(rows)], dtype=np.uint8))
+
+
+def _edge_case(name: str) -> tuple[Instance, dict[tuple[int, int], int]]:
+    """(instance, pins) of a pre-elimination edge case."""
+    if name == "pin 1 in zero row":  # row 1 sums to 0
+        return make_exact_instance(_image(["1011", "0110", "1101", "0000"]), 2), {(2, 1): 1}
+    if name == "pin 1 in zero block":  # the block at corner (3, 3) is exact 0
+        return make_exact_instance(_image(["1100", "0100", "1011", "0110"]), 2), {(4, 4): 1}
+    if name == "opposite bits 2x2":  # row 1 forces (1, 1) to 0, column 1 forces it to 1
+        return Instance(2, 0, 2, 2, (0, 2), (2, 0), ((2,),), frozenset({(1, 1)})), {}
+    if name == "opposite bits 4x4":
+        inst = Instance(
+            2, 0, 4, 4, (0, 2, 2, 2), (4, 2, 0, 0), ((2, 0), (4, 0)), frozenset({(1, 1), (3, 1), (1, 3), (3, 3)})
+        )
+        return inst, {}
+    if name == "over a row after the sweep":  # full columns 1 and 2 put two ones in row 1
+        inst = Instance(
+            2, 0, 4, 4, (1, 3, 2, 2), (4, 4, 0, 0), ((4, 0), (4, 0)), frozenset({(1, 1), (3, 1), (1, 3), (3, 3)})
+        )
+        return inst, {}
+    if name == "contradiction in the queue":
+        # the sweep zeroes rows 1 and 3 and column 2; block (1, 1) then needs
+        # cell (1, 2), which fills row 2, whose other cells block (3, 1) needs
+        inst = Instance(2, 2, 4, 4, (0, 1, 0, 2), (1, 0, 1, 1), ((3, 1), (2, 1)), frozenset({(3, 1), (3, 3)}))
+        return inst, {}
+    if name.startswith("full row and block"):  # row 4 sums to m, the block at (1, 1) is exact k^2
+        img = _image(["010101", "100110", "111111", "111010", "111100", "111011"])
+        inst = dataclasses.replace(make_exact_instance(img, 3), epsilon=1, reliable=frozenset({(1, 1)}))
+        return inst, ({(6, 6): 1} if name.endswith("pinned") else {})
+    if name == "stripes":  # every row is full or empty, so pre-elimination decides every cell
+        return make_exact_instance(_image(["1111", "0000", "1111", "1111"]), 2), {}
+    if name == "stripes pinned against":
+        return make_exact_instance(_image(["1111", "0000", "1111", "1111"]), 2), {(1, 3): 1}
+    return single_block_instance(1, (1, 0), (0, 0)), {}  # sum mismatch
+
+
+class TestParentParity:
+    """The oracle's answers, pinned to the values recorded before pre-elimination became an array sweep.
+
+    Each entry is (SHA-256 prefix of the solutions' bytes in order, count,
+    nodes, exhausted) of `oracle._run` on a case of `_parity_case`.  The
+    pre-elimination fixpoint does not depend on the order in which groups
+    force, so every field, node counts included, must stay as recorded.
+    """
+
+    RECORDED = {
+        "decide sat": ("2905aaf94c0b0378", 1, 151, False),
+        "decide sat-all": ("fb5ad81c05bda10a", 2, 300, True),
+        "decide unsat": ("e3b0c44298fc1c14", 0, 2, True),
+        "embed FFFF": ("c8d6a61a35b8719b", 1, 1, True),
+        "embed TTFT": ("2905aaf94c0b0378", 1, 1, True),
+        "embed TTTT": ("e3b0c44298fc1c14", 0, 0, True),
+        "embed FTFT": ("e3b0c44298fc1c14", 0, 0, True),
+        "board-nodes 5": ("e3b0c44298fc1c14", 0, 6, False),
+        "board-nodes 40": ("e3b0c44298fc1c14", 0, 41, False),
+        "lifted 3": ("e3b0c44298fc1c14", 2, 300, True),
+        "lifted 4": ("e3b0c44298fc1c14", 2, 300, True),
+        "count 0": ("e3b0c44298fc1c14", 10, 92, True),
+        "solve 0": ("4ad32565b8d14bf7", 10, 92, True),
+        "pinned 0": ("e3b0c44298fc1c14", 0, 0, True),
+        "max-solutions 0 3": ("a7450023771ccac3", 3, 34, False),
+        "max-nodes 0 60": ("14487600de68a6ae", 5, 61, False),
+        "count 1": ("e3b0c44298fc1c14", 858, 11862, True),
+        "solve 1": ("e0d10f75a407ab81", 858, 11862, True),
+        "pinned 1": ("c70829f15f33fac8", 1, 1, True),
+        "max-solutions 1 3": ("0d633396f3457432", 3, 59, False),
+        "max-nodes 1 60": ("0d633396f3457432", 3, 61, False),
+        "count 2": ("e3b0c44298fc1c14", 7, 180, True),
+        "solve 2": ("aed879fd105d4476", 7, 180, True),
+        "pinned 2": ("a16506c72233cf24", 6, 109, True),
+        "max-solutions 2 3": ("bc1bbed7996ed4e6", 3, 84, False),
+        "max-nodes 2 60": ("380cf989d13e34b6", 2, 61, False),
+        "count 3": ("e3b0c44298fc1c14", 84, 912, True),
+        "solve 3": ("12f87bd3d3425db9", 84, 912, True),
+        "pinned 3": ("e3b0c44298fc1c14", 0, 0, True),
+        "max-solutions 3 3": ("c1406dd08fcb4181", 3, 47, False),
+        "max-nodes 3 60": ("c1406dd08fcb4181", 3, 61, False),
+        "count 4": ("e3b0c44298fc1c14", 360, 4854, True),
+        "solve 4": ("884731dbf1351600", 360, 4854, True),
+        "pinned 4": ("fe6da740ca681bdb", 46, 422, True),
+        "max-solutions 4 3": ("2c283195b6ccd5f9", 3, 66, False),
+        "max-nodes 4 60": ("45724ee765dc1a2b", 2, 61, False),
+        "count 5": ("e3b0c44298fc1c14", 754, 9146, True),
+        "solve 5": ("bee9b720eb0f5b8c", 754, 9146, True),
+        "pinned 5": ("7d1b1cef29d5dfb7", 164, 2011, True),
+        "max-solutions 5 3": ("8efe1d7479f75ac7", 3, 120, False),
+        "max-nodes 5 60": ("e3b0c44298fc1c14", 0, 61, False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_matches_record(self, name):
+        assert _record(name) == self.RECORDED[name]
+
+
+class TestPreeliminationEdgeCases:
+    """Pre-elimination corner cases against `oracle_reference`, node counts against the record."""
+
+    NODES = {
+        "pin 1 in zero row": 0,
+        "pin 1 in zero block": 0,
+        "opposite bits 2x2": 0,
+        "opposite bits 4x4": 0,
+        "over a row after the sweep": 0,
+        "contradiction in the queue": 0,
+        "full row and block": 863,
+        "full row and block pinned": 461,
+        "stripes": 1,
+        "stripes pinned against": 0,
+        "sum mismatch": 0,
+    }
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_against_reference(self, name):
+        inst, fixed = _edge_case(name)
+        ref = reference_search(inst, 10**6, 10**6, fixed)
+        got = oracle._run(inst, FULL, True, fixed)
+        assert ref.exhausted
+        assert _bits(got.solutions) == _bits(ref.solutions)
+        assert (got.count, got.exhausted) == (ref.count, True)
+        assert got.nodes == self.NODES[name]
+
+    def test_stripes_decided_before_the_search(self):
+        inst, _ = _edge_case("stripes")
+        s = oracle._run(inst, FULL, True, {})
+        assert s.undecided == [] and s.nodes == 1 and s.count == 1

@@ -210,9 +210,9 @@ class TestGlueProperties:
         subs = derive_sub_sums(proper, cases)
         assert sorted(subs) == [0, 1, 2, 3, 4]
         # strip counts, against counting each strip's values one by one
-        rows, cols = proper._strip_counts
-        assert rows == [[row.count(v) for v in range(5)] for row in proper.blocks]
-        assert cols == [[col.count(v) for v in range(5)] for col in zip(*proper.blocks)]
+        strips = list(proper.blocks) + list(zip(*proper.blocks))
+        counts = [[strip.count(v) for strip in strips] for v in range(5)]
+        assert proper._strip_counts.tolist() == counts
         # the five block sets partition the block grid by value
         assert sum(len(sub.I) for sub in subs.values()) == len(list(proper.corners()))
         for nu, sub in subs.items():
