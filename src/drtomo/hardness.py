@@ -151,8 +151,14 @@ class BoardSpec:
 
 
 def build_board(sat: OneInThreeInstance) -> BoardSpec:
-    """Component coordinates for a formula's board."""
+    """Component coordinates for a formula's board.
+
+    A formula with no clause has no board: its initializer and first
+    connector would claim the same blocks, so it raises ValueError.
+    """
     S, T = len(sat.clauses), sat.num_vars
+    if S == 0:
+        raise ValueError("a formula with no clause has no gadget board")
     side = S * (6 * T + 2) + 2 * T
     anchors = tuple((6 * T + 2) * (s - 1) + 1 for s in range(1, S + 2))
     a_last = anchors[S]

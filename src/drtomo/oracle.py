@@ -35,6 +35,19 @@ least as many nodes.  On a 60x60 gadget board that search needs 0.2M to
 an explicit stack, so its depth is bounded by memory, not by the
 interpreter's recursion limit.
 
+A count needs no solution, only how many there are, and many vertices
+of one depth root the same subtree.  Below depth d every unset cell lies
+at d or after, so a vertex's subtree depends only on d, the bits
+propagation has set below d and the used counts of the frontier groups,
+those with undecided cells both before d and at or after it.  A counting
+run records the (count, nodes) of each branching vertex whose subtree it
+has finished under that state, and adds the record when the state comes
+back, unless a cap falls inside the subtree.  The answers are those of
+the walk: a node is counted whether it is walked or added from a
+record.  The records grow with the vertices expanded, not with the nodes
+counted: a 6x6 eps = 1 count of 858 solutions over 11862 nodes records
+157 vertices.  Runs that collect solutions keep no records.
+
 A malformed instance (any ``validate_instance`` finding other than a sum
 mismatch) and a pin outside the grid or with a bit other than 0 or 1 raise
 ``ValueError``; a sum mismatch is answered as infeasible.
@@ -58,9 +71,10 @@ class SearchBudget:
     A node is one vertex of the search tree: the root, and each cell the
     depth-first search assigns or steps over because propagation already
     fixed it.  Cells fixed before the search (pins, pre-elimination) are
-    not nodes.  A run stops with ``exhausted`` False on the node past
-    ``max_nodes`` or at the ``max_solutions``-th solution; the solutions
-    found by then are a prefix of the full ordered list.
+    not nodes.  A counting run counts a node whether it walks it or adds
+    it from a recorded subtree.  A run stops with ``exhausted`` False on
+    the node past ``max_nodes`` or at the ``max_solutions``-th solution;
+    the solutions found by then are a prefix of the full ordered list.
     """
 
     max_solutions: int = 1_000_000
@@ -214,13 +228,51 @@ class _Search:
         self.undecided = np.flatnonzero(undecided).tolist()
         return True
 
+    def _frontier(self, above: tuple[int, ...], passed: list[int], ahead: frozenset[int]) -> tuple[int, ...]:
+        """The frontier groups at a vertex, from its parent's and the cells passed since.
+
+        A group of a passed cell stays while it has an undecided cell at or
+        after the vertex's depth: one still unset, or one that propagation
+        has set below it (in ``ahead``, as 2 * cell + bit).
+        """
+        groups, free = self.groups, self.free
+        active = dict.fromkeys(above)  # an ordered set
+        below = None
+        for c in passed:
+            for g in groups[c]:
+                if not free[g]:
+                    if below is None:
+                        below = {h for x in ahead for h in groups[x >> 1]}
+                    if g not in below:
+                        active.pop(g, None)
+                        continue
+                active[g] = None
+        return tuple(active)
+
     def run(self) -> None:
-        """Visit the search tree in order, one node per vertex, within budget."""
+        """Visit the search tree in order, one node per vertex, within budget.
+
+        A run that only counts records the (count, nodes) of each branching
+        vertex whose subtree it has finished, under the vertex's state: its
+        depth d, the bits propagation has set below d, and the used counts
+        of the frontier groups at d.  No other state reaches the subtree,
+        so when the state comes back the recorded pair is added instead of
+        walking the subtree again, provided neither cap falls inside it;
+        otherwise the subtree is walked and the cap stops the run at the
+        exact node or solution.
+        """
         undecided = self.undecided
-        cell, trail, groups = self.cell, self.trail, self.groups
+        cell, trail, groups, used = self.cell, self.trail, self.groups, self.used
         set_, undo, propagate = self._set, self._undo, self._propagate
         max_nodes, max_solutions = self.budget.max_nodes, self.budget.max_solutions
+        memo: dict | None = None if self.collect else {}
+        # the frontier groups at each depth d reached: those with undecided
+        # cells both before d and at or after it
+        frontier: dict[int, tuple[int, ...]] = {0: ()}
         branches: list[tuple[int, int, int]] = []  # (depth, trail mark, bit) of each branch taken
+        # (depth, state, count, nodes before it, cells set below it) of each
+        # branching vertex on the path whose subtree is being walked
+        opened: list[tuple[int, tuple, int, int, frozenset[int]]] = []
         depth = nodes = 0
         while True:
             # a new vertex at this depth, then one per cell below it that
@@ -243,6 +295,25 @@ class _Search:
                     self.exhausted = False
                     return
                 bit = 2  # a leaf has no child to try
+            elif memo is not None:
+                # the cells below depth that propagation has set, each as
+                # 2 * cell + bit: the parent's and the branch's, less those
+                # from the parent's depth to this one
+                ahead: frozenset[int] = frozenset()
+                if branches:
+                    up, mark, _ = branches[-1]
+                    ahead = opened[-1][4].union([2 * c + cell[c] for c in trail[mark:]])
+                    ahead = ahead.difference([2 * c + cell[c] for c in undecided[up:depth]])
+                    if depth not in frontier:
+                        frontier[depth] = self._frontier(frontier[up], undecided[up:depth], ahead)
+                state = (depth, ahead, *[used[g] for g in frontier[depth]])
+                known = memo.get(state)
+                if known and nodes + known[1] - 1 <= max_nodes and self.count + known[0] < max_solutions:
+                    self.count += known[0]
+                    self.nodes = nodes = nodes + known[1] - 1
+                    bit = 2  # its subtree is counted
+                else:
+                    opened.append((depth, state, self.count, nodes - 1, ahead))
             # the next vertex is the first admissible untried child of the
             # deepest vertex on the path that still has one
             while True:
@@ -256,12 +327,15 @@ class _Search:
                         break
                     undo(mark)
                     bit += 1
-                elif branches:
-                    depth, mark, bit = branches.pop()
-                    undo(mark)
-                    bit += 1
-                else:
+                    continue
+                if opened and opened[-1][0] == depth:  # its subtree is finished
+                    _, state, count, start, _ = opened.pop()
+                    memo[state] = (self.count - count, nodes - start)
+                if not branches:
                     return
+                depth, mark, bit = branches.pop()
+                undo(mark)
+                bit += 1
 
 
 def _run(

@@ -171,6 +171,15 @@ class TestSatCommands:
         assert cli.main(["gen-sat", str(sat_path)]) == 2
         assert capsys.readouterr().err == "error: line 2: repeated 'p 1in3' header\n"
 
+    @pytest.mark.parametrize("command", ["gen-sat", "embed", "extract"])
+    def test_formula_without_clause_usage_error(self, tmp_path, capsys, command):
+        sat_path = tmp_path / "empty.sat"
+        sat_path.write_text("p 1in3 3 0\n")
+        extra = {"gen-sat": [], "embed": ["--assign", "TFF"], "extract": [str(tmp_path / "board.pbm")]}
+        assert cli.main([command, str(sat_path), *extra[command]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: a formula with no clause has no gadget board\n"
+
     def test_extract_from_padded_image_usage_error(self, tmp_path, capsys):
         sat_path = tmp_path / "demo.sat"
         sat_path.write_text(DEMO_SAT_TEXT)

@@ -53,6 +53,14 @@ class TestOneInThree:
         with pytest.raises(ValueError):
             OneInThreeInstance(3, ((1, -1, 2),))
 
+    def test_formula_without_clause_has_no_board(self):
+        """Its initializer and first connector would claim the same blocks."""
+        sat = OneInThreeInstance(3, ())
+        with pytest.raises(ValueError, match="no clause"):
+            build_board(sat)
+        with pytest.raises(ValueError, match="no clause"):
+            gen_sat_instance(sat)
+
     def test_satisfied_by(self):
         sat = OneInThreeInstance(3, ((1, 2, 3),))
         assert sat.satisfied_by((True, False, False))
