@@ -7,10 +7,10 @@ that Python's `int()` would take, such as `1_0` or non-ASCII digits, is a
 `FormatError` naming its line.
 
 Each section of a document is checked and converted as a whole: one
-pattern match over its tokens, one numeric conversion, and one array
-operation that reads the `?` marks; a rejected section is walked token by
-token only to name its first error.  Writers build each section from the
-arrays in the same way.
+pattern match or array test over its tokens, one numeric conversion, and
+one array operation that reads the `?` marks; a rejected section is
+walked token by token only to name its first error.  Writers build each
+section from the arrays in the same way.
 
 Raster files are written top row first, so file raster row 1 holds image
 row q = n; the Cartesian flip happens here and only here.
@@ -41,7 +41,16 @@ class FormatError(ValueError):
 # --------------------------------------------------------------------------
 
 _INT = re.compile(r"[+-]?[0-9]+")
-_BLOCK_TOKENS = re.compile(r"[+-]?[0-9]+\??(?: [+-]?[0-9]+\??)*")  # joined by single spaces
+# A block section is tokens `[+-]?[0-9]+\??` joined by single spaces.  Framed
+# by one space on each side, it is exactly the ASCII text whose every byte
+# may follow the byte before it: a digit may follow a space, a sign or a
+# digit; a sign a space; a `?` a digit; a space a digit or a `?`.
+_DIGIT, _SIGN, _MARK, _SPACE = 1, 2, 3, 4  # byte kinds; 0 is any other byte
+_KIND = np.zeros(256, dtype=np.uint8)
+_KIND[np.frombuffer(b"0123456789+- ?", dtype=np.uint8)] = [_DIGIT] * 10 + [_SIGN, _SIGN, _SPACE, _MARK]
+_FOLLOWS = np.zeros(25, dtype=bool)  # entry 5 * kind before + kind after
+_FOLLOWS[[5 * _SPACE + _DIGIT, 5 * _SIGN + _DIGIT, 5 * _DIGIT + _DIGIT, 5 * _SPACE + _SIGN,
+          5 * _DIGIT + _MARK, 5 * _DIGIT + _SPACE, 5 * _MARK + _SPACE]] = True
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -117,11 +126,11 @@ def parse_instance(text: str) -> Instance:
     tokens = [line.split() for _, line in rows]
     # the file prints the top block row first; the section runs bottom up
     section = " ".join(map(" ".join, reversed(tokens)))
-    if len(rows) < bh or set(map(len, tokens)) != {bw} or not _BLOCK_TOKENS.fullmatch(section):
+    chars = _block_section(section)
+    if len(rows) < bh or set(map(len, tokens)) != {bw} or chars is None:
         raise _block_rows_error(rows, bh, bw, k * k, lines[-1][0])
-    # the section is ASCII now, and each token ends in a digit or `?` just before a space
-    chars = np.frombuffer((section + " ").encode("ascii"), dtype=np.uint8)
-    reliable = chars[:-1][chars[1:] == ord(" ")] != ord("?")
+    # each token ends in a digit or `?` just before a space
+    reliable = chars[1:-1][chars[2:] == ord(" ")] != ord("?")
     values = np.fromstring(section.replace("?", ""), dtype=np.int64, sep=" ")
     # a value beyond int64 reads as its bound; only a `-` can make one negative
     if values.max() > k * k or ("-" in section and values.min() < 0):
@@ -134,6 +143,16 @@ def parse_instance(text: str) -> Instance:
     if structural:
         raise FormatError("; ".join(str(e) for e in structural))
     return inst
+
+
+def _block_section(section: str) -> np.ndarray | None:
+    """The bytes of a well-formed block section framed by one space on each side, else None."""
+    if not section.isascii():
+        return None
+    chars = np.frombuffer(f" {section} ".encode("ascii"), dtype=np.uint8)
+    kinds = _KIND.take(chars)
+    follows = _FOLLOWS.take(5 * kinds[:-1] + kinds[1:])
+    return chars if np.count_nonzero(follows) == follows.size else None
 
 
 def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, last: int) -> FormatError:
@@ -159,7 +178,7 @@ def write_instance(inst: Instance) -> str:
     marks = ("?", "")
     body = [
         " ".join(map(str.__add__, map(str, row), map(marks.__getitem__, ok)))
-        for row, ok in zip(reversed(inst.blocks), inst._reliable_grid[::-1].tolist())
+        for row, ok in zip(inst._grid[::-1].tolist(), inst._reliable_grid[::-1].tolist())
     ]
     head = [
         "NSR 1",

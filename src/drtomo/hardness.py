@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .formats import FormatError, _ints
-from .model import BinaryImage, BlockType, Instance, _instance_of_grids, classify_block
+from .model import BinaryImage, BlockType, Instance, _instance_of_grids, _require_well_formed, classify_block
 from .oracle import SearchBudget, constrained_solve
 
 Cell = tuple[int, int]
@@ -354,7 +354,9 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
 
     Each two-line strip becomes a k'-line strip whose first two lines
     carry the old sums and whose remaining lines are zero; block values
-    and reliability carry over to the enlarged blocks.
+    and reliability carry over to the enlarged blocks.  An instance
+    validate_instance rejects for more than a sum mismatch raises
+    ValueError.
     """
     if inst.k != 2:
         raise ValueError("lifting starts from block size 2")
@@ -362,9 +364,8 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
         raise ValueError("target block size must be at least 2")
     if k_prime == 2:
         return inst
+    _require_well_formed(inst)
     m2, n2 = inst.m * k_prime // 2, inst.n * k_prime // 2
-    if 2 * m2 != inst.m * k_prime or 2 * n2 != inst.n * k_prime:
-        raise ValueError("lifted dimensions are not integral")
     rows = [0] * n2
     cols = [0] * m2
     for j in range(1, inst.n, 2):
@@ -375,17 +376,7 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
         base = k_prime * (i - 1) // 2
         cols[base] = inst.col_sums[i - 1]
         cols[base + 1] = inst.col_sums[i]
-    blocks = inst.blocks  # same block grid, just bigger blocks
-    reliable = frozenset(
-        (k_prime * (i - 1) // 2 + 1, k_prime * (j - 1) // 2 + 1) for i, j in inst.reliable
-    )
-    return Instance(
-        k=k_prime,
-        epsilon=inst.epsilon,
-        m=m2,
-        n=n2,
-        row_sums=tuple(rows),
-        col_sums=tuple(cols),
-        blocks=blocks,
-        reliable=reliable,
+    # the same block grid and reliability, just bigger blocks
+    return _instance_of_grids(
+        k_prime, inst.epsilon, tuple(rows), tuple(cols), inst._grid, inst._reliable_grid
     )

@@ -149,16 +149,37 @@ def _decode(codes: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+_NO_POINTS: frozenset = frozenset()
+
+
+def _grid_dtype(k: int) -> type:
+    """Type of a block grid with values 0..k^2: uint8 up to k = 15, int64 above."""
+    return np.uint8 if k * k <= 255 else np.int64
+
+
+# `blocks` and `reliable` are dataclass fields, so the constructor, repr,
+# `dataclasses.fields` and `dataclasses.replace` see them as before; but an
+# instance holds arrays, and each of the two is a view built on first read
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """A full reconstruction datum: sums, block values and reliability.
 
-    blocks[bv][bu] is the prescribed number of ones of the block anchored
-    at corner (k*bu + 1, k*bv + 1); bu runs left to right, bv bottom up.
+    An instance holds its block values as one [bh, bw] array `_grid`:
+    entry [bv, bu] is the prescribed number of ones of the block anchored
+    at corner (k*bu + 1, k*bv + 1), bu left to right and bv bottom up.
+    The array is uint8 while k^2 <= 255.  Reliability is one boolean
+    [bh, bw] array `_reliable_grid` of the same layout.  Both are
+    read-only, and a copy with other line sums shares them.
 
-    The array views `_grid`, `_reliable_grid` and `_strip_counts` are
-    computed from the fields on first use and kept for the life of the
-    object; they need a well-shaped block grid (see validate_instance).
+    `blocks` (blocks[bv][bu], a tuple of row tuples) and `reliable` (the
+    frozenset of reliable corners) are views for the API edge, built on
+    first read and kept.  The constructor takes them and converts them
+    to the arrays at once; input that validate_instance rejects is kept
+    so that it can report it: a ragged block grid becomes a
+    one-dimensional array of its rows, values outside [0, k^2] keep a
+    wide type, and reliable points that are not block corners are kept
+    apart in `_stray`.  Library functions build instances from arrays
+    with _instance_of_grids and never make either view.
     """
 
     k: int
@@ -170,38 +191,73 @@ class Instance:
     blocks: tuple[tuple[int, ...], ...]
     reliable: frozenset[Corner]
 
+    def __init__(
+        self, k: int, epsilon: int, m: int, n: int, row_sums: tuple[int, ...], col_sums: tuple[int, ...],
+        blocks: tuple[tuple[int, ...], ...], reliable: frozenset[Corner],
+    ):
+        self._hold(k, epsilon, m, n, row_sums, col_sums, *_arrays_of(k, blocks, reliable))
+        self.__dict__.update(blocks=blocks, reliable=reliable)  # given, so already built
+
+    def _hold(self, k, epsilon, m, n, row_sums, col_sums, grid, reliable_grid, stray) -> None:
+        """Set every field and array; the one step both constructors end in."""
+        grid.flags.writeable = reliable_grid.flags.writeable = False  # shared by derived copies
+        self.__dict__.update(
+            k=k, epsilon=epsilon, m=m, n=n, row_sums=row_sums, col_sums=col_sums,
+            _grid=grid, _reliable_grid=reliable_grid, _stray=stray,
+        )
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._grid.tolist()))
+
+    @cached_property
+    def reliable(self) -> frozenset[Corner]:
+        bh, bw = self._reliable_grid.shape
+        marks = self._reliable_grid.ravel().tolist()
+        return frozenset(compress(_corners(self.k, bw, bh), marks)).union(self._stray)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalars() == other._scalars() and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in ((self._grid, other._grid), (self._reliable_grid, other._reliable_grid))
+        )
+
+    def __hash__(self) -> int:
+        grid = self._grid
+        values = tuple(grid.ravel().tolist()) if grid.dtype == object else grid.tobytes()
+        return hash((*self._scalars(), grid.shape, values, self._reliable_grid.tobytes()))
+
+    def _scalars(self) -> tuple:
+        return self.k, self.epsilon, self.m, self.n, self.row_sums, self.col_sums, self._stray
+
     def corners(self) -> Iterator[Corner]:
         return _corners(self.k, self.m // self.k, self.n // self.k)
 
+    def _block(self, i: int, j: int) -> tuple[int, int]:
+        """Index [bv, bu] of the block anchored at corner (i, j); ValueError if there is none."""
+        bh, bw = self._reliable_grid.shape
+        bu, di = divmod(i - 1, self.k)
+        bv, dj = divmod(j - 1, self.k)
+        if di or dj or not (0 <= bu < bw and 0 <= bv < bh):
+            k, m, n = self.k, self.m, self.n
+            raise ValueError(f"({i},{j}) is not a {k}x{k} corner point of a {m}x{n} instance")
+        return bv, bu
+
     def value(self, i: int, j: int) -> int:
-        return self.blocks[(j - 1) // self.k][(i - 1) // self.k]
+        return self._grid.item(self._block(i, j))
 
     def is_reliable(self, i: int, j: int) -> bool:
-        return (i, j) in self.reliable
+        return bool(self._reliable_grid[self._block(i, j)])
 
     def window(self, i: int, j: int) -> tuple[int, int]:
         """Admissible [lo, hi] range for the block sum at corner (i, j)."""
-        v = self.value(i, j)
-        if (i, j) in self.reliable:
+        block = self._block(i, j)
+        v = self._grid.item(block)
+        if self._reliable_grid[block]:
             return v, v
         return max(0, v - self.epsilon), min(self.k * self.k, v + self.epsilon)
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        """Block values as an array, entry [bv, bu] = blocks[bv][bu]."""
-        return np.array(self.blocks)
-
-    @cached_property
-    def _reliable_grid(self) -> np.ndarray:
-        """Boolean array, entry [bv, bu] tells whether corner (k*bu + 1, k*bv + 1) is reliable.
-
-        Members of `reliable` that are not corners leave no mark, so the
-        grid holds fewer marks than `reliable` has members exactly when
-        some member is not a corner.
-        """
-        bw, bh = self.m // self.k, self.n // self.k
-        marks = map(self.reliable.__contains__, self.corners())
-        return np.fromiter(marks, dtype=bool, count=bw * bh).reshape(bh, bw)
 
     @cached_property
     def _strip_counts(self) -> np.ndarray:
@@ -217,10 +273,14 @@ class Instance:
         return counts
 
     def _with_line_sums(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> "Instance":
-        """This instance with other line sums, sharing the block views computed so far."""
+        """This instance with other line sums, sharing its arrays and its strip counts if computed."""
         out = object.__new__(Instance)
-        # the fields and views live in __dict__; none of the views reads a line sum
-        out.__dict__.update(self.__dict__, row_sums=row_sums, col_sums=col_sums)
+        out._hold(
+            self.k, self.epsilon, self.m, self.n, row_sums, col_sums,
+            self._grid, self._reliable_grid, self._stray,
+        )
+        if "_strip_counts" in self.__dict__:  # no line sum enters them
+            out.__dict__["_strip_counts"] = self._strip_counts
         return out
 
 
@@ -235,27 +295,49 @@ def _corners(k: int, bw: int, bh: int) -> Iterator[Corner]:
     return zip(cycle(columns), chain.from_iterable(map(repeat, rows, repeat(bw))))
 
 
+def _arrays_of(k: int, blocks, reliable) -> tuple[np.ndarray, np.ndarray, frozenset]:
+    """The grid, reliability mask and stray points of tuple input, malformed or not.
+
+    A grid of integers in [0, k^2] gets the type of _grid_dtype(k); any
+    other grid keeps numpy's type for it, and a ragged one becomes a
+    one-dimensional object array of its rows.  The mask marks the corners
+    of the grid's own shape that `reliable` holds, and the stray points
+    are the members that are no such corner.
+    """
+    if len(set(map(len, blocks))) > 1:
+        grid = np.empty(len(blocks), dtype=object)
+        for x, row in enumerate(blocks):
+            grid[x] = row
+    else:
+        grid = np.array(blocks)
+    if grid.ndim != 2:
+        return grid, np.zeros((0, 0), dtype=bool), frozenset(reliable)
+    if grid.dtype.kind in "iub" and grid.size and 0 <= grid.min() and grid.max() <= k * k:
+        grid = grid.astype(_grid_dtype(k))
+    bh, bw = grid.shape
+    marks = np.fromiter(map(reliable.__contains__, _corners(k, bw, bh)), dtype=bool, count=bw * bh)
+    stray = _NO_POINTS
+    if np.count_nonzero(marks) != len(reliable):
+        stray = frozenset(reliable).difference(_corners(k, bw, bh))
+    return grid, marks.reshape(bh, bw), stray
+
+
 def _instance_of_grids(
     k: int, epsilon: int, row_sums: tuple[int, ...], col_sums: tuple[int, ...],
     grid: np.ndarray, reliable_grid: np.ndarray,
 ) -> Instance:
-    """Instance of integer block values and a reliability mask, both [bv, bu] arrays.
+    """Instance of block values in [0, k^2] and a reliability mask, both [bv, bu] arrays.
 
-    The arrays become the instance's views, so nothing walks the blocks
-    to rebuild them.
+    The library's constructor: the arrays become the instance's own (the
+    values in the type of _grid_dtype(k)), and neither `blocks` nor
+    `reliable` is built.
     """
     bh, bw = grid.shape
-    inst = Instance(
-        k=k,
-        epsilon=epsilon,
-        m=k * bw,
-        n=k * bh,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        blocks=tuple(map(tuple, grid.tolist())),
-        reliable=frozenset(compress(_corners(k, bw, bh), reliable_grid.ravel().tolist())),
+    inst = object.__new__(Instance)
+    inst._hold(
+        k, epsilon, k * bw, k * bh, row_sums, col_sums,
+        grid.astype(_grid_dtype(k), copy=False), reliable_grid, _NO_POINTS,
     )
-    inst.__dict__.update(_grid=grid, _reliable_grid=reliable_grid)
     return inst
 
 
@@ -318,26 +400,26 @@ def validate_instance(inst: Instance) -> list[ValidationError]:
     if len(inst.col_sums) != inst.m:
         errs.append(ValidationError("shape", f"expected {inst.m} column sums, got {len(inst.col_sums)}"))
     bw, bh = inst.m // inst.k, inst.n // inst.k
-    if len(inst.blocks) != bh or set(map(len, inst.blocks)) != {bw}:
+    grid = inst._grid
+    if grid.shape != (bh, bw):
         errs.append(ValidationError("shape", f"block grid must be {bh} rows of {bw} values"))
     if errs:
         return errs
 
     # each range test covers a whole sequence; only offenders are visited,
-    # and their messages quote the fields themselves
+    # and their messages quote the values themselves
     for name, sums, top in (("row sum r", inst.row_sums, inst.m), ("column sum c", inst.col_sums, inst.n)):
         if min(sums) < 0 or max(sums) > top:
             for x in _outside(np.array(sums), top):
                 errs.append(ValidationError("value", f"{name}_{x + 1}={sums[x]} outside [0, {top}]"))
-    kk, grid = inst.k * inst.k, inst._grid
+    kk = inst.k * inst.k
     if grid.min() < 0 or grid.max() > kk:
         for bv, bu in map(divmod, _outside(grid.ravel(), kk), repeat(bw)):
-            v, i, j = inst.blocks[bv][bu], inst.k * bu + 1, inst.k * bv + 1
+            v, i, j = grid.item(bv, bu), inst.k * bu + 1, inst.k * bv + 1
             errs.append(ValidationError("value", f"block value v({i},{j})={v} outside [0, {kk}]"))
-    marks = int(np.count_nonzero(inst._reliable_grid))
-    if marks != len(inst.reliable):
+    if inst._stray:
         errs.append(ValidationError("reliability", "reliable set contains non-corner points"))
-    if inst.epsilon == 0 and not marks == len(inst.reliable) == bw * bh:
+    if inst.epsilon == 0 and (inst._stray or np.count_nonzero(inst._reliable_grid) != bw * bh):
         errs.append(
             ValidationError("reliability", "epsilon = 0 requires every block to be reliable")
         )
@@ -363,7 +445,7 @@ def verify_solution(inst: Instance, img: BinaryImage) -> VerificationReport:
     k = inst.k
     bh, bw = inst.n // k, inst.m // k
     got = img.a[: bh * k, : bw * k].reshape(bh, k, bw, k).sum(axis=(1, 3), dtype=np.int64)
-    values = inst._grid
+    values = inst._grid.astype(np.int64)  # the window bounds below leave [0, k^2]; uint8 would wrap
     lo = np.maximum(0, values - inst.epsilon)
     hi = np.minimum(k * k, values + inst.epsilon)
     # reliability narrows a window only where the noise window is not [v, v]
@@ -393,13 +475,18 @@ def classify_block(img: BinaryImage, corner: Corner) -> BlockType:
     return BlockType(int(_codes(img.a[j - 1 : j + 1, i - 1 : i + 1])[0, 0]))
 
 
-def degrade(img: BinaryImage, k: int) -> GrayImage:
-    """Collapse each k x k block to its number of ones."""
+def _block_sums(img: BinaryImage, k: int) -> np.ndarray:
+    """Ones per k x k block, [bv, bu], in the type of _grid_dtype(k)."""
     if k < 1:
         raise ValueError(f"block size k must be >= 1, got {k}")
     if img.m % k or img.n % k:
         raise ValueError(f"image {img.m}x{img.n} is not divisible into {k}x{k} blocks")
-    sums = img.a.reshape(img.n // k, k, img.m // k, k).sum(axis=(1, 3))
+    return img.a.reshape(img.n // k, k, img.m // k, k).sum(axis=(1, 3), dtype=_grid_dtype(k))
+
+
+def degrade(img: BinaryImage, k: int) -> GrayImage:
+    """Collapse each k x k block to its number of ones."""
+    sums = _block_sums(img, k)
     return GrayImage(
         width=img.m // k,
         height=img.n // k,
@@ -412,16 +499,9 @@ def make_exact_instance(img: BinaryImage, k: int) -> Instance:
     """Exact (epsilon = 0, all-reliable) instance with img as a solution."""
     if k < 2:
         raise ValueError(f"instances need block size k >= 2, got {k}")
-    gray = degrade(img, k)
-    return Instance(
-        k=k,
-        epsilon=0,
-        m=img.m,
-        n=img.n,
-        row_sums=tuple(img.row_sums()),
-        col_sums=tuple(img.col_sums()),
-        blocks=gray.values,
-        reliable=frozenset(_corners(k, gray.width, gray.height)),
+    sums = _block_sums(img, k)
+    return _instance_of_grids(
+        k, 0, tuple(img.row_sums()), tuple(img.col_sums()), sums, np.ones(sums.shape, dtype=bool)
     )
 
 
@@ -432,6 +512,10 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
     [-epsilon, epsilon] and clipped to [0, k^2], so any image satisfying
     inst still satisfies the perturbed instance.  With epsilon = 0 the
     noise window is degenerate and the instance is returned unchanged.
+    The blocks are drawn from the corners in sorted order, (i, j) by
+    column first, and their offsets are drawn in that order too.  An
+    instance validate_instance rejects for more than a sum mismatch
+    raises ValueError.
     """
     if not 0 <= fraction_unreliable <= 1:
         raise ValueError("fraction_unreliable must be in [0, 1]")
@@ -439,26 +523,26 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
         raise ValueError(f"epsilon must be >= 0, got {inst.epsilon}")
     if inst.epsilon == 0 or fraction_unreliable == 0:
         return inst
-    all_corners = sorted(inst.corners())
-    count = math.ceil(fraction_unreliable * len(all_corners))
+    _require_well_formed(inst)
+    bh, bw = inst._grid.shape
+    count = math.ceil(fraction_unreliable * bw * bh)
     rng = random.Random(seed)
-    demoted = set(rng.sample(all_corners, count))
-    kk = inst.k * inst.k
-    new_blocks = [list(row) for row in inst.blocks]
-    for i, j in sorted(demoted):
-        offset = rng.randint(-inst.epsilon, inst.epsilon)
-        bu, bv = (i - 1) // inst.k, (j - 1) // inst.k
-        new_blocks[bv][bu] = min(kk, max(0, new_blocks[bv][bu] + offset))
-    return Instance(
-        k=inst.k,
-        epsilon=inst.epsilon,
-        m=inst.m,
-        n=inst.n,
-        row_sums=inst.row_sums,
-        col_sums=inst.col_sums,
-        blocks=tuple(tuple(row) for row in new_blocks),
-        reliable=inst.reliable - demoted,
-    )
+    # position t of the sorted corners is block [t % bh, t // bh]
+    picked = sorted(rng.sample(range(bw * bh), count))
+    offsets = [rng.randint(-inst.epsilon, inst.epsilon) for _ in picked]
+    bu, bv = np.divmod(np.array(picked, dtype=np.int64), bh)
+    grid = inst._grid.astype(np.int64)
+    grid[bv, bu] = np.clip(grid[bv, bu] + offsets, 0, inst.k * inst.k)
+    reliable_grid = inst._reliable_grid.copy()
+    reliable_grid[bv, bu] = False
+    return _instance_of_grids(inst.k, inst.epsilon, inst.row_sums, inst.col_sums, grid, reliable_grid)
+
+
+def _require_well_formed(inst: Instance) -> None:
+    """ValueError naming the validate_instance findings of a malformed instance."""
+    errs = [e for e in validate_instance(inst) if e.kind != "sum-mismatch"]
+    if errs:
+        raise ValueError("; ".join(str(e) for e in errs))
 
 
 def random_image(m: int, n: int, density: float, seed: int) -> BinaryImage:

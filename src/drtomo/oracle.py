@@ -88,15 +88,13 @@ class SearchBudget:
 
 
 @lru_cache(maxsize=8)
-def _layout(k: int, m: int, n: int) -> tuple[
-    tuple[Sequence[int], ...], tuple[tuple[int, int, int], ...], np.ndarray, np.ndarray
-]:
-    """The groups of a k-block m x n grid, per group and per cell, as lists and as arrays.
+def _layout(k: int, m: int, n: int) -> tuple[tuple[Sequence[int], ...], np.ndarray, np.ndarray]:
+    """The groups of a k-block m x n grid: per group, per cell, and their sizes.
 
-    Returns the cells of every group, the three groups (row, column,
-    block) of every cell, the same as an (m*n, 3) array, and the size of
-    every group.  It depends on the shape alone, so instances of one
-    shape share it.
+    Returns the cells of every group (a range per line, a tuple per
+    block), the three groups (row, column, block) of every cell as an
+    (m*n, 3) array, and the size of every group.  It depends on the shape
+    alone, so instances of one shape share it.
     """
     q, p = np.divmod(np.arange(m * n), m)
     cell_groups = np.stack((q, n + p, n + m + (q // k) * (m // k) + p // k), axis=1)
@@ -108,7 +106,7 @@ def _layout(k: int, m: int, n: int) -> tuple[
     )
     sizes = np.array([m] * n + [n] * m + [k * k] * len(blocks))
     cell_groups.flags.writeable = sizes.flags.writeable = False  # shared by every search of the shape
-    return members, tuple(map(tuple, cell_groups.tolist())), cell_groups, sizes
+    return members, cell_groups, sizes
 
 
 class _Search:
@@ -118,9 +116,10 @@ class _Search:
     up, then columns left to right, then blocks in ``Instance.corners``
     order.  Until pre-elimination the cells and the group bounds are
     arrays; from then on they, ``used`` and ``free`` are lists, which the
-    search reads one entry at a time.  Every cell assigned after the sweep
-    goes on ``trail``; undoing the trail to a mark restores the state the
-    mark was taken in.
+    search reads one entry at a time, and ``groups`` holds the three
+    groups of each cell still undecided.  Every cell assigned after
+    the sweep goes on ``trail``; undoing the trail to a mark restores the
+    state the mark was taken in.
     """
 
     def __init__(self, inst: Instance, budget: SearchBudget, collect: bool):
@@ -133,14 +132,16 @@ class _Search:
         self.exhausted = True
 
         k, m, n, eps = inst.k, inst.m, inst.n, inst.epsilon
-        self.members, self.groups, self.cell_groups, self.sizes = _layout(k, m, n)
-        values, reliable = inst._grid.ravel(), inst._reliable_grid.ravel()
+        self.members, self.cell_groups, self.sizes = _layout(k, m, n)
+        # int64, since the noise window's bounds leave [0, k^2] before they are clipped
+        values, reliable = inst._grid.ravel().astype(np.int64), inst._reliable_grid.ravel()
         sums = np.array(inst.row_sums + inst.col_sums)
         self.lo = np.concatenate((sums, np.where(reliable, values, np.maximum(values - eps, 0))))
         self.hi = np.concatenate((sums, np.where(reliable, values, np.minimum(values + eps, k * k))))
         self.cell = np.full(m * n, -1, dtype=np.int8)  # -1 while undecided
         self.trail: list[int] = []
         self.undecided: list[int] = []
+        self.groups: list = []  # per cell, the three groups of those the search may set
 
     def _set(self, c: int, bit: int) -> None:
         """Assign cell c and count it in its three groups; no group is tested."""
@@ -220,6 +221,13 @@ class _Search:
             return False
         queue = np.flatnonzero((free > 0) & ((used == hi) | (used + free == lo))).tolist()
         undecided &= ~forced
+        # from here on only the cells undecided now are set, undone or passed,
+        # so only they get their groups as Python tuples, indexed by cell
+        # since the search reads them at every node
+        groups = self.groups = [None] * len(cell)
+        at = np.flatnonzero(undecided).tolist()
+        for c, three in zip(at, map(tuple, cell_groups[at].tolist())):
+            groups[c] = three
         self.used, self.free, self.lo, self.hi = used.tolist(), free.tolist(), lo.tolist(), hi.tolist()
         self.cell = cell.tolist()
         if not self._propagate(queue):

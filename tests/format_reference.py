@@ -1,14 +1,19 @@
 """Per-token reference versions of the instance and raster I/O, for differential tests.
 
 These are the straightforward loops the array-native code in
-`drtomo.formats` and `drtomo.model.validate_instance` must agree with:
-the same instances, findings and bytes, and a `FormatError` on the same
-documents.  One deliberate difference: integer tokens here go through
+`drtomo.formats`, `drtomo.model.validate_instance` and the instance
+derivations `perturb_instance` and `lift_instance` must agree with: the
+same instances, findings and bytes, and a `FormatError` on the same
+documents.  They read and build instances through the `blocks` and
+`reliable` tuple views only.  One deliberate difference: integer tokens here go through
 Python's `int()`, which also takes `1_0` and non-ASCII digits that the
 library rejects.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 
@@ -190,6 +195,56 @@ def write_instance(inst: Instance) -> str:
             tokens.append(str(v) if corner in inst.reliable else f"{v}?")
         out.append(" ".join(tokens))
     return "\n".join(out) + "\n"
+
+
+def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> Instance:
+    """Demote a seeded sample of the sorted corners and jitter their values, one corner at a time."""
+    if inst.epsilon == 0 or fraction_unreliable == 0:
+        return inst
+    all_corners = sorted(inst.corners())
+    count = math.ceil(fraction_unreliable * len(all_corners))
+    rng = random.Random(seed)
+    demoted = set(rng.sample(all_corners, count))
+    kk = inst.k * inst.k
+    new_blocks = [list(row) for row in inst.blocks]
+    for i, j in sorted(demoted):
+        offset = rng.randint(-inst.epsilon, inst.epsilon)
+        bu, bv = (i - 1) // inst.k, (j - 1) // inst.k
+        new_blocks[bv][bu] = min(kk, max(0, new_blocks[bv][bu] + offset))
+    return Instance(
+        k=inst.k,
+        epsilon=inst.epsilon,
+        m=inst.m,
+        n=inst.n,
+        row_sums=inst.row_sums,
+        col_sums=inst.col_sums,
+        blocks=tuple(tuple(row) for row in new_blocks),
+        reliable=inst.reliable - demoted,
+    )
+
+
+def lift_instance(inst: Instance, k_prime: int) -> Instance:
+    """Move every line sum, block value and reliable corner of a k = 2 instance to k'-sized blocks."""
+    m2, n2 = inst.m * k_prime // 2, inst.n * k_prime // 2
+    rows = [0] * n2
+    cols = [0] * m2
+    for j in range(1, inst.n, 2):
+        base = k_prime * (j - 1) // 2
+        rows[base], rows[base + 1] = inst.row_sums[j - 1], inst.row_sums[j]
+    for i in range(1, inst.m, 2):
+        base = k_prime * (i - 1) // 2
+        cols[base], cols[base + 1] = inst.col_sums[i - 1], inst.col_sums[i]
+    reliable = frozenset((k_prime * (i - 1) // 2 + 1, k_prime * (j - 1) // 2 + 1) for i, j in inst.reliable)
+    return Instance(
+        k=k_prime,
+        epsilon=inst.epsilon,
+        m=m2,
+        n=n2,
+        row_sums=tuple(rows),
+        col_sums=tuple(cols),
+        blocks=inst.blocks,
+        reliable=reliable,
+    )
 
 
 def _tokenize_pnm(data: bytes) -> list[str]:

@@ -421,6 +421,14 @@ class TestRoundTrips:
         assert write_instance(parse_instance(text)) == text
 
     @settings(max_examples=200, deadline=None)
+    @given(instances())
+    def test_array_built_equals_tuple_built(self, inst):
+        parsed = parse_instance(write_instance(inst))  # built from arrays, no views yet
+        assert parsed == inst and inst == parsed and hash(parsed) == hash(inst)
+        assert parsed._grid.dtype == inst._grid.dtype == np.uint8
+        assert parsed.blocks == inst.blocks and parsed.reliable == inst.reliable
+
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**31))
     def test_pbm_round_trip(self, m, n, density, seed):
         img = random_image(m, n, density, seed)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import format_reference as ref
+from oracle_reference import reference_search
 
+from drtomo.formats import parse_instance, write_instance
+from drtomo.hardness import OneInThreeInstance, gen_sat_instance, lift_instance
 from drtomo.model import (
     BinaryImage,
     BlockType,
@@ -20,6 +23,8 @@ from drtomo.model import (
     validate_instance,
     verify_solution,
 )
+from drtomo.oracle import oracle_count, oracle_solve
+from drtomo.solver import check_unique, properize, solve_dr
 
 from conftest import single_block_instance
 
@@ -386,6 +391,115 @@ class TestPerturbInstance:
         _, inst = self.base()
         with pytest.raises(ValueError, match="epsilon must be >= 0"):
             perturb_instance(dataclasses.replace(inst, epsilon=-1), fraction, 0)
+
+
+def views_built(inst: Instance) -> set[str]:
+    """The tuple views an instance has built so far; they are kept in its __dict__."""
+    return {"blocks", "reliable"} & vars(inst).keys()
+
+
+def noisy(inst: Instance, epsilon: int, unreliable=()) -> Instance:
+    """inst with another epsilon and the given corners unreliable, built from its tuple views."""
+    return Instance(
+        k=inst.k, epsilon=epsilon, m=inst.m, n=inst.n, row_sums=inst.row_sums, col_sums=inst.col_sums,
+        blocks=inst.blocks, reliable=inst.reliable - frozenset(unreliable),
+    )
+
+
+class TestInstanceArrays:
+    """An instance holds a block grid and a reliability mask; `blocks` and `reliable` are edge views."""
+
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (15, np.uint8), (16, np.int64)])
+    def test_grid_type_follows_k(self, k, dtype):
+        inst = make_exact_instance(random_image(2 * k, k, 0.5, k), k)
+        assert inst._grid.dtype == dtype
+        assert noisy(inst, 0)._grid.dtype == dtype
+        assert noisy(inst, 0) == inst and hash(noisy(inst, 0)) == hash(inst)
+
+    def test_library_instances_build_no_views(self):
+        text = write_instance(make_exact_instance(random_image(32, 32, 0.4, 1), 2))
+        solved = parse_instance(text)
+        assert solve_dr(solved) is not None
+        checked = parse_instance(text)
+        assert check_unique(checked) is not None
+        proper, _ = properize(checked)
+        board = gen_sat_instance(OneInThreeInstance(4, ((1, -2, 3),)))
+        assert oracle_count(board) == (6, True)
+        lifted = lift_instance(board, 3)
+        small_text = write_instance(make_exact_instance(random_image(6, 6, 0.5, 2), 2))
+        small = parse_instance(small_text.replace("eps 0", "eps 1"))
+        perturbed = perturb_instance(small, 0.5, 7)
+        assert oracle_count(perturbed)[1]
+        made = make_exact_instance(random_image(32, 32, 0.4, 2), 2)
+        assert validate_instance(lifted) == [] and write_instance(perturbed)
+        assert made == parse_instance(write_instance(made))
+        for inst in (solved, checked, proper, board, lifted, small, perturbed, made):
+            assert not views_built(inst)
+
+    def test_views_are_the_tuple_reference(self):
+        exact = make_exact_instance(random_image(12, 8, 0.4, 3), 2)
+        text = write_instance(perturb_instance(noisy(exact, 2), 0.5, 3))
+        parsed, want = parse_instance(text), ref.parse_instance(text)
+        assert not views_built(parsed)
+        assert parsed.blocks == want.blocks and parsed.reliable == want.reliable
+        assert type(parsed.blocks) is tuple and {type(row) for row in parsed.blocks} == {tuple}
+        assert {type(v) for row in parsed.blocks for v in row} == {int}
+        assert type(parsed.reliable) is frozenset
+        assert {type(x) for corner in parsed.reliable for x in corner} == {int}
+        assert views_built(parsed) == {"blocks", "reliable"}
+        assert parsed.blocks is parsed.blocks and parsed.reliable is parsed.reliable
+
+    def test_corner_access_reads_the_arrays(self):
+        img = BinaryImage.from_ones(4, 4, [(1, 1), (2, 2), (3, 1)])
+        inst = perturb_instance(noisy(make_exact_instance(img, 2), 1), 0.25, 0)  # one block demoted
+        assert inst.value(1, 1) == 2 and inst.window(1, 1) == (2, 2) and inst.is_reliable(1, 1)
+        (i, j), = [c for c in inst.corners() if not inst.is_reliable(*c)]
+        v = inst.value(i, j)
+        assert inst.window(i, j) == (max(0, v - 1), min(4, v + 1))
+        for method in (inst.value, inst.is_reliable, inst.window):
+            for i, j in [(2, 2), (0, 0), (9, 9), (5, 1), (1, -1), (2, 1)]:
+                message = rf"\({i},{j}\) is not a 2x2 corner point of a 4x4 instance"
+                with pytest.raises(ValueError, match=message):
+                    method(i, j)
+
+    def test_unreliable_zero_blocks_keep_their_window(self):
+        # eps = 1 on uint8 values: the window of an unreliable 0 is [0, 1], not [255, 1]
+        img = BinaryImage.from_ones(6, 6, [(1, 1), (2, 2), (4, 4), (5, 3), (6, 6), (1, 6)])
+        exact = make_exact_instance(img, 2)
+        zeros = [c for c in exact.corners() if exact.value(*c) == 0]
+        inst = noisy(exact, 1, zeros)
+        assert len(zeros) >= 3 and inst._grid.dtype == np.uint8
+        for seed in range(40):
+            other = random_image(6, 6, 0.3, seed)
+            want = []
+            for i, j in inst.corners():
+                v = inst.blocks[(j - 1) // 2][(i - 1) // 2]
+                lo, hi = (v, v) if (i, j) in inst.reliable else (max(0, v - 1), min(4, v + 1))
+                got = other.block_sum(i, j, 2)
+                if not lo <= got <= hi:
+                    want.append(((i, j), v, (lo, hi), got))
+            assert verify_solution(inst, other).block_violations == want
+        ref_run = reference_search(inst, 10**6, 10**7)
+        assert oracle_count(inst) == (ref_run.count, True) and ref_run.count > 1
+        assert oracle_solve(inst)[0] == ref_run.solutions
+
+
+class TestDerivedInstancesMatchTupleReference:
+    """perturb_instance and lift_instance on arrays give the tuple reference's instances and bytes."""
+
+    @pytest.mark.parametrize("epsilon", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fraction", [0, 0.3, 1])
+    def test_same_documents(self, epsilon, fraction):
+        for seed in range(8):
+            img = random_image(2 * (seed % 4 + 1), 2 * (seed // 2 + 1), 0.4, seed)
+            base = noisy(make_exact_instance(img, 2), epsilon)
+            got, want = perturb_instance(base, fraction, seed), ref.perturb_instance(base, fraction, seed)
+            assert write_instance(got) == ref.write_instance(want)
+            assert got == want and hash(got) == hash(want)
+            for k_prime in (3, 4, 6):
+                lifted, lifted_want = lift_instance(got, k_prime), ref.lift_instance(want, k_prime)
+                assert write_instance(lifted) == ref.write_instance(lifted_want)
+                assert lifted == lifted_want and hash(lifted) == hash(lifted_want)
 
 
 class TestRandomImage:
