@@ -9,7 +9,6 @@ the oracle hit its budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -129,7 +128,7 @@ def cmd_make_instance(args) -> int:
 
 def cmd_perturb(args) -> int:
     inst = _read_instance(args.instance)
-    noisy = perturb_instance(dataclasses.replace(inst, epsilon=args.eps), args.fraction, args.seed)
+    noisy = perturb_instance(inst._with(epsilon=args.eps), args.fraction, args.seed)
     _emit_text(formats.write_instance(noisy), args.output)
     return OK
 

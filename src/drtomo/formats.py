@@ -19,7 +19,7 @@ row q = n; the Cartesian flip happens here and only here.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,23 +173,40 @@ def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, la
     raise AssertionError("block rows failed a section check but have no fault")
 
 
+@lru_cache(maxsize=8)
+def _block_tokens(k: int) -> np.ndarray:
+    """[value, byte]: each block value of a k-instance as its digits, NUL
+    padding, a NUL byte that an unreliable block's `?` takes, and a space."""
+    kk = k * k
+    table = np.zeros((kk + 1, len(str(kk)) + 2), dtype=np.uint8)
+    for v in range(kk + 1):
+        table[v, : len(str(v))] = np.frombuffer(str(v).encode("ascii"), dtype=np.uint8)
+    table[:, -1] = ord(" ")
+    table.flags.writeable = False  # every caller of a k gets this one table
+    return table
+
+
 def write_instance(inst: Instance) -> str:
-    """Instance document of a well-shaped instance; unreliable blocks get a `?`."""
-    marks = ("?", "")
-    body = [
-        " ".join(map(str.__add__, map(str, row), map(marks.__getitem__, ok)))
-        for row, ok in zip(inst._grid[::-1].tolist(), inst._reliable_grid[::-1].tolist())
-    ]
-    head = [
-        "NSR 1",
-        f"k {inst.k}",
-        f"eps {inst.epsilon}",
-        f"size {inst.m} {inst.n}",
-        "rows " + " ".join(map(str, inst.row_sums)),
-        "cols " + " ".join(map(str, inst.col_sums)),
-        "blocks",
-    ]
-    return "\n".join(chain(head, body)) + "\n"
+    """Instance document of a well-shaped instance; unreliable blocks get a `?`.
+
+    Block values must lie in [0, k^2], else ValueError.  Each block takes
+    its value's bytes from a table; then the unreliable ones get their
+    mark, the last space of each row becomes a newline, and the NUL bytes
+    are deleted from the section as a whole.
+    """
+    grid, kk = inst._grid, inst.k * inst.k
+    # only a grid of values in [0, k^2] is ever narrowed to uint8
+    if grid.dtype != np.uint8 and not (
+        grid.ndim == 2 and grid.dtype.kind in "iu" and 0 <= grid.min(initial=0) and grid.max(initial=0) <= kk
+    ):
+        raise ValueError(f"cannot write block values outside [0, {kk}] or a ragged block grid")
+    # the file prints the top block row first
+    tokens = _block_tokens(inst.k).take(grid[::-1], axis=0)
+    tokens[..., -2][~inst._reliable_grid[::-1]] = ord("?")
+    tokens[:, -1:, -1] = ord("\n")
+    rows, cols = " ".join(map(str, inst.row_sums)), " ".join(map(str, inst.col_sums))
+    head = f"NSR 1\nk {inst.k}\neps {inst.epsilon}\nsize {inst.m} {inst.n}\nrows {rows}\ncols {cols}\nblocks\n"
+    return head + tokens.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # --------------------------------------------------------------------------

@@ -272,14 +272,19 @@ class Instance:
         counts.flags.writeable = False  # shared by every caller, and by swapped copies
         return counts
 
-    def _with_line_sums(self, row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> "Instance":
-        """This instance with other line sums, sharing its arrays and its strip counts if computed."""
+    def _with(self, **scalars) -> "Instance":
+        """This instance with another epsilon or other line sums, sharing its
+        arrays and its strip counts if computed.
+
+        dataclasses.replace would build both views and convert them back.
+        """
         out = object.__new__(Instance)
+        fields = {"epsilon": self.epsilon, "row_sums": self.row_sums, "col_sums": self.col_sums, **scalars}
         out._hold(
-            self.k, self.epsilon, self.m, self.n, row_sums, col_sums,
-            self._grid, self._reliable_grid, self._stray,
+            self.k, m=self.m, n=self.n, grid=self._grid, reliable_grid=self._reliable_grid,
+            stray=self._stray, **fields,
         )
-        if "_strip_counts" in self.__dict__:  # no line sum enters them
+        if "_strip_counts" in self.__dict__:  # neither epsilon nor a line sum enters them
             out.__dict__["_strip_counts"] = self._strip_counts
         return out
 

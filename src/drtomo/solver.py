@@ -10,6 +10,27 @@ mask with one pair of sums per strip, and every subsolver writes its
 block codes into one shared code grid under its mask.  The assembled
 image is verified against the original instance; a failed verification
 is the infeasibility verdict, which is exact in this setting.
+
+solve_dr un-swaps and reduces on the code grid, in closed form: its
+answer is switches.reduce of the un-swapped proper-frame image, which
+the switches module runs as all row strips, then all column strips,
+then class 7.  The proper-frame image admits no forward switch.
+Un-swapping a row strip mirrors each of its blocks top to bottom
+(A11 <-> A21, B1 <-> B2, C11 <-> C21, B33 <-> B34, ...), which maps the
+patterns of horizontal classes 1/2, 3 and 4/5 onto each other, all
+absent, and the reversed class-6 pattern {A21, A22} + {C21, C22} onto
+the forward one {A11, A12} + {C11, C12}.  A strip holding the latter
+holds no B1 and no B2 (those would be the absent classes 2 and 4 before
+the mirror), and class 6 makes neither, so the strip reduces by class 6
+alone: its first n blocks of each slot in position order move, n the
+smaller slot count.  A strip that was not swapped does not move.
+Un-swapping a column strip mirrors left to right, which keeps every
+horizontal slot and commutes with the class-6 moves, so the row pass
+may run before it.  Neither a row mirror nor a horizontal class-6 move
+changes a block's vertical slot, so the column pass is the same
+argument with vertical class 6 {A11, A21} + {C11, C21}.  Class 7 then
+flips every B34, and a proper-frame image has none, so B34 is only a
+mirrored B33 and turns back into B33.
 """
 
 from __future__ import annotations
@@ -20,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, Instance, _decode, validate_instance, verify_solution
+from .model import BinaryImage, BlockType, Instance, _decode, validate_instance, verify_solution
 from .subsolvers import (
     SubInstance,
     fill_trivial,
@@ -75,7 +96,7 @@ class StripPermutation:
         for i in self.col_swapped:
             cols[i - 1], cols[i] = cols[i], cols[i - 1]
         # block values do not move, so the swapped instance keeps their views
-        return inst._with_line_sums(tuple(rows), tuple(cols))
+        return inst._with(row_sums=tuple(rows), col_sums=tuple(cols))
 
 
 def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
@@ -203,19 +224,67 @@ def _solve_checked(
     return perm, img, subs, grid
 
 
+_A11, _A12, _A21, _B33, _C11, _C12, _C21 = (
+    BlockType[name].value for name in ("A11", "A12", "A21", "B33", "C11", "C12", "C21")
+)
+
+
+def _unswap_table(mirror: list[int], first: tuple[int, int], second: tuple[int, int]) -> tuple:
+    """How a swapped strip's blocks un-swap and which class-6 slot each then lies in.
+
+    The mirror of B33 is kept as B33: it is B34, which class 7 flips back.
+    """
+    table = np.array(mirror, dtype=np.uint8)
+    table[_B33] = _B33
+    return table, np.isin(table, first), np.isin(table, second)
+
+
+# a row strip mirrors its blocks top to bottom, then reduces by horizontal
+# class 6 {A11, A12} + {C11, C12}; a column strip mirrors them left to right,
+# then reduces by vertical class 6 {A11, A21} + {C11, C21}
+_UNSWAP_ROW = _unswap_table([(c & 3) << 2 | c >> 2 for c in range(16)], (_A11, _A12), (_C11, _C12))
+_UNSWAP_COL = _unswap_table([(c & 5) << 1 | (c & 10) >> 1 for c in range(16)], (_A11, _A21), (_C11, _C21))
+
+
+def _unswap(strips: np.ndarray, mirror: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Swapped strips, one per row of `strips`, un-swapped and reduced.
+
+    Every block is mirrored; then class 6 moves the first n blocks of each
+    of its two slots, in position order and n the smaller slot count, to
+    their mirror once more, so those keep the code given.  `first` and
+    `second` mark the codes whose mirror lies in each slot.
+    """
+    first, second = first[strips], second[strips]
+    if not (first.any() and second.any()):  # no class-6 pair in any strip
+        return mirror[strips]
+    rank1, rank2 = first.cumsum(axis=1, dtype=np.int32), second.cumsum(axis=1, dtype=np.int32)
+    move = first & (rank1 <= rank2[:, -1:]) | second & (rank2 <= rank1[:, -1:])
+    return np.where(move, strips, mirror[strips])
+
+
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     """Reconstruct an image for an exact double-resolution instance.
 
     Returns None exactly when the instance is infeasible.  The returned
     image satisfies every constraint and admits no forward local switch.
+    It equals switches.reduce of the proper frame's solution with its
+    strips un-swapped, and is built from the proper frame's code grid in
+    the closed form the module docstring derives.
     """
     solved = _solve_checked(inst)
     if solved is None:
         return None
-    perm, img, _, _ = solved
-    # un-swapping a strip can flip a diagonal block or re-pair block types,
-    # so re-establish the no-forward-switch form on the final image
-    return switches.reduce(perm.apply_to_image(img))
+    perm, img, _, codes = solved
+    if not perm.row_swapped and not perm.col_swapped:
+        return img
+    # corner row or column 2s + 1 is strip s; the row pass goes first
+    if perm.row_swapped:
+        rows = np.fromiter(perm.row_swapped, np.intp, len(perm.row_swapped)) >> 1
+        codes[rows] = _unswap(codes[rows], *_UNSWAP_ROW)
+    if perm.col_swapped:
+        cols = np.fromiter(perm.col_swapped, np.intp, len(perm.col_swapped)) >> 1
+        codes[:, cols] = _unswap(codes[:, cols].T, *_UNSWAP_COL).T
+    return BinaryImage(_decode(codes))
 
 
 def check_unique(inst: Instance) -> Optional[bool]:

@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drtomo import cli, formats
-from drtomo.model import BinaryImage, make_exact_instance, random_image, verify_solution
+from drtomo.model import BinaryImage, make_exact_instance, perturb_instance, random_image, verify_solution
 
 from conftest import single_block_instance
 
@@ -101,6 +103,25 @@ class TestGenerators:
         noisy = formats.parse_instance((tmp_path / "noisy.nsr").read_text())
         assert noisy.epsilon == 1
         assert len(noisy.reliable) == 16 - 8
+
+    @pytest.mark.parametrize("eps, fraction", [(0, 0.5), (2, 0), (2, 0.3), (3, 1)])
+    def test_perturb_builds_no_view(self, tmp_path, monkeypatch, eps, fraction):
+        inst_path = write_inst(tmp_path, make_exact_instance(random_image(12, 8, 0.4, 5), 2))
+        seen = []  # the instances perturb_instance got and gave
+
+        def recorded(given, *args):
+            seen.extend((given, perturb_instance(given, *args)))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "perturb_instance", recorded)
+        out = tmp_path / "noisy.nsr"
+        argv = ["perturb", inst_path, "--eps", str(eps), "--fraction", str(fraction), "--seed", "4"]
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        # the tuple views are kept in an instance's __dict__ once built
+        assert len(seen) == 2 and all({"blocks", "reliable"}.isdisjoint(vars(x)) for x in seen)
+        parsed = formats.parse_instance(Path(inst_path).read_text())
+        want = perturb_instance(dataclasses.replace(parsed, epsilon=eps), fraction, 4)
+        assert out.read_text() == formats.write_instance(want)
 
 
     @pytest.mark.parametrize(

@@ -360,6 +360,31 @@ class TestAgainstReference:
         inst = dataclasses.replace(inst, reliable=inst.reliable | extra)
         assert write_instance(inst) == ref.write_instance(inst)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 10, 15, 16, 17])
+    def test_write_instance_matches_reference_for_every_k(self, k):
+        # k = 16 and 17 hold their values in int64; mixed, no and all `?` marks
+        rng = np.random.default_rng(k)
+        for fraction in (0, 0.5, 1):
+            bh, bw = rng.integers(1, 7, size=2).tolist()
+            grid = rng.integers(0, k * k + 1, size=(bh, bw))
+            grid.flat[[0, -1]] = k * k, 0
+            marks = rng.random((bh, bw)) >= fraction
+            inst = Instance(
+                k=k, epsilon=3, m=k * bw, n=k * bh,
+                row_sums=tuple(rng.integers(0, k * bw + 1, k * bh).tolist()),
+                col_sums=tuple(rng.integers(0, k * bh + 1, k * bw).tolist()),
+                blocks=tuple(map(tuple, grid.tolist())),
+                reliable=frozenset((k * bu + 1, k * bv + 1) for bv, bu in zip(*np.nonzero(marks))),
+            )
+            assert write_instance(inst) == ref.write_instance(inst)
+
+    @pytest.mark.parametrize("blocks", [((5, 0),), ((-1, 0),), ((0, 2**70),), ((0,), (0, 1))])
+    def test_write_instance_rejects_what_it_cannot_write(self, blocks):
+        inst = Instance(k=2, epsilon=0, m=4, n=2 * len(blocks), row_sums=(0,) * 2 * len(blocks),
+                        col_sums=(0,) * 4, blocks=blocks, reliable=frozenset())
+        with pytest.raises(ValueError, match=r"outside \[0, 4\] or a ragged block grid"):
+            write_instance(inst)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32))
     def test_write_image_matches_reference(self, m, n, seed):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drtomo import solver, switches
 from drtomo.formats import write_image
 from drtomo.model import (
     BinaryImage,
@@ -348,6 +349,77 @@ class TestSolveDr:
         inst = single_block_instance(1, (1, 0), (1, 0), epsilon=1)
         with pytest.raises(ValueError):
             solve_dr(inst)
+
+
+class TestClosedFormUnswap:
+    """solve_dr's closed-form un-swap equals reduce of the un-swapped proper-frame image."""
+
+    @pytest.fixture
+    def closed_form(self, monkeypatch):
+        """A check of one instance that returns its strip permutation."""
+        seen = []  # solve_dr's own proper-frame solution, recorded as it runs
+        monkeypatch.setattr(solver, "_solve_checked", lambda inst: seen.append(_solve_checked(inst)) or seen[-1])
+
+        def check(inst, reference=True):
+            got = solve_dr(inst)
+            perm, img, _, _ = seen.pop()
+            assert np.array_equal(got.a, switches.reduce(perm.apply_to_image(img)).a)
+            if reference:
+                assert write_image(got) == write_image(ref.solve_dr(inst))
+            return perm
+
+        return check
+
+    def test_every_4x4_instance_with_a_swapped_strip(self, closed_form):
+        # all 65536 images, with bit 4r + c as cell (c + 1, r + 1); one image per instance
+        a = (np.arange(1 << 16)[:, None] >> np.arange(16) & 1).astype(np.uint8).reshape(-1, 4, 4)
+        rows, cols = a.sum(axis=2), a.sum(axis=1)
+        blocks = a.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4)).reshape(-1, 4)
+        swapped = (rows[:, 0::2] < rows[:, 1::2]).any(axis=1) | (cols[:, 0::2] < cols[:, 1::2]).any(axis=1)
+        keys = np.concatenate((rows, cols, blocks), axis=1)[swapped]
+        _, first = np.unique(keys, axis=0, return_index=True)
+        assert len(first) > 20000
+        for x in np.flatnonzero(swapped)[first]:
+            perm = closed_form(make_exact_instance(BinaryImage(a[x]), 2), reference=False)
+            assert perm.row_swapped or perm.col_swapped
+
+    def test_calls_neither_reduce_nor_the_image_unswap(self, monkeypatch):
+        def called(*args):
+            raise AssertionError("solve_dr ran a whole-image post-pass")
+
+        monkeypatch.setattr(switches, "reduce", called)
+        monkeypatch.setattr(StripPermutation, "apply_to_image", called)
+        inst = make_exact_instance(random_image(40, 24, 0.4, 1), 2)
+        _, perm = properize(inst)
+        assert perm.row_swapped and perm.col_swapped
+        assert verify_solution(inst, solve_dr(inst)).satisfied
+
+    def test_random_rectangles(self, closed_form):
+        rng = random.Random(15)
+        for seed in range(300):
+            m, n = 2 * rng.randint(1, 20), 2 * rng.randint(1, 20)
+            img = random_image(m, n, rng.uniform(0.1, 0.9), seed)
+            closed_form(make_exact_instance(img, 2))
+
+    @pytest.mark.parametrize("heavy", [(), ("B1", "B2", "B31")])
+    def test_mirrored_phantoms(self, heavy, closed_form):
+        # a proper phantom flipped top to bottom swaps every unbalanced row
+        # strip and no column strip; flipped left to right, the other way round
+        tiles = list(BlockType)
+        weights = [6 if t.name in heavy else 1 for t in tiles]
+        rng = random.Random(len(heavy))
+        kinds = Counter()
+        for seed in range(40):
+            m, n = 2 * rng.randint(4, 16), 2 * rng.randint(4, 16)
+            corners = [(i, j) for i in range(1, m, 2) for j in range(1, n, 2)]
+            types = dict(zip(corners, rng.choices(tiles, weights, k=len(corners))))
+            phantom = image_of_types(types, m, n)
+            _, perm = properize(make_exact_instance(phantom, 2))
+            a = perm.apply_to_image(phantom).a
+            for flipped in (a, a[::-1], a[:, ::-1], a[::-1, ::-1]):
+                perm = closed_form(make_exact_instance(BinaryImage(flipped), 2))
+                kinds[bool(perm.row_swapped), bool(perm.col_swapped)] += 1
+        assert kinds[False, False] and kinds[True, False] and kinds[False, True] and kinds[True, True]
 
 
 class TestCheckUnique:
