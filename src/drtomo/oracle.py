@@ -87,7 +87,9 @@ class SearchBudget:
                 raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
-@lru_cache(maxsize=8)
+# room for the 26 board shapes of the gadget parsimony sweep (about 20 MB
+# together), so a sweep that revisits a shape does not rebuild its layout
+@lru_cache(maxsize=32)
 def _layout(k: int, m: int, n: int) -> tuple[tuple[Sequence[int], ...], np.ndarray, np.ndarray]:
     """The groups of a k-block m x n grid: per group, per cell, and their sizes.
 

@@ -43,7 +43,30 @@ values of its blocks' BlockTypes (bit dx + 2*dy holds cell (dx, dy)):
 - `tv_descend` scores a move by the change of total variation over the
   gradient sites that read one of its at most 8 changed cells.  A site
   (p, q) reads cells (p, q), (p+1, q) and (p, q+1), so every other site
-  keeps its value and the local difference is the exact global one.
+  keeps its value and the local difference is the exact global one.  A
+  block's sites, its own four plus the two left of and the two below it,
+  read only the blocks of its 3x3 neighbourhood.
+  - The descent keeps a candidate table: each strip's least improving
+    move over classes 1 to 6 of both directions, and for a horizontal
+    strip also over the class-7 flips of its blocks.  A step takes the
+    table's least entry, refreshes the single differences of the blocks
+    in the 3x3 neighbourhood of each moved block (u, v), and re-scores
+    the strips through them, rows v-1 to v+1 and columns u-1 to u+1.  No
+    block of another strip has a site that reads a changed cell, so every
+    other entry stays exact.
+  - Moves compare by their exact difference (an integer key of a +
+    b*sqrt(2)), then in the scan order of find_switch over both
+    directions: forward before reversed; classes 1 to 6, then 7;
+    horizontal strips bottom to top before vertical strips left to
+    right; pairs (p1 < p2) in lexicographic order; class 7 row by row.
+    That is the first least move of a full rescan.
+  - Re-scoring a strip of len blocks takes O(len) per rule.  A pair of
+    non-neighbours scores the sum of its two single differences, so each
+    block is met with the best block of the other slot at least two
+    positions before it, a running minimum; the at most len - 1
+    neighbour pairs are scored on their own.  A step on an N x N image
+    thus costs O(N), but steepest descent takes about 4x the steps per
+    doubling of N, so the descent as a whole is not linear.
 """
 
 from __future__ import annotations
@@ -363,89 +386,281 @@ def tv(img: BinaryImage) -> TVValue:
     return TVValue(a=int(nx_.sum()) + int(ny_.sum()) - 2 * both, b=both)
 
 
-class _LocalTV:
-    """Bits as nested lists, and exact TV differences of block rewrites.
+# An exact, additive integer key for a + b*sqrt(2): a*_KA + b*_KB orders
+# integer pairs as their real values do while |a| and |b| stay within 64.
+# _KB is sqrt(2) * 2**32 to within 2049, and a nonzero a + b*sqrt(2) is at
+# least 1 / (64 * (1 + sqrt(2))) away from 0, which 2**32 times outweighs
+# 64 * 2049; a move changes at most 14 sites.  _KA is a multiple of 4096
+# and _KB is 1 modulo 4096, so b is the key's residue and the key decodes.
+_KA = 1 << 32
+_KB = round(2 ** 0.5 * (1 << 20)) << 12 | 1
 
-    A block's sites are the gradient sites that read one of its cells:
-    its own four plus the two left of and the two below it.  The sites of
-    two blocks of one strip read disjoint cells unless the blocks are
-    neighbours, so a pair's difference is the sum of its blocks' single
-    differences except for neighbours, which are scored on the union of
-    their sites.  Single differences are cached until a rewrite touches
-    the block's 3x3 neighbourhood.  Blocks are given as corners and codes.
+
+def _unkey(key: int) -> tuple[int, int]:
+    b = (key + 2048 & 4095) - 2048
+    return (key - b * _KB) // _KA, b
+
+
+def _site_key(own: int, right: int, up: int) -> int:
+    """Key of the gradient site at a cell, from the trits of the cell, the
+    cell to its right and the cell above it; trit 2 marks a cell outside
+    the image, where no site lies and no difference is taken."""
+    if own == 2:
+        return 0
+    gx, gy = right not in (2, own), up not in (2, own)
+    return _KB if gx and gy else _KA if gx or gy else 0
+
+
+_SITE = np.array([_site_key(own, right, up) for own in range(3) for right in range(3) for up in range(3)])
+
+
+def _site_table(sites, width: int) -> np.ndarray:
+    """Keyed TV of some sites of a block, [context, code].
+
+    A site lists its (own, right, up) cells as 0-3 for bit i of the
+    block's code or 4 + j for trit j of the context, and a context indexes
+    its width trits in base 3, the first most significant.
+    """
+    ctx = np.indices((3,) * width).reshape(width, -1, 1)
+    cells = list(np.arange(16) >> np.arange(4)[:, None] & 1) + list(ctx)
+    return sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites)
+
+
+# The eight sites of the block whose bottom-left cell is (c, r), in three
+# groups by the cells around it that they read: its own four sites read
+# (c+2, r), (c+2, r+1), (c, r+2) and (c+1, r+2); the two left of it read
+# (c-1, r), (c-1, r+1) and (c-1, r+2); the two below it read (c, r-1),
+# (c+1, r-1) and (c+2, r-1).
+_RIGHT_UP = _site_table([(0, 1, 2), (1, 4, 3), (2, 3, 6), (3, 5, 7)], 4)
+_LEFT = _site_table([(4, 0, 5), (5, 2, 6)], 3)
+_BELOW = _site_table([(4, 5, 0), (5, 6, 1)], 3)
+_RIGHT_UP_L, _LEFT_L, _BELOW_L = _RIGHT_UP.tolist(), _LEFT.tolist(), _BELOW.tolist()
+
+
+class _LocalTV:
+    """Exact TV differences of block rewrites, kept per block.
+
+    The image is held as trits with a frame of 2s (see _SITE), and blocks
+    as (u, v) code-grid positions.  A block's sites are the gradient sites
+    that read one of its cells: its own four plus the two left of and the
+    two below it.  totals[v][u][t] is the keyed TV of those sites with the
+    block rewritten to code t, so a single rewrite differs by totals[t] -
+    totals[code]: no other site reads the block.  Those sites read only the
+    block's 3x3 neighbourhood, so a rewrite refreshes the totals there.
+    Two blocks of one strip that are not neighbours share no site and no
+    site reads both, so a pair's difference is the sum of its singles; a
+    neighbour pair is the first rewrite followed by the second one's
+    difference in the rewritten image, cached per pair until a rewrite
+    touches either block's neighbourhood.
     """
 
     def __init__(self, img: BinaryImage):
-        self.x = img.a.tolist()  # x[q-1][p-1]
-        self.m, self.n = img.m, img.n
-        self.cache: dict[Corner, dict[int, tuple[int, int]]] = {}
+        n, m = img.a.shape
+        e = np.full((n + 2, m + 2), 2, dtype=np.intp)
+        e[1:-1, 1:-1] = img.a
 
-    @staticmethod
-    def _sites(corner: Corner) -> list[tuple[int, int]]:
-        c, r = corner[0] - 1, corner[1] - 1
-        sites = [(c, r), (c + 1, r), (c, r + 1), (c + 1, r + 1)]
-        if c:
-            sites += [(c - 1, r), (c - 1, r + 1)]
-        if r:
-            sites += [(c, r - 1), (c + 1, r - 1)]
-        return sites
+        def context(*cells):
+            """Base-3 index of the trits at offsets (dr, dc) from every block's bottom-left cell."""
+            index = 0
+            for dr, dc in cells:
+                index = index * 3 + e[1 + dr : n + 1 + dr : 2, 1 + dc : m + 1 + dc : 2]
+            return index
 
-    def _count(self, sites) -> tuple[int, int]:
-        x, last_c, last_r = self.x, self.m - 1, self.n - 1
-        a = b = 0
-        for c, r in sites:
-            bit = x[r][c]
-            gx = c < last_c and x[r][c + 1] != bit
-            gy = r < last_r and x[r + 1][c] != bit
-            if gx and gy:
-                b += 1
-            elif gx or gy:
-                a += 1
-        return a, b
+        self.totals = (
+            _RIGHT_UP[context((0, 2), (1, 2), (2, 0), (2, 1))]
+            + _LEFT[context((0, -1), (1, -1), (2, -1))]
+            + _BELOW[context((-1, 0), (-1, 1), (-1, 2))]
+        ).tolist()
+        self.e = e.tolist()
+        self.codes = _codes(img.a).tolist()
+        self.pairs: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
-    def _write(self, corner: Corner, code: int) -> None:
-        c, r = corner[0] - 1, corner[1] - 1
-        low, high = self.x[r], self.x[r + 1]
+    def _tables(self, u: int, v: int) -> tuple[list[int], list[int], list[int]]:
+        """The block's rows of _RIGHT_UP, _LEFT and _BELOW; totals are their sums."""
+        e, c, r = self.e, 2 * u + 1, 2 * v + 1
+        below, low, high, above = e[r - 1], e[r], e[r + 1], e[r + 2]
+        return (
+            _RIGHT_UP_L[((low[c + 2] * 3 + high[c + 2]) * 3 + above[c]) * 3 + above[c + 1]],
+            _LEFT_L[(low[c - 1] * 3 + high[c - 1]) * 3 + above[c - 1]],
+            _BELOW_L[(below[c] * 3 + below[c + 1]) * 3 + below[c + 2]],
+        )
+
+    def _write(self, u: int, v: int, code: int) -> None:
+        c, r = 2 * u + 1, 2 * v + 1
+        low, high = self.e[r], self.e[r + 1]
         low[c], low[c + 1] = code & 1, code >> 1 & 1
         high[c], high[c + 1] = code >> 2 & 1, code >> 3
 
-    def _delta(self, corners, sources, targets, sites) -> tuple[int, int]:
-        a0, b0 = self._count(sites)
-        for corner, code in zip(corners, targets):
-            self._write(corner, code)
-        a1, b1 = self._count(sites)
-        for corner, code in zip(corners, sources):
-            self._write(corner, code)
-        return a1 - a0, b1 - b0
+    def single(self, u: int, v: int, target: int) -> int:
+        totals = self.totals[v][u]
+        return totals[target] - totals[self.codes[v][u]]
 
-    def _single(self, corner: Corner, src: int, tgt: int) -> tuple[int, int]:
-        per_target = self.cache.setdefault(corner, {})
-        if tgt not in per_target:
-            per_target[tgt] = self._delta((corner,), (src,), (tgt,), self._sites(corner))
-        return per_target[tgt]
+    def neighbours(self, o: int, u: int, v: int, first: int, second: int) -> int:
+        """Key of rewriting (u, v) to first and the next block of its
+        orientation-o strip, (u+1, v) or (u, v+1), to second."""
+        per_targets = self.pairs.setdefault((u, v, o), {})
+        key = per_targets.get((first, second))
+        if key is None:
+            u2, v2 = (u + 1, v) if o == 0 else (u, v + 1)
+            now = self.codes[v2][u2]
+            self._write(u, v, first)
+            right_up, left, below = self._tables(u2, v2)
+            self._write(u, v, self.codes[v][u])
+            key = per_targets[first, second] = (
+                self.single(u, v, first)
+                + right_up[second] + left[second] + below[second]
+                - (right_up[now] + left[now] + below[now])
+            )
+        return key
 
     def delta(self, corners, sources, targets) -> tuple[int, int]:
-        """TV(after the rewrite) - TV(now), as (a, b) counts."""
-        if len(corners) == 1:
-            return self._single(corners[0], sources[0], targets[0])
-        (i1, j1), (i2, j2) = corners
-        if abs(i1 - i2) + abs(j1 - j2) == 2:  # neighbours in the strip
-            sites = dict.fromkeys(self._sites(corners[0]) + self._sites(corners[1]))
-            return self._delta(corners, sources, targets, sites)
-        a1, b1 = self._single(corners[0], sources[0], targets[0])
-        a2, b2 = self._single(corners[1], sources[1], targets[1])
-        return a1 + a2, b1 + b2
+        """TV(after the rewrite) - TV(now), as (a, b) counts; sources are
+        the blocks' current codes."""
+        (u1, v1), *rest = [(i // 2, j // 2) for i, j in corners]
+        key = self.single(u1, v1, targets[0])
+        if rest:
+            (u2, v2), = rest
+            if abs(u1 - u2) + abs(v1 - v2) == 1:
+                key = self.neighbours(int(u1 == u2), u1, v1, *targets)
+            else:
+                key += self.single(u2, v2, targets[1])
+        return _unkey(key)
 
-    def apply(self, corners, targets) -> None:
-        for i, j in corners:
-            for di in (-2, 0, 2):
-                for dj in (-2, 0, 2):
-                    self.cache.pop((i + di, j + dj), None)
-        for corner, code in zip(corners, targets):
-            self._write(corner, code)
+    def apply(self, corners, targets) -> set[tuple[int, int]]:
+        """Rewrite the blocks; the blocks whose totals were refreshed."""
+        blocks = [(i // 2, j // 2) for i, j in corners]
+        for (u, v), code in zip(blocks, targets):
+            self._write(u, v, code)
+            self.codes[v][u] = code
+        h, w = len(self.codes), len(self.codes[0])
+        near = {
+            (a, b)
+            for u, v in blocks
+            for a in range(max(u - 1, 0), min(u + 2, w))
+            for b in range(max(v - 1, 0), min(v + 2, h))
+        }
+        for a, b in near:
+            self.totals[b][a] = [x + y + z for x, y, z in zip(*self._tables(a, b))]
+            for key in ((a, b, 0), (a - 1, b, 0), (a, b, 1), (a, b - 1, 1)):
+                self.pairs.pop(key, None)
+        return near
 
     def image(self) -> BinaryImage:
-        return BinaryImage(np.array(self.x, dtype=np.uint8))
+        return BinaryImage(np.array(self.e, dtype=np.uint8)[1:-1, 1:-1])
+
+
+# _ROLES[o][c]: (rule, slot A target, slot B target) for each rule of
+# orientation o that code c takes part in: rule 6*d + k is class k + 1 of
+# direction d (forward 0), rule 12 + d the class-7 flip, which horizontal
+# strips carry; None for a slot without c
+_ROLES = [
+    [
+        tuple(
+            (6 * d + k, a.get(c), b.get(c))
+            for d, direction in enumerate((FORWARD, REVERSED))
+            for k, (a, b) in enumerate(_CODED[direction][o])
+            if c in a or c in b
+        )
+        + tuple(
+            (12 + d, _CODED7[direction][c], None)
+            for d, direction in enumerate((FORWARD, REVERSED))
+            if o == 0 and c in _CODED7[direction]
+        )
+        for c in range(16)
+    ]
+    for o in (0, 1)
+]
+# rules in tv_descend's choice order: forward classes 1 to 7, then reversed
+_RULE_ORDER = (0, 1, 2, 3, 4, 5, 12, 6, 7, 8, 9, 10, 11, 13)
+# a strip's least improving move, or this: keys below 0 sort before it
+_NO_MOVE = (0,)
+
+
+def _members(o: int, p: int, code: int, totals: list[int]) -> tuple:
+    """(rule, member) for each rule of orientation o that a block at
+    position p of its strip takes part in; a member is (p, slot A key,
+    slot A target, slot B key, slot B target), with None for a slot
+    without the block's code."""
+    now = totals[code]
+    return tuple(
+        (rule, (p, None if a is None else totals[a] - now, a, None if b is None else totals[b] - now, b))
+        for rule, a, b in _ROLES[o][code]
+    )
+
+
+def _best_pair(local: _LocalTV, o: int, s: int, members: list) -> tuple:
+    """Least (key, p1, p2, targets) over the pairs of one rule in a strip.
+
+    members are the rule's members in the strip, by position.  As in
+    _pairs, a block of slot A comes first in a pair, then one of slot B,
+    unless the first block is in slot B only.  A pair of non-neighbours
+    scores the sum of its singles, so each block as second meets the best
+    first block before the previous member (the smallest position on
+    ties) and the previous member itself, which _LocalTV.neighbours
+    scores when it is the block's neighbour.
+    """
+    best = _NO_MOVE
+    first_a = first_b = None  # best (key, p, target) in slot A, in slot B only, before last
+    last = None
+    for member in members:
+        p, key_a, target_a, key_b, target_b = member
+        # a pair's tuple is built only when its key can win
+        if key_b is not None and first_a is not None and first_a[0] + key_b <= best[0]:
+            found = (first_a[0] + key_b, first_a[1], p, (first_a[2], target_b))
+            if found < best:
+                best = found
+        if key_a is not None and first_b is not None and first_b[0] + key_a <= best[0]:
+            found = (first_b[0] + key_a, first_b[1], p, (first_b[2], target_a))
+            if found < best:
+                best = found
+        if last is not None:
+            q, last_a, last_ta, last_b, last_tb = last
+            if last_a is not None and key_b is not None:
+                key, targets = last_a + key_b, (last_ta, target_b)
+            elif last_a is None and key_a is not None:
+                key, targets = last_b + key_a, (last_tb, target_a)
+            else:
+                targets = None
+            if targets is not None:
+                if q == p - 1:
+                    u, v = (q, s) if o == 0 else (s, q)
+                    key = local.neighbours(o, u, v, *targets)
+                # earlier candidates all start before q, so this one wins only on its key
+                if key < best[0]:
+                    best = (key, q, p, targets)
+            if last_a is not None:
+                if first_a is None or last_a < first_a[0]:
+                    first_a = (last_a, q, last_ta)
+            elif first_b is None or last_b < first_b[0]:
+                first_b = (last_b, q, last_tb)
+        last = member
+    return best
+
+
+def _strip_best(local: _LocalTV, o: int, s: int, strip: list) -> tuple:
+    """The strip's least improving move as (key, direction, class index,
+    o, s, p1, p2, targets), or _NO_MOVE; tuples order as tv_descend
+    chooses (class index 6 is class 7, with p2 = -1).  strip holds the
+    _members of the strip's blocks."""
+    members: list[list] = [[] for _ in range(14)]
+    for block in strip:
+        for rule, member in block:
+            members[rule].append(member)
+    # rules come in choice order, so a later one must be strictly less
+    best = _NO_MOVE
+    for rule in _RULE_ORDER:
+        found = members[rule]
+        if rule >= 12:
+            d = rule - 12
+            for p, key, target, _, _ in found:
+                if key < best[0]:
+                    best = (key, d, 6, 0, s, p, -1, (target,))
+        elif len(found) > 1:
+            found = _best_pair(local, o, s, found)
+            if found[0] < best[0]:
+                key, p1, p2, targets = found
+                best = (key, rule // 6, rule % 6, o, s, p1, p2, targets)
+    return best
 
 
 def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
@@ -454,31 +669,42 @@ def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
     Both rewrite directions preserve the constraints, so every step keeps
     the image a solution; ties break toward the scan order and the loop
     stops at the first local optimum.  A 2x2 rewrite keeps the k x k block
-    sums only when 2x2 blocks tile each k-block, so k must be even.
+    sums only when 2x2 blocks tile each k-block, so k must be even.  Each
+    strip keeps its least improving move, and a step re-scores only the
+    strips of the blocks whose sites it changed (module docstring).
     """
     if inst.k % 2:
         raise ValueError(f"switch descent needs an even block size k, got k={inst.k}")
     if not verify_solution(inst, img).satisfied:
         raise ValueError("input image does not solve the instance")
     local = _LocalTV(img)
-    grid = _codes(img.a).tolist()
+    codes, totals = local.codes, local.totals
+    # strips[o][s][p]: the _members of block p of row (o = 0) or column s
+    strips = (
+        [[_members(0, u, c, t) for u, (c, t) in enumerate(zip(*row))] for row in zip(codes, totals)],
+        [[_members(1, v, c, t) for v, (c, t) in enumerate(zip(*column))] for column in zip(zip(*codes), zip(*totals))],
+    )
+    best = {(o, s): _strip_best(local, o, s, strip) for o in (0, 1) for s, strip in enumerate(strips[o])}
     current_tv = tv(img)
     steps = 0
     while True:
-        best = None
-        for direction in (FORWARD, REVERSED):
-            for found in _scan(grid, direction):
-                da, db = local.delta(*found[2:])
-                if _sign(da, db) < 0 and (best is None or _sign(da - best[0], db - best[1]) < 0):
-                    best = (da, db, direction, found)
-        if best is None:
+        move = min(best.values(), default=_NO_MOVE)
+        if move == _NO_MOVE:
             return local.image() if steps else img
-        da, db, direction, found = best
-        _, _, corners, _, targets = found
-        local.apply(corners, targets)
-        for (i, j), code in zip(corners, targets):
-            grid[j // 2][i // 2] = code
+        key, d, k, o, s, p1, p2, targets = move
+        blocks = [(p, s) if o == 0 else (s, p) for p in (p1, p2)[: len(targets)]]
+        corners = tuple((2 * u + 1, 2 * v + 1) for u, v in blocks)
+        sources = tuple(codes[v][u] for u, v in blocks)
+        dirty = set()
+        for u, v in local.apply(corners, targets):
+            strips[0][v][u] = _members(0, u, codes[v][u], totals[v][u])
+            strips[1][u][v] = _members(1, v, codes[v][u], totals[v][u])
+            dirty.update(((0, v), (1, u)))
+        for strip in dirty:
+            best[strip] = _strip_best(local, *strip, strips[strip[0]][strip[1]])
+        da, db = _unkey(key)
         current_tv = TVValue(current_tv.a + da, current_tv.b + db)
         steps += 1
         if on_step is not None:
-            on_step(_switch_move(direction, found), current_tv)
+            direction = (FORWARD, REVERSED)[d]
+            on_step(_switch_move(direction, (k + 1, _ORIENTATIONS[o], corners, sources, targets)), current_tv)

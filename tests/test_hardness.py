@@ -409,3 +409,21 @@ class TestParsimony:
         sols, exhausted = oracle_solve(gen_sat_instance(sat))
         assert exhausted
         assert sorted(extract_assignment(spec, img) for img in sols) == _satisfying(sat)
+
+
+def test_layout_cache_keeps_every_parsimony_shape():
+    """Each board shape of the TestParsimony sweep builds its oracle layout once."""
+    from drtomo import oracle
+
+    sizes = [(3, 1), (3, 2), (4, 1), (4, 2)] + [(T, S) for T in range(5, 9) for S in range(2, 5)]
+    boards = [gen_sat_instance(next(_formulas(T, S))) for T, S in sizes]
+    boards += [lift_instance(gen_sat_instance(sat), k) for sat in FEW for k in (3, 4)]
+    shapes = {(b.k, b.m, b.n) for b in boards}
+    assert len(shapes) == 26
+    oracle._layout.cache_clear()
+    budget = SearchBudget(max_nodes=1)
+    for _ in range(2):
+        for board in boards:
+            oracle_count(board, budget)
+    info = oracle._layout.cache_info()
+    assert (info.misses, info.currsize) == (len(shapes), len(shapes))

@@ -16,14 +16,20 @@ from drtomo.model import (
     random_image,
     verify_solution,
 )
+from drtomo.solver import solve_dr
 from drtomo.switches import (
     FORWARD,
     REVERSED,
     SwitchMove,
     TVValue,
+    _CODED,
     _H_RULES,
+    _KA,
+    _KB,
     _V_RULES,
     _LocalTV,
+    _sign,
+    _unkey,
     all_switches,
     apply_switch,
     find_switch,
@@ -33,6 +39,7 @@ from drtomo.switches import (
     tv_descend,
 )
 
+import tv_reference
 from switch_reference import reduce_by_steps, tv_descend_full
 
 T = BlockType
@@ -435,3 +442,145 @@ class TestDescentMatchesFullRecompute:
             ref = tv_descend_full(inst, img, on_step=lambda mv, t: full.append((mv, t)))
             assert fast == full
             assert out == ref
+
+
+def descend_like_reference(inst, img) -> list:
+    """tv_descend's steps, after checking them and its output against tests/tv_reference.py."""
+    ref, fast = [], []
+    want = tv_reference.tv_descend(inst, img, on_step=lambda mv, t: ref.append((mv, t)))
+
+    def step(mv, t):
+        # fail at the first step that differs, before a wrong descent can cycle
+        assert len(fast) < len(ref) and (mv, t) == ref[len(fast)]
+        fast.append((mv, t))
+
+    out = tv_descend(inst, img, on_step=step)
+    assert fast == ref
+    assert out == want
+    return fast
+
+
+class TestDescentMatchesReference:
+    def test_solve_dr_outputs_of_random_rectangles(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            m, n = rng.sample(range(2, 49, 2), 2)
+            img = random_image(m, n, rng.uniform(0.1, 0.9), rng.randrange(2**31))
+            inst = make_exact_instance(img, 2)
+            descend_like_reference(inst, solve_dr(inst))
+
+    def test_raw_random_images(self):
+        # the inputs of acceptance criterion 8
+        for seed in range(100):
+            img = random_image(20, 20, 0.4, seed)
+            descend_like_reference(make_exact_instance(img, 2), img)
+
+    @settings(max_examples=300, deadline=None)
+    @given(type_images(_WEIGHTED))
+    def test_class_six_and_seven_interleave(self, img):
+        descend_like_reference(make_exact_instance(img, 2), img)
+
+
+def grid_image(rows) -> BinaryImage:
+    """Image from rows of BlockType names, the bottom row first."""
+    types = {(2 * u + 1, 2 * v + 1): T[name] for v, row in enumerate(rows) for u, name in enumerate(row)}
+    return image_of_types(types, 2 * len(rows[0]), 2 * len(rows))
+
+
+def least_moves(img) -> list[tuple]:
+    """(direction, class, orientation, corners) of the moves that lower TV
+    the most, in scan order of the forward, then the reversed moves."""
+    after = [(tv(apply_switch(img, mv)), mv) for d in (FORWARD, REVERSED) for mv in all_switches(img, d)]
+    least = min((t for t, _ in after), default=None)
+    if least is None or not least < tv(img):
+        return []
+    return [(mv.direction, mv.cls, mv.orientation, mv.corners) for t, mv in after if t == least]
+
+
+def first_step(img) -> tuple:
+    steps = descend_like_reference(make_exact_instance(img, 2), img)
+    mv = steps[0][0]
+    return mv.direction, mv.cls, mv.orientation, mv.corners
+
+
+class TestDescentTies:
+    """Hand-built images whose steepest moves tie; the first in scan order wins."""
+
+    @pytest.mark.parametrize(
+        "rows, chosen, tied",
+        [
+            # forward before reversed
+            ([["B34", "C22", "A21"]], (FORWARD, 7, "horizontal", ((1, 1),)),
+             (REVERSED, 6, "horizontal", ((3, 1), (5, 1)))),
+            # classes in order, class 7 last
+            ([["B2", "C12", "B33"]], (REVERSED, 4, "horizontal", ((3, 1), (5, 1))),
+             (REVERSED, 7, "horizontal", ((5, 1),))),
+            # horizontal before vertical
+            ([["B33", "C12"], ["C21", "EMPTY"]], (REVERSED, 4, "horizontal", ((1, 1), (3, 1))),
+             (REVERSED, 4, "vertical", ((1, 1), (1, 3)))),
+            # horizontal strips bottom to top
+            ([["C11", "A12", "C22", "A21"], ["EMPTY", "A21", "C22", "C11"]],
+             (REVERSED, 6, "horizontal", ((5, 1), (7, 1))), (REVERSED, 6, "horizontal", ((3, 3), (5, 3)))),
+            # vertical strips left to right
+            ([["B1", "B33", "B33"], ["B32", "B33", "B33"]],
+             (REVERSED, 3, "vertical", ((3, 1), (3, 3))), (REVERSED, 3, "vertical", ((5, 1), (5, 3)))),
+            # class 7 row by row
+            ([["B34", "C11"], ["B1", "B34"]], (FORWARD, 7, "horizontal", ((1, 1),)),
+             (FORWARD, 7, "horizontal", ((3, 3),))),
+            # a pair of non-neighbours before a neighbour pair that ties with it
+            ([["C21", "C21", "B33"]], (REVERSED, 5, "horizontal", ((1, 1), (5, 1))),
+             (REVERSED, 5, "horizontal", ((3, 1), (5, 1)))),
+            # a neighbour pair before a pair of non-neighbours that ties with it
+            ([["B33", "B33", "FULL", "B34", "B33"]], (REVERSED, 3, "horizontal", ((1, 1), (3, 1))),
+             (REVERSED, 3, "horizontal", ((1, 1), (9, 1)))),
+        ],
+    )
+    def test_first_of_the_tied_moves(self, rows, chosen, tied):
+        img = grid_image(rows)
+        least = least_moves(img)
+        assert least[0] == chosen and tied in least
+        assert first_step(img) == chosen
+
+    def test_best_blocks_of_the_two_slots_are_neighbours(self):
+        # reversed class 5 reads C21/C22 (slot A) and B33 (slot B): the best
+        # single of each slot sits at positions 2 and 1, so the best pair of
+        # non-neighbours takes the next best slot-A block instead
+        img = grid_image([["EMPTY", "B33", "C21", "C22"]])
+        slot_a, slot_b = _CODED[REVERSED][0][4]
+
+        def best_position(slot) -> int:
+            rewritten = {}
+            for u in range(4):
+                code = classify_block(img, (2 * u + 1, 1)).value
+                if code in slot:
+                    a = img.mutable()
+                    a[0:2, 2 * u : 2 * u + 2] = [[slot[code] >> dx + 2 * dy & 1 for dx in (0, 1)] for dy in (0, 1)]
+                    rewritten[u] = tv(BinaryImage(a))
+            return min(rewritten, key=rewritten.get)
+
+        assert (best_position(slot_a), best_position(slot_b)) == (2, 1)
+        chosen = (REVERSED, 5, "horizontal", ((3, 1), (7, 1)))
+        assert least_moves(img) == [chosen]
+        assert first_step(img) == chosen
+
+
+class TestLocalTVTables:
+    def test_key_orders_and_decodes_exactly(self):
+        for a in range(-64, 65):
+            for b in range(-64, 65):
+                key = a * _KA + b * _KB
+                assert (key > 0) - (key < 0) == _sign(a, b), (a, b)
+                assert _unkey(key) == (a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(even_images)
+    def test_seeded_singles_are_exact(self, img):
+        local = _LocalTV(img)
+        base = tv(img)
+        for v in range(img.n // 2):
+            for u in range(img.m // 2):
+                for code in range(16):
+                    a = img.mutable()
+                    a[2 * v : 2 * v + 2, 2 * u : 2 * u + 2] = [[code >> dx + 2 * dy & 1 for dx in (0, 1)] for dy in (0, 1)]
+                    after = tv(BinaryImage(a))
+                    assert _unkey(local.single(u, v, code)) == (after.a - base.a, after.b - base.b)
