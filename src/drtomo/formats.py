@@ -6,11 +6,12 @@ token may end in one `?`, which marks the block unreliable.  Anything else
 that Python's `int()` would take, such as `1_0` or non-ASCII digits, is a
 `FormatError` naming its line.
 
-Each section of a document is checked and converted as a whole: one
-pattern match or array test over its tokens, one numeric conversion, and
-one array operation that reads the `?` marks; a rejected section is
-walked token by token only to name its first error.  Writers build each
-section from the arrays in the same way.
+Each section of a document is checked and converted as a whole, and a
+rejected section is walked token by token only to name its first error.
+The block section is read as bytes: one `bytes.translate` codes them, a
+table of byte pairs checks the grammar and finds every token's end, and
+array operations read the values and the `?` marks off those ends.
+Writers build each section from the arrays in the same way.
 
 Raster files are written top row first, so file raster row 1 holds image
 row q = n; the Cartesian flip happens here and only here.
@@ -18,6 +19,7 @@ row q = n; the Cartesian flip happens here and only here.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 
@@ -41,16 +43,42 @@ class FormatError(ValueError):
 # --------------------------------------------------------------------------
 
 _INT = re.compile(r"[+-]?[0-9]+")
-# A block section is tokens `[+-]?[0-9]+\??` joined by single spaces.  Framed
-# by one space on each side, it is exactly the ASCII text whose every byte
-# may follow the byte before it: a digit may follow a space, a sign or a
-# digit; a sign a space; a `?` a digit; a space a digit or a `?`.
-_DIGIT, _SIGN, _MARK, _SPACE = 1, 2, 3, 4  # byte kinds; 0 is any other byte
-_KIND = np.zeros(256, dtype=np.uint8)
-_KIND[np.frombuffer(b"0123456789+- ?", dtype=np.uint8)] = [_DIGIT] * 10 + [_SIGN, _SIGN, _SPACE, _MARK]
-_FOLLOWS = np.zeros(25, dtype=bool)  # entry 5 * kind before + kind after
-_FOLLOWS[[5 * _SPACE + _DIGIT, 5 * _SIGN + _DIGIT, 5 * _DIGIT + _DIGIT, 5 * _SPACE + _SIGN,
-          5 * _DIGIT + _MARK, 5 * _DIGIT + _SPACE, 5 * _MARK + _SPACE]] = True
+# Block rows are read as one code per byte: a digit's own value, then these;
+# code 15 is unused.  Inside a content line, str.split() separates tokens at
+# spaces, tabs and \x1f, the only ASCII whitespace str.splitlines() keeps.
+_SIGN, _MARK, _SPACE, _BREAK, _OTHER = range(10, 15)
+_CODE_OF = {ord(c): int(c) for c in "0123456789"} | {
+    ord("+"): _SIGN, ord("-"): _SIGN, ord("?"): _MARK,
+    ord(" "): _SPACE, ord("\t"): _SPACE, 0x1F: _SPACE, ord("\n"): _BREAK,
+}
+_CODES = bytes(_CODE_OF.get(byte, _OTHER) for byte in range(256))
+# Block rows are tokens `[+-]?[0-9]+\??` apart by runs of spaces.  Joined
+# by breaks and framed by one on each side, they are exactly the ASCII text
+# whose every byte may follow the byte before it: a digit may follow a
+# space, a break, a sign or a digit; a sign a space or a break; a `?` a
+# digit; a space a digit, a `?` or a space; a break a digit or a `?`.
+# _FOLLOWS[16 * code before + code after] is 0 for any other pair, 2 for a
+# digit after a digit, which only a token of more than one digit holds, 3
+# to 6 for a token's last byte (a digit, or `?` from 5 on) before a space
+# (odd) or a break (even), and 1 for the other pairs.
+_DIGIT = 0  # the kind of every digit's code
+_KIND = [_DIGIT] * 10 + [_SIGN, _MARK, _SPACE, _BREAK, _OTHER, _OTHER]
+_PAIR = {
+    (_SPACE, _DIGIT): 1, (_BREAK, _DIGIT): 1, (_SIGN, _DIGIT): 1, (_SPACE, _SIGN): 1, (_BREAK, _SIGN): 1,
+    (_DIGIT, _MARK): 1, (_SPACE, _SPACE): 1, (_DIGIT, _DIGIT): 2,
+    (_DIGIT, _SPACE): 3, (_DIGIT, _BREAK): 4, (_MARK, _SPACE): 5, (_MARK, _BREAK): 6,
+}
+_FOLLOWS = np.array([_PAIR.get(pair, 0) for pair in itertools.product(_KIND, _KIND)], dtype=np.uint8)
+
+
+@lru_cache(maxsize=8)
+def _byte_codes(kk: int) -> tuple[bytes, bytes]:
+    """Tables from a byte to its code and to 16 times its code, the digits
+    above kk made _OTHER: below 10, no token holding one is in [0, kk]."""
+    codes = bytearray(_CODES)
+    for byte in range(ord("0") + kk + 1, ord("9") + 1):
+        codes[byte] = _OTHER
+    return bytes(codes), bytes(16 * code for code in codes)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -123,36 +151,72 @@ def parse_instance(text: str) -> Instance:
     bw, bh = m // k, n // k
     rows = lines[pos : pos + bh]
     pos += len(rows)
-    tokens = [line.split() for _, line in rows]
-    # the file prints the top block row first; the section runs bottom up
-    section = " ".join(map(" ".join, reversed(tokens)))
-    chars = _block_section(section)
-    if len(rows) < bh or set(map(len, tokens)) != {bw} or chars is None:
-        raise _block_rows_error(rows, bh, bw, k * k, lines[-1][0])
-    # each token ends in a digit or `?` just before a space
-    reliable = chars[1:-1][chars[2:] == ord(" ")] != ord("?")
-    values = np.fromstring(section.replace("?", ""), dtype=np.int64, sep=" ")
-    # a value beyond int64 reads as its bound; only a `-` can make one negative
-    if values.max() > k * k or ("-" in section and values.min() < 0):
+    grids = _block_grids(rows, bh, bw, k * k) if len(rows) == bh else None
+    if grids is None:
         raise _block_rows_error(rows, bh, bw, k * k, lines[-1][0])
     if pos < len(lines):
         raise FormatError("trailing content after block rows", lines[pos][0])
 
-    inst = _instance_of_grids(k, epsilon, row_sums, col_sums, values.reshape(bh, bw), reliable.reshape(bh, bw))
+    inst = _instance_of_grids(k, epsilon, row_sums, col_sums, *grids)
     structural = [e for e in validate_instance(inst) if e.kind != "sum-mismatch"]
     if structural:
         raise FormatError("; ".join(str(e) for e in structural))
     return inst
 
 
-def _block_section(section: str) -> np.ndarray | None:
-    """The bytes of a well-formed block section framed by one space on each side, else None."""
-    if not section.isascii():
+def _block_grids(rows: list[tuple[int, str]], bh: int, bw: int, kk: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and reliability marks, [bv, bu], of bh well-formed block rows of bw tokens, else None."""
+    # the file prints the top block row first; the grids run bottom up
+    text = "\n".join([line for _, line in reversed(rows)])
+    if not text.isascii():  # str.split() also separates tokens at non-ASCII spaces
+        text = "\n".join([" ".join(line.split()) for _, line in reversed(rows)])
+        if not text.isascii():
+            return None
+    data = f"\n{text}\n".encode("ascii")
+    to_code, to_code_before = _byte_codes(kk)
+    codes = np.frombuffer(data.translate(to_code), dtype=np.uint8)
+    pairs = _FOLLOWS.take(np.frombuffer(data.translate(to_code_before), dtype=np.uint8)[:-1] + codes[1:])
+    found = np.bincount(pairs, minlength=3)
+    if found[0]:
         return None
-    chars = np.frombuffer(f" {section} ".encode("ascii"), dtype=np.uint8)
-    kinds = _KIND.take(chars)
-    follows = _FOLLOWS.take(5 * kinds[:-1] + kinds[1:])
-    return chars if np.count_nonzero(follows) == follows.size else None
+    # bh * bw tokens with every bw-th before a break are bw per row, as the
+    # rows hold bh tokens before a break between them
+    ends = (pairs >= 3).nonzero()[0]
+    ending = pairs.take(ends)
+    if ends.size != bh * bw or np.count_nonzero(ending[bw - 1 :: bw] & 1):
+        return None
+    marked = ending >= 5
+    lasts = ends - marked  # last digits
+    values = _many_digit_values(codes, lasts, kk) if found[2] else codes.take(lasts)
+    if values is None:
+        return None
+    # only a `-` can make a value negative
+    if b"-" in data:
+        minus = (np.frombuffer(data, dtype=np.uint8) == ord("-")).nonzero()[0]
+        if np.count_nonzero(values.take(np.searchsorted(lasts, minus))):
+            return None
+    return values.reshape(bh, bw), ~marked.reshape(bh, bw)
+
+
+def _many_digit_values(codes: np.ndarray, lasts: np.ndarray, kk: int) -> np.ndarray | None:
+    """Values of the tokens with their last digits at `lasts`, or None if one is above kk."""
+    width = len(str(kk))
+    digit = codes < 10
+    size = max(codes.size - width, 0)
+    # a nonzero digit with `width` digits after it puts its token above kk
+    far = digit[:size] & (codes[:size] != 0)
+    for e in range(1, width + 1):
+        far &= digit[e : size + e]
+    if far.any():
+        return None
+    values = codes.take(lasts).astype(np.int64)
+    run = np.ones(lasts.size, dtype=bool)  # the token's digits reach back e places
+    for e in range(1, width):
+        # index 0 holds the frame's first break, which ends every run
+        at = np.maximum(lasts - e, 0)
+        run &= digit[at]
+        values += codes.take(at) * (run * 10**e)
+    return None if np.count_nonzero(values > kk) else values
 
 
 def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, last: int) -> FormatError:

@@ -6,10 +6,13 @@ strip into one of three count patterns, and splits the rest into the
 per-value subproblems of the subsolvers module.  All of it works on
 arrays over the [bv, bu] block grid: one classify_strip call covers
 the row strips and then the column strips, each subproblem is a block
-mask with one pair of sums per strip, and every subsolver writes its
-block codes into one shared code grid under its mask.  The assembled
-image is verified against the original instance; a failed verification
-is the infeasibility verdict, which is exact in this setting.
+mask with one pair of sums per strip, and the subsolvers' block codes
+go into one code grid in a single scatter.  The code grid is verified
+against the proper-frame instance without decoding it: line sums come
+from per-code tables of the ones in a block's bottom and left lines,
+block sums from a popcount table.  A failed verification is the
+infeasibility verdict, which is exact in this setting.  An image is
+decoded only once, as solve_dr's answer; check_unique never builds one.
 
 solve_dr un-swaps and reduces on the code grid, in closed form: its
 answer is switches.reduce of the un-swapped proper-frame image, which
@@ -41,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, BlockType, Instance, _decode, validate_instance, verify_solution
+from .model import BinaryImage, BlockType, Instance, _decode, validate_instance
+from .model import verify_solution  # noqa: F401  no longer called here; perfbench/tracing.py wraps this name
 from .subsolvers import (
     SubInstance,
     fill_trivial,
@@ -189,13 +193,34 @@ def derive_sub_sums(inst: Instance, cases: StripCase) -> dict[int, SubInstance]:
 _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_trivial}
 
 
-def _solve_checked(
-    inst: Instance,
-) -> Optional[tuple[StripPermutation, BinaryImage, dict[int, SubInstance], np.ndarray]]:
+# ones per block code in the bottom line, the left line and the whole block
+_BOTTOM, _LEFT, _ONES = (np.array([bin(c & bits).count("1") for c in range(16)], np.uint8) for bits in (3, 5, 15))
+
+
+def _satisfies(inst: Instance, codes: np.ndarray) -> bool:
+    """verify_solution(inst, BinaryImage(_decode(codes))).satisfied for k = 2, epsilon = 0.
+
+    The decoded image is exactly its blocks, so its block sums are the
+    codes' popcounts, and the ones of the bottom line of a row strip and
+    of the left line of a column strip come from per-code tables; the
+    strip's other line holds the rest of its blocks' ones.
+    """
+    ones = _ONES.take(codes)
+    if not np.array_equal(ones, inst._grid):
+        return False
+    rows, cols = np.array(inst.row_sums), np.array(inst.col_sums)
+    bottom, left = _BOTTOM.take(codes).sum(1), _LEFT.take(codes).sum(0)
+    return bool(
+        np.array_equal(rows[0::2], bottom) and np.array_equal(rows[1::2], ones.sum(1) - bottom)
+        and np.array_equal(cols[0::2], left) and np.array_equal(cols[1::2], ones.sum(0) - left)
+    )
+
+
+def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int, SubInstance], np.ndarray]]:
     """The pipeline solve_dr and check_unique share.
 
-    Returns the strip permutation and the proper frame's verified image,
-    subproblems and [bv, bu] block code grid; None if inst is infeasible,
+    Returns the strip permutation and the proper frame's subproblems and
+    verified [bv, bu] block code grid; None if inst is infeasible,
     ValueError if it is malformed.  Verifying in the proper frame decides
     the original too, since properize's swaps map solutions one-to-one.
     """
@@ -209,19 +234,22 @@ def _solve_checked(
     if cases is None:
         return None
     subs = derive_sub_sums(proper, cases)
-    # the five masks partition the grid, so every block gets its code
-    grid = np.zeros(proper._grid.shape, np.uint8)
+    parts = []
     for nu, sub in subs.items():
         if not np.count_nonzero(sub.mask):
             continue
         part = _SOLVERS[nu](sub)
         if part is None:
             return None
-        grid[sub.mask] = part
-    img = BinaryImage(_decode(grid))
-    if not verify_solution(proper, img).satisfied:
+        parts.append(part)
+    # the masks of values 0..4 partition the grid, and each part lists its
+    # mask's blocks in row-major order: the order a stable sort by value keeps
+    grid = np.empty(proper._grid.size, np.uint8)
+    grid[np.argsort(proper._grid, axis=None, kind="stable")] = np.concatenate(parts)
+    grid = grid.reshape(proper._grid.shape)
+    if not _satisfies(proper, grid):
         return None
-    return perm, img, subs, grid
+    return perm, subs, grid
 
 
 _A11, _A12, _A21, _B33, _C11, _C12, _C21 = (
@@ -274,9 +302,7 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     solved = _solve_checked(inst)
     if solved is None:
         return None
-    perm, img, _, codes = solved
-    if not perm.row_swapped and not perm.col_swapped:
-        return img
+    perm, _, codes = solved
     # corner row or column 2s + 1 is strip s; the row pass goes first
     if perm.row_swapped:
         rows = np.fromiter(perm.row_swapped, np.intp, len(perm.row_swapped)) >> 1
@@ -298,7 +324,7 @@ def check_unique(inst: Instance) -> Optional[bool]:
     solved = _solve_checked(inst)
     if solved is None:
         return None
-    _, img, subs, grid = solved
+    _, subs, grid = solved
     if np.count_nonzero(subs[1].mask) and not unique_dr1(subs[1]):
         return False
     if np.count_nonzero(subs[3].mask) and not unique_dr3(subs[3]):
@@ -306,4 +332,4 @@ def check_unique(inst: Instance) -> Optional[bool]:
     if np.count_nonzero(subs[2].mask) and not unique_dr2(subs[2], grid[subs[2].mask]):
         return False
     # the proper-frame solution is already reduced: no forward pair survives the strip cases
-    return not switches.has_reversed_switch(img)
+    return not switches._has_reversed_switch(grid)

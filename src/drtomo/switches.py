@@ -323,7 +323,11 @@ _REVERSED_SIX = np.array(
 
 def has_reversed_switch(img: BinaryImage) -> bool:
     """Whether find_switch(img, REVERSED) finds a move."""
-    codes = _even_codes(img)
+    return _has_reversed_switch(_even_codes(img))
+
+
+def _has_reversed_switch(codes: np.ndarray) -> bool:
+    """has_reversed_switch of the image with this code grid."""
     if (codes == _B33).any():
         return True  # the reversed class-7 flip
     # every other reversed rule but class 6 reads a B33, and class 6

@@ -247,6 +247,60 @@ class TestIntegerTokens:
             read_gray(data)
         assert err.value.line == line
 
+class TestBlockRowSpacing:
+    """Block rows split into tokens wherever str.split() splits them."""
+
+    ROWS = MINIMAL.replace("size 2 2", "size 4 4").replace("rows 0 0", "rows 0 0 0 0").replace(
+        "cols 0 0", "cols 0 0 0 0"
+    ).replace("blocks\n0\n", "blocks\n{}\n{}\n")
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u2003", "\x1f", "\u3000", " \xa0\t", "\x1f\x1f"])
+    @pytest.mark.parametrize("rows", [("1{}2", "3 4"), ("1 2", "+3{}04"), ("1{}2", "0{}4"), ("1{}2{}3", "1 2")])
+    def test_unicode_and_control_spaces_match_reference(self, space, rows):
+        text = self.ROWS.format(*(row.replace("{}", space) for row in rows))
+        assert outcome(parse_instance, text) == outcome(ref.parse_instance, text)
+
+    def test_no_break_space_separates_tokens(self):
+        inst = parse_instance(self.ROWS.format("1\xa02", "3\x1f4"))
+        assert inst.blocks == ((3, 4), (1, 2))
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c"])
+    def test_line_breaking_spaces_split_the_row(self, space):
+        # str.splitlines() ends a line at \x0b and \x0c, so each half is a row of one token
+        text = self.ROWS.format(f"1{space}2", "3 4")
+        with pytest.raises(FormatError, match=r"^line 8: block row needs 2 tokens, got 1$") as err:
+            parse_instance(text)
+        assert err.value.line == 8
+        assert outcome(parse_instance, text) == outcome(ref.parse_instance, text)
+
+
+class TestBlockTokens:
+    """Block tokens of every width, sign and range, against the per-token reference."""
+
+    TOKENS = [
+        "0", "4", "5", "9", "04", "0004", "005", "10", "13", "16", "016", "17", "25", "26", "100", "116", "256",
+        "257", "0257", "1000", "-0", "-00", "+4", "+05", "-1", "-01", "0" * 20 + "3", "9" * 20, "7?", "0016?",
+    ]
+
+    @staticmethod
+    def document(k: int, rows: tuple[str, str]) -> str:
+        zeros = " ".join(["0"] * 2 * k)
+        return f"NSR 1\nk {k}\neps 1\nsize {2 * k} {2 * k}\nrows {zeros}\ncols {zeros}\nblocks\n" + "\n".join(rows)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 16])
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_token_matches_reference(self, k, token):
+        for rows in ((f"1 {token}", f"{token}\t2"), (f"{token} {token}", "3? 0")):
+            text = self.document(k, rows)
+            assert outcome(parse_instance, text) == outcome(ref.parse_instance, text)
+
+    @pytest.mark.parametrize("rows", [("1 2 3", "4"), ("1", "2 3 4"), ("1 2", "3 4 5")])
+    def test_tokens_count_per_row(self, rows):
+        text = self.document(2, rows)
+        with pytest.raises(FormatError, match="block row needs 2 tokens"):
+            parse_instance(text)
+        assert outcome(parse_instance, text) == outcome(ref.parse_instance, text)
+
 
 # --------------------------------------------------------------------------
 # differential tests against the per-token references in format_reference
@@ -255,7 +309,8 @@ class TestIntegerTokens:
 @st.composite
 def instances(draw, max_blocks=6):
     """Well-shaped instances; line sums and values in range, sums need not match."""
-    k = draw(st.sampled_from([2, 2, 2, 3, 4]))
+    # k = 5 writes two-digit values; k = 16 has values past 255, so an int64 grid
+    k = draw(st.sampled_from([2, 2, 2, 3, 4, 5, 16]))
     bw, bh = draw(st.integers(1, max_blocks)), draw(st.integers(1, max_blocks))
     m, n, kk = k * bw, k * bh, k * k
     epsilon = draw(st.integers(0, 3))
@@ -450,7 +505,7 @@ class TestRoundTrips:
     def test_array_built_equals_tuple_built(self, inst):
         parsed = parse_instance(write_instance(inst))  # built from arrays, no views yet
         assert parsed == inst and inst == parsed and hash(parsed) == hash(inst)
-        assert parsed._grid.dtype == inst._grid.dtype == np.uint8
+        assert parsed._grid.dtype == inst._grid.dtype == (np.uint8 if inst.k < 16 else np.int64)
         assert parsed.blocks == inst.blocks and parsed.reliable == inst.reliable
 
     @settings(max_examples=200, deadline=None)

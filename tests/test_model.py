@@ -227,6 +227,37 @@ class TestVerifySolution:
         assert report.block_violations == [((1, 1), 1, (1, 1), 0)]
 
 
+class TestBlockSumsAgainstLoops:
+    """Block sums and strip counts, against plain loops over blocks and strips."""
+
+    @pytest.mark.parametrize("k, bw, bh", [(2, 5, 3), (3, 2, 7), (5, 4, 1), (5, 1, 3)])
+    def test_block_sums_reach_every_report(self, k, bw, bh):
+        img = random_image(k * bw, k * bh, 0.45, k * bw + bh)
+        want = [[img.block_sum(k * bu + 1, k * bv + 1, k) for bu in range(bw)] for bv in range(bh)]
+        assert degrade(img, k).values == tuple(map(tuple, want))
+        inst = make_exact_instance(img, k)
+        assert inst.blocks == tuple(map(tuple, want))
+        assert inst._grid.dtype == np.uint8
+        # every block off by one: each is reported with the sum the loop found
+        blocks = tuple(tuple(v + 1 if v < k * k else v - 1 for v in row) for row in want)
+        report = verify_solution(dataclasses.replace(inst, blocks=blocks), img)
+        assert report.block_violations == [
+            ((k * bu + 1, k * bv + 1), blocks[bv][bu], (blocks[bv][bu],) * 2, want[bv][bu])
+            for bv in range(bh)
+            for bu in range(bw)
+        ]
+        assert not report.row_violations and not report.col_violations
+
+    @pytest.mark.parametrize("k, bw, bh", [(2, 5, 3), (3, 2, 7), (5, 4, 1), (16, 2, 1), (17, 1, 2)])
+    def test_strip_counts(self, k, bw, bh):
+        inst = make_exact_instance(random_image(k * bw, k * bh, 0.5, k), k)
+        strips = list(inst.blocks) + list(zip(*inst.blocks))
+        want = [[strip.count(v) for strip in strips] for v in range(k * k + 1)]
+        counts = inst._strip_counts
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous
+        assert counts.tolist() == want
+
+
 class TestClassifyBlock:
     def test_all_sixteen_patterns_round_trip(self):
         for t in BlockType:

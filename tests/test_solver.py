@@ -15,6 +15,9 @@ from drtomo.model import (
     BinaryImage,
     BlockType,
     Instance,
+    _codes,
+    _decode,
+    _instance_of_grids,
     make_exact_instance,
     random_image,
     verify_solution,
@@ -303,13 +306,44 @@ class TestAgainstReference:
                     assert codes_by_corner(sub, part) == want_codes
 
 
+class TestCodeGridCheck:
+    """The solver's check of a code grid is verify_solution of its decoded image."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_instances(max_side=16), st.sampled_from(["solution", "random"]),
+           st.sampled_from(["none", "row", "col", "block"]), st.integers(0, 2**32 - 1))
+    def test_agrees_with_verify_solution(self, inst, grid, change, seed):
+        rng = random.Random(seed)
+        bh, bw = inst.n // 2, inst.m // 2
+        if grid == "solution":
+            codes = _codes(solve_dr(inst).a)
+        else:
+            codes = np.array([[rng.randrange(16) for _ in range(bw)] for _ in range(bh)], np.uint8)
+        # one line sum or block value off by one, kept in range
+        rows, cols, values = list(inst.row_sums), list(inst.col_sums), inst._grid.astype(np.int64)
+        if change == "row":
+            j = rng.randrange(inst.n)
+            rows[j] += 1 if rows[j] < inst.m else -1
+        elif change == "col":
+            i = rng.randrange(inst.m)
+            cols[i] += 1 if cols[i] < inst.n else -1
+        elif change == "block":
+            bv, bu = rng.randrange(bh), rng.randrange(bw)
+            values[bv, bu] += 1 if values[bv, bu] < 4 else -1
+        changed = _instance_of_grids(2, 0, tuple(rows), tuple(cols), values, inst._reliable_grid)
+        want = verify_solution(changed, BinaryImage(_decode(codes))).satisfied
+        assert solver._satisfies(changed, codes) == want
+        if grid == "solution":
+            assert want == (change == "none")
+
+
 class TestProperFrameSolution:
     @settings(max_examples=200, deadline=None)
     @given(exact_instances())
     def test_is_already_reduced(self, inst):
-        # check_unique tests this image for reversed switches without reducing it
-        _, img, _, _ = _solve_checked(inst)
-        assert find_switch(img) is None
+        # check_unique tests this code grid for reversed switches without reducing it
+        _, _, grid = _solve_checked(inst)
+        assert find_switch(BinaryImage(_decode(grid))) is None
 
 
 class TestSolveDr:
@@ -357,12 +391,18 @@ class TestClosedFormUnswap:
     @pytest.fixture
     def closed_form(self, monkeypatch):
         """A check of one instance that returns its strip permutation."""
-        seen = []  # solve_dr's own proper-frame solution, recorded as it runs
-        monkeypatch.setattr(solver, "_solve_checked", lambda inst: seen.append(_solve_checked(inst)) or seen[-1])
+        seen = []  # solve_dr's own proper-frame solution, decoded as it runs
+
+        def record(inst):
+            solved = _solve_checked(inst)
+            seen.append((solved[0], BinaryImage(_decode(solved[2]))))
+            return solved
+
+        monkeypatch.setattr(solver, "_solve_checked", record)
 
         def check(inst, reference=True):
             got = solve_dr(inst)
-            perm, img, _, _ = seen.pop()
+            perm, img = seen.pop()
             assert np.array_equal(got.a, switches.reduce(perm.apply_to_image(img)).a)
             if reference:
                 assert write_image(got) == write_image(ref.solve_dr(inst))
