@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, BlockType, Instance, _decode, validate_instance
+from .model import BinaryImage, Instance, _decode, validate_instance
 from .model import verify_solution  # noqa: F401  no longer called here; perfbench/tracing.py wraps this name
 from .subsolvers import (
     SubInstance,
@@ -252,26 +252,22 @@ def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int,
     return perm, subs, grid
 
 
-_A11, _A12, _A21, _B33, _C11, _C12, _C21 = (
-    BlockType[name].value for name in ("A11", "A12", "A21", "B33", "C11", "C12", "C21")
-)
-
-
-def _unswap_table(mirror: list[int], first: tuple[int, int], second: tuple[int, int]) -> tuple:
-    """How a swapped strip's blocks un-swap and which class-6 slot each then lies in.
+def _unswap_table(o: int, mirror: list[int]) -> tuple:
+    """A swapped strip of orientation o un-swaps each block to its mirror,
+    then moves it by class 6 if that lies in a slot of the switches table.
 
     The mirror of B33 is kept as B33: it is B34, which class 7 flips back.
     """
     table = np.array(mirror, dtype=np.uint8)
-    table[_B33] = _B33
-    return table, np.isin(table, first), np.isin(table, second)
+    table[switches._B33] = switches._B33
+    return (table, *(switches._RULES[0, o, 5][:, table] != switches._NONE))
 
 
 # a row strip mirrors its blocks top to bottom, then reduces by horizontal
-# class 6 {A11, A12} + {C11, C12}; a column strip mirrors them left to right,
-# then reduces by vertical class 6 {A11, A21} + {C11, C21}
-_UNSWAP_ROW = _unswap_table([(c & 3) << 2 | c >> 2 for c in range(16)], (_A11, _A12), (_C11, _C12))
-_UNSWAP_COL = _unswap_table([(c & 5) << 1 | (c & 10) >> 1 for c in range(16)], (_A11, _A21), (_C11, _C21))
+# class 6; a column strip mirrors them left to right, then reduces by
+# vertical class 6; both read the class's slots from the switches table
+_UNSWAP_ROW = _unswap_table(0, [(c & 3) << 2 | c >> 2 for c in range(16)])
+_UNSWAP_COL = _unswap_table(1, [(c & 5) << 1 | (c & 10) >> 1 for c in range(16)])
 
 
 def _unswap(strips: np.ndarray, mirror: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:

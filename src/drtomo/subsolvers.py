@@ -191,9 +191,9 @@ def solve_dr1(sub: SubInstance) -> Optional[np.ndarray]:
     if np.count_nonzero(sums < 0) or np.count_nonzero(sums[:, 0] + sums[:, 1] != blocks):
         return None
     # a block uses its strip's second line iff its rank there, counted
-    # from 1, exceeds the strip's first pair sum
-    dx = (sub.mask.cumsum(0) > sub.cols[:, 0]).view(np.uint8)
-    dy = (sub.mask.cumsum(1) > sub.rows[:, :1]).view(np.uint8)
+    # from 1, exceeds the strip's first pair sum (both fit int32, see above)
+    dx = (sub.mask.cumsum(0, dtype=np.int32) > sub.cols[:, 0].astype(np.int32)).view(np.uint8)
+    dy = (sub.mask.cumsum(1, dtype=np.int32) > sub.rows[:, :1].astype(np.int32)).view(np.uint8)
     return (1 << (dx + 2 * dy))[sub.mask]
 
 

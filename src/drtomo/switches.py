@@ -7,7 +7,14 @@ form; the existence of an applicable reversed rewrite on a solution
 certifies that the solution is not unique.
 
 The fast routines read an image as one array of 4-bit block codes, the
-values of its blocks' BlockTypes (bit dx + 2*dy holds cell (dx, dy)):
+values of its blocks' BlockTypes (bit dx + 2*dy holds cell (dx, dy)),
+and the rules as one read-only uint8 table built from the paper's lists
+_H_RULES and _V_RULES.  _RULES[d, o, r, i, c] is the code that code c
+becomes in slot i (0 = A, 1 = B) of class r + 1, orientation o (0
+horizontal) and direction d (0 forward), or _NONE if c is not in that
+slot.  Class 7 is slot A of r = 6 under o = 0 only, as find_switch scans
+it.  Numbered 7*d + r, the rules of one orientation come in tv_descend's
+choice order: forward classes 1 to 7, then reversed.
 
 - `reduce` runs each strip to its own fixpoint under classes 1 to 6,
   horizontal strips first, then flips every remaining anti-diagonal block
@@ -101,10 +108,42 @@ _V_RULES: list[tuple[int, dict, dict]] = [
     (5, {_T.C11: _T.C12, _T.C21: _T.C22}, {_T.B31: _T.B33}),
     (6, {_T.A11: _T.A12, _T.A21: _T.A22}, {_T.C11: _T.C12, _T.C21: _T.C22}),
 ]
-_CLASS7 = {_T.B34: _T.B33}
 
 FORWARD = "forward"
 REVERSED = "reversed"
+_DIRECTIONS = (FORWARD, REVERSED)  # direction index 0 and 1
+_ORIENTATIONS = ("horizontal", "vertical")  # orientation index 0 and 1
+
+_B33, _B34 = _T.B33.value, _T.B34.value
+_NONE = 16  # the _RULES entry of a code outside the slot
+
+
+def _rule_table() -> np.ndarray:
+    """_RULES, laid out as the module docstring says."""
+    table = np.full((2, 2, 7, 2, 16), _NONE, dtype=np.uint8)
+    seven = (7, {_T.B34: _T.B33}, {})  # the anti-diagonal flip, scanned with the rows
+    for o, rules in enumerate((_H_RULES + [seven], _V_RULES)):
+        for cls, *slots in rules:
+            for i, slot in enumerate(slots):
+                for source, target in slot.items():
+                    table[0, o, cls - 1, i, source.value] = target.value
+                    table[1, o, cls - 1, i, target.value] = source.value
+    table.flags.writeable = False
+    return table
+
+
+_RULES = _rule_table()
+# _RULES as nested lists [d][o][r][i] of slot maps {code: target}
+_RULE_MAPS = [
+    [[[{c: t for c, t in enumerate(slot) if t != _NONE} for slot in rule] for rule in rules] for rules in by_o]
+    for by_o in _RULES.tolist()
+]
+
+
+def _index(what: str, value: str, allowed: tuple[str, str]) -> int:
+    if value not in allowed:
+        raise ValueError(f"{what} must be {allowed[0]!r} or {allowed[1]!r}, got {value!r}")
+    return allowed.index(value)
 
 
 @dataclass(frozen=True)
@@ -115,37 +154,6 @@ class SwitchMove:
     corners: tuple[Corner, ...]  # one corner for class 7, two otherwise
     sources: tuple[BlockType, ...]  # current types, aligned with corners
     targets: tuple[BlockType, ...]  # rewritten types
-
-
-def _invert(rule_map: dict) -> dict:
-    return {v: k for k, v in rule_map.items()}
-
-
-def _rules(orientation: str, direction: str) -> list[tuple[int, dict, dict]]:
-    rules = _H_RULES if orientation == "horizontal" else _V_RULES
-    if direction == FORWARD:
-        return rules
-    return [(cls, _invert(a), _invert(b)) for cls, a, b in rules]
-
-
-# --------------------------------------------------------------------------
-# Rules in block-code form
-# --------------------------------------------------------------------------
-
-_B33, _B34 = _T.B33.value, _T.B34.value
-
-
-def _coded(rule_map: dict) -> dict[int, int]:
-    return {s.value: t.value for s, t in rule_map.items()}
-
-
-_ORIENTATIONS = ("horizontal", "vertical")  # orientation index 0 and 1
-# rules 1-6 in code form: _CODED[direction][o][cls - 1] = (slot A, slot B)
-_CODED = {
-    d: [[(_coded(a), _coded(b)) for _, a, b in _rules(o, d)] for o in _ORIENTATIONS]
-    for d in (FORWARD, REVERSED)
-}
-_CODED7 = {FORWARD: _coded(_CLASS7), REVERSED: _coded(_invert(_CLASS7))}
 
 
 # --------------------------------------------------------------------------
@@ -177,11 +185,12 @@ def _scan(grid: list[list[int]], direction: str) -> Iterator[tuple]:
     in lexicographic order.  Class 7 visits single blocks in horizontal
     strip order.
     """
+    rules = _RULE_MAPS[_index("direction", direction, _DIRECTIONS)]
     strips = (grid, [list(col) for col in zip(*grid)])
     present = [[set(strip) for strip in strips[o]] for o in (0, 1)]
-    for k in range(6):
+    for r in range(6):
         for o, orientation in enumerate(_ORIENTATIONS):
-            slot_a, slot_b = _CODED[direction][o][k]
+            slot_a, slot_b = rules[o][r]
             for s, (strip, here) in enumerate(zip(strips[o], present[o])):
                 if here.isdisjoint(slot_a) or here.isdisjoint(slot_b):
                     continue
@@ -190,8 +199,8 @@ def _scan(grid: list[list[int]], direction: str) -> Iterator[tuple]:
                         corners = ((2 * p1 + 1, 2 * s + 1), (2 * p2 + 1, 2 * s + 1))
                     else:
                         corners = ((2 * s + 1, 2 * p1 + 1), (2 * s + 1, 2 * p2 + 1))
-                    yield k + 1, orientation, corners, sources, targets
-    flip = _CODED7[direction]
+                    yield r + 1, orientation, corners, sources, targets
+    flip = rules[0][6][0]
     for v, row in enumerate(grid):
         for u, c in enumerate(row):
             if c in flip:
@@ -224,16 +233,34 @@ def find_switch(img: BinaryImage, direction: str = FORWARD) -> Optional[SwitchMo
 
 
 def all_switches(img: BinaryImage, direction: str = FORWARD) -> list[SwitchMove]:
+    """Every applicable rewrite of one direction, in find_switch's scan order."""
     return [_switch_move(direction, f) for f in _scan(_even_codes(img).tolist(), direction)]
 
 
 def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
-    """Rewrite the move's blocks; every line and block sum is unchanged."""
-    for corner, src in zip(move.corners, move.sources):
+    """Rewrite the move's blocks; every line and block sum is unchanged.
+
+    ValueError unless each source is its block's type and maps to its
+    target in another slot of the move's rule in _RULES, and the blocks lie
+    in one strip of its orientation (either one names class 7).
+    """
+    o = _index("orientation", move.orientation, _ORIENTATIONS)
+    rules = _RULE_MAPS[_index("direction", move.direction, _DIRECTIONS)][0 if move.cls == 7 else o]
+    slots = rules[move.cls - 1] if move.cls in range(1, 8) else ({}, {})
+    rewrites = [(s.value, t.value) for s, t in zip(move.sources, move.targets)]
+    corners = move.corners
+    if not (
+        len(corners) == len(move.sources) == len(move.targets) == (1 if move.cls == 7 else 2)
+        and any(all(slot.get(s) == t for slot, (s, t) in zip(order, rewrites)) for order in (slots, slots[::-1]))
+        # one strip: a single coordinate across it and distinct ones along it
+        and len({c[1 - o] for c in corners}) == 1 and len({c[o] for c in corners}) == len(corners)
+    ):
+        raise ValueError(f"not a rewrite of the table within one strip: {move}")
+    for corner, src in zip(corners, move.sources):
         if classify_block(img, corner) != src:
             raise ValueError(f"block at {corner} is not of type {src.name}")
     a = img.mutable()
-    for (i, j), tgt in zip(move.corners, move.targets):
+    for (i, j), tgt in zip(corners, move.targets):
         a[j - 1 : j + 1, i - 1 : i + 1] = _decode(np.array([[tgt.value]], dtype=np.uint8))
     return BinaryImage(a)
 
@@ -247,42 +274,39 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
 # onto the horizontal ones, so a vertical strip reduces as a row of the
 # transposed code grid.
 _TRANSPOSED = np.array([c & 9 | (c & 2) << 1 | (c & 4) >> 1 for c in range(16)], dtype=np.uint8)
-# The distinct slots of the horizontal forward rules 1 to 6, and each rule
-# as the indices of its two slots.  A code lies in at most one slot and has
-# one forward target in all of them; _SLOT_OF[c] is 6 for a code in none.
-_SLOTS = list({frozenset(slot): slot for rule in _CODED[FORWARD][0] for slot in rule}.values())
-_PAIRS = [tuple(_SLOTS.index(slot) for slot in rule) for rule in _CODED[FORWARD][0]]
-_FORWARD_TARGET = {c: t for slot in _SLOTS for c, t in slot.items()}
-_SLOT_OF = [next((k for k, slot in enumerate(_SLOTS) if c in slot), len(_SLOTS)) for c in range(16)]
 
 
 def _reduce_rows(grid: list[list[int]]) -> bool:
     """Run every row of a code grid, in place, to its own fixpoint under the
     horizontal forward rules 1 to 6; whether any block changed.
 
-    A row keeps one bit mask of positions per slot, so the lowest rule with
+    A row keeps one bit mask of positions per code, so the lowest rule with
     both slots present and its first pair are read from lowest set bits.
     """
+    rules = _RULE_MAPS[0][0][:6]
     moved = False
     for row in grid:
         here = set(row)
-        if not any(not here.isdisjoint(a) and not here.isdisjoint(b) for a, b in _CODED[FORWARD][0]):
+        if not any(not here.isdisjoint(a) and not here.isdisjoint(b) for a, b in rules):
             continue
         moved = True
-        masks = [0] * (len(_SLOTS) + 1)  # the last one collects blocks in no slot
+        at = [0] * 16  # at[c]: the positions holding code c, as a bit mask
         for p, c in enumerate(row):
-            masks[_SLOT_OF[c]] |= 1 << p
+            at[c] |= 1 << p
         while True:
-            for a, b in _PAIRS:
-                if masks[a] and masks[b]:
+            for a, b in rules:
+                # the codes of a slot hold disjoint positions, so a sum is their union
+                in_a, in_b = sum(map(at.__getitem__, a)), sum(map(at.__getitem__, b))
+                if in_a and in_b:
                     break
             else:
                 break
-            for k, bit in ((a, masks[a] & -masks[a]), (b, masks[b] & -masks[b])):
+            for positions, slot in ((in_a, a), (in_b, b)):
+                bit = positions & -positions
                 p = bit.bit_length() - 1
-                code = row[p] = _FORWARD_TARGET[row[p]]
-                masks[k] ^= bit
-                masks[_SLOT_OF[code]] |= bit
+                at[row[p]] ^= bit
+                row[p] = slot[row[p]]
+                at[row[p]] |= bit
     return moved
 
 
@@ -310,17 +334,6 @@ def reduce(img: BinaryImage) -> BinaryImage:
     return BinaryImage(_decode(codes))
 
 
-# bit 2*o + i of _REVERSED_SIX[c]: code c lies in slot i of the reversed
-# class-6 rule of orientation o
-_REVERSED_SIX = np.array(
-    [
-        sum(1 << 2 * o + i for o in (0, 1) for i, slot in enumerate(_CODED[REVERSED][o][5]) if c in slot)
-        for c in range(16)
-    ],
-    dtype=np.uint8,
-)
-
-
 def has_reversed_switch(img: BinaryImage) -> bool:
     """Whether find_switch(img, REVERSED) finds a move."""
     return _has_reversed_switch(_even_codes(img))
@@ -332,10 +345,9 @@ def _has_reversed_switch(codes: np.ndarray) -> bool:
         return True  # the reversed class-7 flip
     # every other reversed rule but class 6 reads a B33, and class 6
     # applies iff some strip holds a code of each of its slots
-    marks = _REVERSED_SIX[codes]
-    rows = np.bitwise_or.reduce(marks, axis=1) & 3  # horizontal strips
-    columns = np.bitwise_or.reduce(marks, axis=0) >> 2  # vertical strips
-    return bool((rows == 3).any() or (columns == 3).any())
+    six = _RULES[1, :, 5].take(codes, axis=-1) != _NONE  # [o, slot, v, u]
+    rows, columns = six[0].any(axis=2).all(axis=0), six[1].any(axis=1).all(axis=0)
+    return bool(rows.any() or columns.any())
 
 
 # --------------------------------------------------------------------------
@@ -554,28 +566,19 @@ class _LocalTV:
 
 
 # _ROLES[o][c]: (rule, slot A target, slot B target) for each rule of
-# orientation o that code c takes part in: rule 6*d + k is class k + 1 of
-# direction d (forward 0), rule 12 + d the class-7 flip, which horizontal
-# strips carry; None for a slot without c
+# orientation o that code c takes part in, rule 7*d + r being class r + 1
+# of direction d in _RULES; None for a slot without c
 _ROLES = [
     [
         tuple(
-            (6 * d + k, a.get(c), b.get(c))
-            for d, direction in enumerate((FORWARD, REVERSED))
-            for k, (a, b) in enumerate(_CODED[direction][o])
+            (rule, a.get(c), b.get(c))
+            for rule, (a, b) in enumerate(_RULE_MAPS[0][o] + _RULE_MAPS[1][o])
             if c in a or c in b
-        )
-        + tuple(
-            (12 + d, _CODED7[direction][c], None)
-            for d, direction in enumerate((FORWARD, REVERSED))
-            if o == 0 and c in _CODED7[direction]
         )
         for c in range(16)
     ]
     for o in (0, 1)
 ]
-# rules in tv_descend's choice order: forward classes 1 to 7, then reversed
-_RULE_ORDER = (0, 1, 2, 3, 4, 5, 12, 6, 7, 8, 9, 10, 11, 13)
 # a strip's least improving move, or this: keys below 0 sort before it
 _NO_MOVE = (0,)
 
@@ -650,20 +653,19 @@ def _strip_best(local: _LocalTV, o: int, s: int, strip: list) -> tuple:
     for block in strip:
         for rule, member in block:
             members[rule].append(member)
-    # rules come in choice order, so a later one must be strictly less
+    # rules are numbered in choice order, so a later one must be strictly less
     best = _NO_MOVE
-    for rule in _RULE_ORDER:
-        found = members[rule]
-        if rule >= 12:
-            d = rule - 12
+    for rule, found in enumerate(members):
+        d, r = divmod(rule, 7)
+        if r == 6:  # class 7 rewrites single blocks
             for p, key, target, _, _ in found:
                 if key < best[0]:
-                    best = (key, d, 6, 0, s, p, -1, (target,))
+                    best = (key, d, r, o, s, p, -1, (target,))
         elif len(found) > 1:
             found = _best_pair(local, o, s, found)
             if found[0] < best[0]:
                 key, p1, p2, targets = found
-                best = (key, rule // 6, rule % 6, o, s, p1, p2, targets)
+                best = (key, d, r, o, s, p1, p2, targets)
     return best
 
 
@@ -710,5 +712,4 @@ def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
         current_tv = TVValue(current_tv.a + da, current_tv.b + db)
         steps += 1
         if on_step is not None:
-            direction = (FORWARD, REVERSED)[d]
-            on_step(_switch_move(direction, (k + 1, _ORIENTATIONS[o], corners, sources, targets)), current_tv)
+            on_step(_switch_move(_DIRECTIONS[d], (k + 1, _ORIENTATIONS[o], corners, sources, targets)), current_tv)

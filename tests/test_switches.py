@@ -1,5 +1,6 @@
 """Local rewrite catalog, reduction, and total-variation descent."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -22,10 +23,11 @@ from drtomo.switches import (
     REVERSED,
     SwitchMove,
     TVValue,
-    _CODED,
     _H_RULES,
     _KA,
     _KB,
+    _NONE,
+    _RULES,
     _V_RULES,
     _LocalTV,
     _sign,
@@ -149,6 +151,62 @@ class TestApplySwitch:
             for move in all_switches(img, direction):
                 assert verify_solution(inst, apply_switch(img, move)).satisfied
 
+    @pytest.mark.parametrize(
+        "types, size, move",
+        [
+            # targets that no rule writes: the row sums would go from [1, 2] to [4, 4]
+            ({(1, 1): T.A11, (3, 1): T.B2}, (4, 2),
+             SwitchMove("horizontal", 1, FORWARD, ((1, 1), (3, 1)), (T.A11, T.B2), (T.FULL, T.FULL))),
+            # a class-1 rewrite across two row strips: [1, 0, 0, 2] would become [0, 1, 1, 1]
+            ({(1, 1): T.A11, (3, 3): T.B2}, (4, 4),
+             SwitchMove("horizontal", 1, FORWARD, ((1, 1), (3, 3)), (T.A11, T.B2), (T.A21, T.B33))),
+            # both sources in slot A
+            ({(1, 1): T.A11, (3, 1): T.A12}, (4, 2),
+             SwitchMove("horizontal", 1, FORWARD, ((1, 1), (3, 1)), (T.A11, T.A12), (T.A21, T.A22))),
+            # one block twice: reversed class 3 reads B33 in both slots
+            ({(1, 1): T.B33}, (2, 2),
+             SwitchMove("horizontal", 3, REVERSED, ((1, 1), (1, 1)), (T.B33, T.B33), (T.B1, T.B2))),
+            # a vertical rule's targets under the horizontal label
+            ({(1, 1): T.A11, (1, 3): T.B32}, (2, 4),
+             SwitchMove("horizontal", 1, FORWARD, ((1, 1), (1, 3)), (T.A11, T.B32), (T.A12, T.B33))),
+            # class 7 with a second block
+            ({(1, 1): T.B34, (3, 1): T.B34}, (4, 2),
+             SwitchMove("horizontal", 7, FORWARD, ((1, 1), (3, 1)), (T.B34, T.B34), (T.B33, T.B33))),
+        ],
+        ids=["foreign-targets", "two-strips", "one-slot", "same-block", "wrong-orientation", "class-7-pair"],
+    )
+    def test_move_outside_the_table_rejected(self, types, size, move):
+        img = image_of_types(types, *size)
+        with pytest.raises(ValueError):
+            apply_switch(img, move)
+
+    def test_reversed_pair_order_accepted(self):
+        # _pairs lists a slot-B block first when it comes first in its strip
+        img = image_of_types({(1, 1): T.B33, (3, 1): T.A21}, 4, 2)
+        move = SwitchMove("horizontal", 1, REVERSED, ((1, 1), (3, 1)), (T.B33, T.A21), (T.B2, T.A11))
+        assert move in all_switches(img, REVERSED)
+        assert signature(apply_switch(img, move)) == signature(img)
+
+
+class TestNamedValues:
+    @pytest.mark.parametrize("func", [find_switch, all_switches])
+    def test_unknown_direction_named(self, func):
+        with pytest.raises(ValueError, match="direction must be 'forward' or 'reversed', got 'sideways'"):
+            func(BinaryImage.zeros(4, 4), "sideways")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("direction", "backward", "direction must be 'forward' or 'reversed', got 'backward'"),
+            ("orientation", "diagonal", "orientation must be 'horizontal' or 'vertical', got 'diagonal'"),
+        ],
+    )
+    def test_apply_switch_names_the_allowed_values(self, field, value, message):
+        img = image_of_types({(1, 1): T.A11, (3, 1): T.B2}, 4, 2)
+        move = dataclasses.replace(find_switch(img, FORWARD), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            apply_switch(img, move)
+
 
 def all_table_rows():
     """(orientation, class, slot maps, direction) for all 28 table rows."""
@@ -240,6 +298,59 @@ class TestStripIndependence:
         for value in range(1 << 16):
             img = BinaryImage(((value >> np.arange(16)) & 1).astype(np.uint8).reshape(4, 4))
             assert reduce(img) == reduce_by_steps(img), value
+
+
+class TestRuleTable:
+    """The facts about _RULES that the docstrings state and the readers rely on."""
+
+    def test_entries_are_the_paper_lists(self):
+        want = np.full((2, 2, 7, 2, 16), _NONE)
+        for o, rules in enumerate((_H_RULES, _V_RULES)):
+            for cls, *slots in rules:
+                for i, slot in enumerate(slots):
+                    for source, target in slot.items():
+                        want[0, o, cls - 1, i, source.value] = target.value
+                        want[1, o, cls - 1, i, target.value] = source.value
+        # class 7 sits in slot A of the horizontal rules, as find_switch scans it
+        want[0, 0, 6, 0, T.B34.value] = T.B33.value
+        want[1, 0, 6, 0, T.B33.value] = T.B34.value
+        assert _RULES.dtype == np.uint8 and not _RULES.flags.writeable
+        assert np.array_equal(_RULES, want)
+
+    def test_slot_maps_are_injective_and_reversed_is_their_inverse(self):
+        for o in (0, 1):
+            for r in range(7):
+                for i in (0, 1):
+                    forward, reversed_ = _RULES[0, o, r, i].tolist(), _RULES[1, o, r, i].tolist()
+                    pairs = {(c, t) for c, t in enumerate(forward) if t != _NONE}
+                    assert len({t for _, t in pairs}) == len(pairs), (o, r, i)
+                    assert pairs == {(t, c) for c, t in enumerate(reversed_) if t != _NONE}, (o, r, i)
+
+    def test_slots_of_a_rule_are_disjoint(self):
+        reads = _RULES != _NONE
+        overlap = (reads[:, :, :, 0] & reads[:, :, :, 1]).any(axis=-1)
+        # only reversed class 3 reads one code, B33, in both slots
+        assert np.argwhere(overlap).tolist() == [[1, 0, 2], [1, 1, 2]]
+        assert (reads[1, :, 2, 0] & reads[1, :, 2, 1]).nonzero()[1].tolist() == [T.B33.value] * 2
+
+    def test_a_code_has_at_most_one_horizontal_forward_target(self):
+        for c in range(16):
+            targets = set(_RULES[0, 0, :6, :, c].ravel().tolist()) - {_NONE}
+            assert len(targets) <= 1, (c, targets)
+
+    def test_forward_classes_one_to_six_commute_with_class_seven(self):
+        six = _RULES[0, :, :6]
+        assert (six[..., [T.B33.value, T.B34.value]] == _NONE).all()
+        assert not (six == T.B34.value).any()
+        assert np.flatnonzero(_RULES[0, 0, 6, 0] != _NONE).tolist() == [T.B34.value]
+
+    def test_every_reversed_class_but_six_and_seven_reads_b33(self):
+        for o in (0, 1):
+            for r in range(5):
+                assert (_RULES[1, o, r, :, T.B33.value] != _NONE).any(), (o, r)
+        # reversed class 7 reads only B33; class 7 has no slot B and no vertical entries
+        assert np.flatnonzero(_RULES[1, 0, 6, 0] != _NONE).tolist() == [T.B33.value]
+        assert (_RULES[:, 0, 6, 1] == _NONE).all() and (_RULES[:, 1, 6] == _NONE).all()
 
 
 class TestReduce:
@@ -546,13 +657,13 @@ class TestDescentTies:
         # single of each slot sits at positions 2 and 1, so the best pair of
         # non-neighbours takes the next best slot-A block instead
         img = grid_image([["EMPTY", "B33", "C21", "C22"]])
-        slot_a, slot_b = _CODED[REVERSED][0][4]
+        slot_a, slot_b = _RULES[1, 0, 4].tolist()
 
         def best_position(slot) -> int:
             rewritten = {}
             for u in range(4):
                 code = classify_block(img, (2 * u + 1, 1)).value
-                if code in slot:
+                if slot[code] != _NONE:
                     a = img.mutable()
                     a[0:2, 2 * u : 2 * u + 2] = [[slot[code] >> dx + 2 * dy & 1 for dx in (0, 1)] for dy in (0, 1)]
                     rewritten[u] = tv(BinaryImage(a))
