@@ -253,19 +253,12 @@ def _block_tokens(k: int) -> np.ndarray:
 def write_instance(inst: Instance) -> str:
     """Instance document of a well-shaped instance; unreliable blocks get a `?`.
 
-    Block values must lie in [0, k^2], else ValueError.  Each block takes
-    its value's bytes from a table; then the unreliable ones get their
-    mark, the last space of each row becomes a newline, and the NUL bytes
-    are deleted from the section as a whole.
+    Each block takes its value's bytes from a table; then the unreliable
+    ones get their mark, the last space of each row becomes a newline,
+    and the NUL bytes are deleted from the section as a whole.
     """
-    grid, kk = inst._grid, inst.k * inst.k
-    # only a grid of values in [0, k^2] is ever narrowed to uint8
-    if grid.dtype != np.uint8 and not (
-        grid.ndim == 2 and grid.dtype.kind in "iu" and 0 <= grid.min(initial=0) and grid.max(initial=0) <= kk
-    ):
-        raise ValueError(f"cannot write block values outside [0, {kk}] or a ragged block grid")
     # the file prints the top block row first
-    tokens = _block_tokens(inst.k).take(grid[::-1], axis=0)
+    tokens = _block_tokens(inst.k).take(inst._grid[::-1], axis=0)
     tokens[..., -2][~inst._reliable_grid[::-1]] = ord("?")
     tokens[:, -1:, -1] = ord("\n")
     rows, cols = " ".join(map(str, inst.row_sums)), " ".join(map(str, inst.col_sums))

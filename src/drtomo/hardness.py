@@ -365,18 +365,15 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
     if k_prime == 2:
         return inst
     _require_well_formed(inst)
-    m2, n2 = inst.m * k_prime // 2, inst.n * k_prime // 2
-    rows = [0] * n2
-    cols = [0] * m2
-    for j in range(1, inst.n, 2):
-        base = k_prime * (j - 1) // 2
-        rows[base] = inst.row_sums[j - 1]
-        rows[base + 1] = inst.row_sums[j]
-    for i in range(1, inst.m, 2):
-        base = k_prime * (i - 1) // 2
-        cols[base] = inst.col_sums[i - 1]
-        cols[base + 1] = inst.col_sums[i]
     # the same block grid and reliability, just bigger blocks
     return _instance_of_grids(
-        k_prime, inst.epsilon, tuple(rows), tuple(cols), inst._grid, inst._reliable_grid
+        k_prime, inst.epsilon, _lift_sums(inst.row_sums, k_prime), _lift_sums(inst.col_sums, k_prime),
+        inst._grid, inst._reliable_grid,
     )
+
+
+def _lift_sums(sums: tuple[int, ...], k_prime: int) -> tuple[int, ...]:
+    """The line sums of two-line strips as the first two lines of k'-line strips, the rest zero."""
+    out = np.zeros(len(sums) * k_prime // 2, dtype=np.int64)
+    out[0::k_prime], out[1::k_prime] = sums[0::2], sums[1::2]
+    return tuple(out.tolist())

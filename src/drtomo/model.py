@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -149,9 +150,6 @@ def _decode(codes: np.ndarray) -> np.ndarray:
     return a
 
 
-_NO_POINTS: frozenset = frozenset()
-
-
 def _grid_dtype(k: int) -> type:
     """Type of a block grid with values 0..k^2: uint8 up to k = 15, int64 above."""
     return np.uint8 if k * k <= 255 else np.int64
@@ -164,22 +162,23 @@ def _grid_dtype(k: int) -> type:
 class Instance:
     """A full reconstruction datum: sums, block values and reliability.
 
-    An instance holds its block values as one [bh, bw] array `_grid`:
+    An instance holds its block values as one [bh, bw] array `_grid` of
+    type _grid_dtype(k) (uint8 while k^2 <= 255) with values in [0, k^2]:
     entry [bv, bu] is the prescribed number of ones of the block anchored
     at corner (k*bu + 1, k*bv + 1), bu left to right and bv bottom up.
-    The array is uint8 while k^2 <= 255.  Reliability is one boolean
-    [bh, bw] array `_reliable_grid` of the same layout.  Both are
-    read-only, and a copy with other line sums shares them.
+    Reliability is one boolean array `_reliable_grid` of the same shape.
+    Both are read-only, and a copy with other line sums shares them.
 
-    `blocks` (blocks[bv][bu], a tuple of row tuples) and `reliable` (the
-    frozenset of reliable corners) are views for the API edge, built on
-    first read and kept.  The constructor takes them and converts them
-    to the arrays at once; input that validate_instance rejects is kept
-    so that it can report it: a ragged block grid becomes a
-    one-dimensional array of its rows, values outside [0, k^2] keep a
-    wide type, and reliable points that are not block corners are kept
-    apart in `_stray`.  Library functions build instances from arrays
-    with _instance_of_grids and never make either view.
+    The tuple constructor, and so dataclasses.replace, raises ValueError
+    unless `blocks` is a grid of equal rows of integers in [0, k^2] and
+    every point of `reliable` is a corner of that grid with integer
+    coordinates; an empty grid is allowed.  Whether the grid fits m, n
+    and k, and everything about epsilon and the line sums, are
+    validate_instance findings.  `blocks` (blocks[bv][bu], a tuple of
+    row tuples) and `reliable` (the frozenset of reliable corners) are
+    views for the API edge, built on first read and kept.  Library
+    functions build instances from arrays with _instance_of_grids and
+    never make either view.
     """
 
     k: int
@@ -198,12 +197,12 @@ class Instance:
         self._hold(k, epsilon, m, n, row_sums, col_sums, *_arrays_of(k, blocks, reliable))
         self.__dict__.update(blocks=blocks, reliable=reliable)  # given, so already built
 
-    def _hold(self, k, epsilon, m, n, row_sums, col_sums, grid, reliable_grid, stray) -> None:
+    def _hold(self, k, epsilon, m, n, row_sums, col_sums, grid, reliable_grid) -> None:
         """Set every field and array; the one step both constructors end in."""
         grid.flags.writeable = reliable_grid.flags.writeable = False  # shared by derived copies
         self.__dict__.update(
             k=k, epsilon=epsilon, m=m, n=n, row_sums=row_sums, col_sums=col_sums,
-            _grid=grid, _reliable_grid=reliable_grid, _stray=stray,
+            _grid=grid, _reliable_grid=reliable_grid,
         )
 
     @cached_property
@@ -213,8 +212,7 @@ class Instance:
     @cached_property
     def reliable(self) -> frozenset[Corner]:
         bh, bw = self._reliable_grid.shape
-        marks = self._reliable_grid.ravel().tolist()
-        return frozenset(compress(_corners(self.k, bw, bh), marks)).union(self._stray)
+        return frozenset(compress(_corners(self.k, bw, bh), self._reliable_grid.ravel().tolist()))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -225,12 +223,10 @@ class Instance:
         )
 
     def __hash__(self) -> int:
-        grid = self._grid
-        values = tuple(grid.ravel().tolist()) if grid.dtype == object else grid.tobytes()
-        return hash((*self._scalars(), grid.shape, values, self._reliable_grid.tobytes()))
+        return hash((*self._scalars(), self._grid.shape, self._grid.tobytes(), self._reliable_grid.tobytes()))
 
     def _scalars(self) -> tuple:
-        return self.k, self.epsilon, self.m, self.n, self.row_sums, self.col_sums, self._stray
+        return self.k, self.epsilon, self.m, self.n, self.row_sums, self.col_sums
 
     def corners(self) -> Iterator[Corner]:
         return _corners(self.k, self.m // self.k, self.n // self.k)
@@ -265,7 +261,7 @@ class Instance:
 
         Column s < bh counts the horizontal strip at corner row k*s + 1,
         column bh + s the vertical strip at corner column k*s + 1; row v
-        holds the counts of value v.  The values must lie in [0, k^2].
+        holds the counts of value v.
         """
         bh, bw = self._grid.shape
         values = self.k * self.k + 1
@@ -287,8 +283,7 @@ class Instance:
         out = object.__new__(Instance)
         fields = {"epsilon": self.epsilon, "row_sums": self.row_sums, "col_sums": self.col_sums, **scalars}
         out._hold(
-            self.k, m=self.m, n=self.n, grid=self._grid, reliable_grid=self._reliable_grid,
-            stray=self._stray, **fields,
+            self.k, m=self.m, n=self.n, grid=self._grid, reliable_grid=self._reliable_grid, **fields,
         )
         if "_strip_counts" in self.__dict__:  # neither epsilon nor a line sum enters them
             out.__dict__["_strip_counts"] = self._strip_counts
@@ -306,31 +301,22 @@ def _corners(k: int, bw: int, bh: int) -> Iterator[Corner]:
     return zip(cycle(columns), chain.from_iterable(map(repeat, rows, repeat(bw))))
 
 
-def _arrays_of(k: int, blocks, reliable) -> tuple[np.ndarray, np.ndarray, frozenset]:
-    """The grid, reliability mask and stray points of tuple input, malformed or not.
-
-    A grid of integers in [0, k^2] gets the type of _grid_dtype(k); any
-    other grid keeps numpy's type for it, and a ragged one becomes a
-    one-dimensional object array of its rows.  The mask marks the corners
-    of the grid's own shape that `reliable` holds, and the stray points
-    are the members that are no such corner.
-    """
+def _arrays_of(k: int, blocks, reliable) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and reliability mask of tuple input; ValueError if they break the invariant."""
     if len(set(map(len, blocks))) > 1:
-        grid = np.empty(len(blocks), dtype=object)
-        for x, row in enumerate(blocks):
-            grid[x] = row
-    else:
-        grid = np.array(blocks)
-    if grid.ndim != 2:
-        return grid, np.zeros((0, 0), dtype=bool), frozenset(reliable)
-    if grid.dtype.kind in "iub" and grid.size and 0 <= grid.min() and grid.max() <= k * k:
-        grid = grid.astype(_grid_dtype(k))
+        raise ValueError("block grid is ragged: its rows differ in length")
+    grid = np.array(blocks) if len(blocks) else np.zeros((0, 0), dtype=np.uint8)
+    kk = k * k
+    if grid.ndim != 2 or grid.size and not (grid.dtype.kind in "iub" and 0 <= grid.min() and grid.max() <= kk):
+        raise ValueError(f"block values must be integers in [0, {kk}]")
     bh, bw = grid.shape
+    # (1.0, 1) equals the corner (1, 1), so the coordinates must also be integers
+    if not frozenset(_corners(k, bw, bh)).issuperset(reliable) or not all(
+        issubclass(t, numbers.Integral) for t in set(map(type, chain.from_iterable(reliable)))
+    ):
+        raise ValueError("reliable set contains non-corner points")
     marks = np.fromiter(map(reliable.__contains__, _corners(k, bw, bh)), dtype=bool, count=bw * bh)
-    stray = _NO_POINTS
-    if np.count_nonzero(marks) != len(reliable):
-        stray = frozenset(reliable).difference(_corners(k, bw, bh))
-    return grid, marks.reshape(bh, bw), stray
+    return grid.astype(_grid_dtype(k)), marks.reshape(bh, bw)
 
 
 def _instance_of_grids(
@@ -347,7 +333,7 @@ def _instance_of_grids(
     inst = object.__new__(Instance)
     inst._hold(
         k, epsilon, k * bw, k * bh, row_sums, col_sums,
-        grid.astype(_grid_dtype(k), copy=False), reliable_grid, _NO_POINTS,
+        grid.astype(_grid_dtype(k), copy=False), reliable_grid,
     )
     return inst
 
@@ -411,8 +397,7 @@ def validate_instance(inst: Instance) -> list[ValidationError]:
     if len(inst.col_sums) != inst.m:
         errs.append(ValidationError("shape", f"expected {inst.m} column sums, got {len(inst.col_sums)}"))
     bw, bh = inst.m // inst.k, inst.n // inst.k
-    grid = inst._grid
-    if grid.shape != (bh, bw):
+    if inst._grid.shape != (bh, bw):
         errs.append(ValidationError("shape", f"block grid must be {bh} rows of {bw} values"))
     if errs:
         return errs
@@ -423,14 +408,7 @@ def validate_instance(inst: Instance) -> list[ValidationError]:
         if min(sums) < 0 or max(sums) > top:
             for x in _outside(np.array(sums), top):
                 errs.append(ValidationError("value", f"{name}_{x + 1}={sums[x]} outside [0, {top}]"))
-    kk = inst.k * inst.k
-    if (grid.dtype.kind != "u" and grid.min() < 0) or grid.max() > kk:
-        for bv, bu in map(divmod, _outside(grid.ravel(), kk), repeat(bw)):
-            v, i, j = grid.item(bv, bu), inst.k * bu + 1, inst.k * bv + 1
-            errs.append(ValidationError("value", f"block value v({i},{j})={v} outside [0, {kk}]"))
-    if inst._stray:
-        errs.append(ValidationError("reliability", "reliable set contains non-corner points"))
-    if inst.epsilon == 0 and (inst._stray or np.count_nonzero(inst._reliable_grid) != bw * bh):
+    if inst.epsilon == 0 and not inst._reliable_grid.all():
         errs.append(
             ValidationError("reliability", "epsilon = 0 requires every block to be reliable")
         )

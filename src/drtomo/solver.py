@@ -77,30 +77,34 @@ class StripCase:
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no equality a generated __eq__ could use
 class StripPermutation:
-    """Which strips had their two lines exchanged.  Applying twice undoes it."""
+    """Which strips had their two lines exchanged.  Applying twice undoes it.
 
-    row_swapped: frozenset[int]  # corner rows j with lines j, j+1 exchanged
-    col_swapped: frozenset[int]
+    row_swapped[s] and col_swapped[s] are read-only boolean arrays with
+    one entry per row and per column strip s, the strip at corner row or
+    column 2s + 1.
+    """
 
-    def apply_to_image(self, img: BinaryImage) -> BinaryImage:
-        a = img.mutable()
-        for j in self.row_swapped:
-            a[[j - 1, j]] = a[[j, j - 1]]
-        for i in self.col_swapped:
-            a[:, [i - 1, i]] = a[:, [i, i - 1]]
-        return BinaryImage(a)
+    row_swapped: np.ndarray  # strip s with lines 2s + 1, 2s + 2 exchanged
+    col_swapped: np.ndarray
 
     def apply_to_instance(self, inst: Instance) -> Instance:
-        rows = list(inst.row_sums)
-        cols = list(inst.col_sums)
-        for j in self.row_swapped:
-            rows[j - 1], rows[j] = rows[j], rows[j - 1]
-        for i in self.col_swapped:
-            cols[i - 1], cols[i] = cols[i], cols[i - 1]
         # block values do not move, so the swapped instance keeps their views
-        return inst._with(row_sums=tuple(rows), col_sums=tuple(cols))
+        return inst._with(
+            row_sums=_swap_lines(inst.row_sums, self.row_swapped),
+            col_sums=_swap_lines(inst.col_sums, self.col_swapped),
+        )
+
+
+def _strip_pairs(sums) -> np.ndarray:
+    """Line sums as [strip, line] pairs; an odd last line belongs to no strip."""
+    return np.array(sums[: len(sums) // 2 * 2]).reshape(-1, 2)
+
+
+def _swap_lines(sums: tuple[int, ...], swapped: np.ndarray) -> tuple[int, ...]:
+    pairs = _strip_pairs(sums)
+    return (*np.where(swapped[:, None], pairs[:, ::-1], pairs).ravel().tolist(), *sums[pairs.size :])
 
 
 def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
@@ -112,14 +116,9 @@ def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
     """
     if inst.k != 2 or inst.epsilon != 0:
         raise ValueError("properize requires k = 2 and epsilon = 0")
-    perm = StripPermutation(
-        row_swapped=frozenset(
-            j for j in range(1, inst.n, 2) if inst.row_sums[j - 1] < inst.row_sums[j]
-        ),
-        col_swapped=frozenset(
-            i for i in range(1, inst.m, 2) if inst.col_sums[i - 1] < inst.col_sums[i]
-        ),
-    )
+    rows, cols = _strip_pairs(inst.row_sums), _strip_pairs(inst.col_sums)
+    perm = StripPermutation(rows[:, 0] < rows[:, 1], cols[:, 0] < cols[:, 1])
+    perm.row_swapped.flags.writeable = perm.col_swapped.flags.writeable = False
     return perm.apply_to_instance(inst), perm
 
 
@@ -299,12 +298,10 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     if solved is None:
         return None
     perm, _, codes = solved
-    # corner row or column 2s + 1 is strip s; the row pass goes first
-    if perm.row_swapped:
-        rows = np.fromiter(perm.row_swapped, np.intp, len(perm.row_swapped)) >> 1
+    rows, cols = perm.row_swapped, perm.col_swapped  # the row pass goes first
+    if rows.any():
         codes[rows] = _unswap(codes[rows], *_UNSWAP_ROW)
-    if perm.col_swapped:
-        cols = np.fromiter(perm.col_swapped, np.intp, len(perm.col_swapped)) >> 1
+    if cols.any():
         codes[:, cols] = _unswap(codes[:, cols].T, *_UNSWAP_COL).T
     return BinaryImage(_decode(codes))
 

@@ -276,11 +276,21 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
 _TRANSPOSED = np.array([c & 9 | (c & 2) << 1 | (c & 4) >> 1 for c in range(16)], dtype=np.uint8)
 
 
+# The distinct slots of the horizontal forward rules 1 to 6 as code masks,
+# each rule as the indices of its two slots, and per code its slot
+# (len(_SLOTS) for none) and its forward target: a code lies in at most one
+# slot and has one target in all of them.
+_SLOTS, _PAIRS = np.unique((_RULES[0, 0, :6] != _NONE).reshape(12, 16), axis=0, return_inverse=True)
+_PAIRS = _PAIRS.reshape(6, 2).tolist()
+_SLOT_OF = np.where(_SLOTS.any(axis=0), _SLOTS.argmax(axis=0), len(_SLOTS)).tolist()
+_FORWARD_TARGET = _RULES[0, 0, :6].min(axis=(0, 1)).tolist()
+
+
 def _reduce_rows(grid: list[list[int]]) -> bool:
     """Run every row of a code grid, in place, to its own fixpoint under the
     horizontal forward rules 1 to 6; whether any block changed.
 
-    A row keeps one bit mask of positions per code, so the lowest rule with
+    A row keeps one bit mask of positions per slot, so the lowest rule with
     both slots present and its first pair are read from lowest set bits.
     """
     rules = _RULE_MAPS[0][0][:6]
@@ -290,23 +300,20 @@ def _reduce_rows(grid: list[list[int]]) -> bool:
         if not any(not here.isdisjoint(a) and not here.isdisjoint(b) for a, b in rules):
             continue
         moved = True
-        at = [0] * 16  # at[c]: the positions holding code c, as a bit mask
+        masks = [0] * (len(_SLOTS) + 1)  # the last one collects blocks in no slot
         for p, c in enumerate(row):
-            at[c] |= 1 << p
+            masks[_SLOT_OF[c]] |= 1 << p
         while True:
-            for a, b in rules:
-                # the codes of a slot hold disjoint positions, so a sum is their union
-                in_a, in_b = sum(map(at.__getitem__, a)), sum(map(at.__getitem__, b))
-                if in_a and in_b:
+            for a, b in _PAIRS:
+                if masks[a] and masks[b]:
                     break
             else:
                 break
-            for positions, slot in ((in_a, a), (in_b, b)):
-                bit = positions & -positions
+            for slot, bit in ((a, masks[a] & -masks[a]), (b, masks[b] & -masks[b])):
                 p = bit.bit_length() - 1
-                at[row[p]] ^= bit
-                row[p] = slot[row[p]]
-                at[row[p]] |= bit
+                code = row[p] = _FORWARD_TARGET[row[p]]
+                masks[slot] ^= bit
+                masks[_SLOT_OF[code]] |= bit
     return moved
 
 
@@ -334,6 +341,12 @@ def reduce(img: BinaryImage) -> BinaryImage:
     return BinaryImage(_decode(codes))
 
 
+# bit 2*o + i of _REVERSED_SIX[c]: code c lies in slot i of reversed class 6, orientation o
+_REVERSED_SIX = ((_RULES[1, :, 5] != _NONE) << np.arange(4, dtype=np.uint8).reshape(2, 2, 1)).sum(
+    axis=(0, 1), dtype=np.uint8
+)
+
+
 def has_reversed_switch(img: BinaryImage) -> bool:
     """Whether find_switch(img, REVERSED) finds a move."""
     return _has_reversed_switch(_even_codes(img))
@@ -345,9 +358,10 @@ def _has_reversed_switch(codes: np.ndarray) -> bool:
         return True  # the reversed class-7 flip
     # every other reversed rule but class 6 reads a B33, and class 6
     # applies iff some strip holds a code of each of its slots
-    six = _RULES[1, :, 5].take(codes, axis=-1) != _NONE  # [o, slot, v, u]
-    rows, columns = six[0].any(axis=2).all(axis=0), six[1].any(axis=1).all(axis=0)
-    return bool(rows.any() or columns.any())
+    marks = _REVERSED_SIX.take(codes)
+    rows = np.bitwise_or.reduce(marks, axis=1) & 3  # horizontal strips
+    columns = np.bitwise_or.reduce(marks, axis=0) >> 2  # vertical strips
+    return bool((rows == 3).any() or (columns == 3).any())
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from drtomo import switches
 from drtomo.model import BinaryImage, Corner, Instance, _decode, validate_instance, verify_solution
-from drtomo.solver import properize
+from drtomo.solver import StripPermutation, properize
 
 Codes = dict[Corner, int]
 SCIPY_THRESHOLD = 64
@@ -367,12 +367,22 @@ def solve_checked(inst: Instance):
     return perm, img, subs, codes
 
 
+def apply_to_image(perm: StripPermutation, img: BinaryImage) -> BinaryImage:
+    """The image with the two lines of every swapped strip exchanged, one strip at a time."""
+    a = img.mutable()
+    for s in np.flatnonzero(perm.row_swapped).tolist():
+        a[[2 * s, 2 * s + 1]] = a[[2 * s + 1, 2 * s]]
+    for s in np.flatnonzero(perm.col_swapped).tolist():
+        a[:, [2 * s, 2 * s + 1]] = a[:, [2 * s + 1, 2 * s]]
+    return BinaryImage(a)
+
+
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     solved = solve_checked(inst)
     if solved is None:
         return None
     perm, img, _, _ = solved
-    return switches.reduce(perm.apply_to_image(img))
+    return switches.reduce(apply_to_image(perm, img))
 
 
 def check_unique(inst: Instance) -> Optional[bool]:

@@ -411,9 +411,13 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(instances(), st.sets(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=4))
     def test_write_instance_matches_reference(self, inst, extra):
-        # points that are not corners are not written
-        inst = dataclasses.replace(inst, reliable=inst.reliable | extra)
-        assert write_instance(inst) == ref.write_instance(inst)
+        # extra corners are written as reliable; any other point is rejected at construction
+        if extra <= set(inst.corners()):
+            inst = dataclasses.replace(inst, reliable=inst.reliable | extra)
+            assert write_instance(inst) == ref.write_instance(inst)
+        else:
+            with pytest.raises(ValueError, match="non-corner points"):
+                dataclasses.replace(inst, reliable=inst.reliable | extra)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 10, 15, 16, 17])
     def test_write_instance_matches_reference_for_every_k(self, k):
@@ -435,10 +439,10 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("blocks", [((5, 0),), ((-1, 0),), ((0, 2**70),), ((0,), (0, 1))])
     def test_write_instance_rejects_what_it_cannot_write(self, blocks):
-        inst = Instance(k=2, epsilon=0, m=4, n=2 * len(blocks), row_sums=(0,) * 2 * len(blocks),
-                        col_sums=(0,) * 4, blocks=blocks, reliable=frozenset())
-        with pytest.raises(ValueError, match=r"outside \[0, 4\] or a ragged block grid"):
-            write_instance(inst)
+        # such a grid is rejected when the instance is built, so write_instance never meets one
+        with pytest.raises(ValueError, match=r"integers in \[0, 4\]|ragged"):
+            Instance(k=2, epsilon=0, m=4, n=2 * len(blocks), row_sums=(0,) * 2 * len(blocks),
+                     col_sums=(0,) * 4, blocks=blocks, reliable=frozenset())
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32))

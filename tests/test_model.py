@@ -85,8 +85,9 @@ class TestValidateInstance:
         assert any(e.kind == "dimension" for e in validate_instance(inst))
 
     def test_value_range_checks(self):
-        inst = single_block_instance(5, (0, 0), (0, 0))
-        assert any(e.kind == "value" for e in validate_instance(inst))
+        # a block value outside [0, k^2] is rejected at construction
+        with pytest.raises(ValueError, match=r"block values must be integers in \[0, 4\]"):
+            single_block_instance(5, (0, 0), (0, 0))
         inst = Instance(
             k=2, epsilon=0, m=2, n=2, row_sums=(3, 0), col_sums=(2, 1),
             blocks=((3,),), reliable=frozenset({(1, 1)}),
@@ -101,19 +102,50 @@ class TestValidateInstance:
         assert any(e.kind == "reliability" for e in validate_instance(inst))
 
     def test_non_corner_reliable_point(self):
-        inst = Instance(
-            k=2, epsilon=1, m=2, n=2, row_sums=(0, 0), col_sums=(0, 0),
-            blocks=((0,),), reliable=frozenset({(2, 2)}),
-        )
-        assert any(e.kind == "reliability" for e in validate_instance(inst))
+        # rejected at construction, so validate_instance never sees one
+        with pytest.raises(ValueError, match="non-corner points"):
+            Instance(
+                k=2, epsilon=1, m=2, n=2, row_sums=(0, 0), col_sums=(0, 0),
+                blocks=((0,),), reliable=frozenset({(2, 2)}),
+            )
+
+
+class TestInstanceConstruction:
+    """The tuple constructor takes only a grid of integers in [0, k^2] and corners of that grid."""
+
+    def test_ragged_grid(self):
+        with pytest.raises(ValueError, match="ragged"):
+            dataclasses.replace(zero_instance(4, 4), blocks=((0, 0), (0,)))
+
+    # the points rough_fields draws that are no corner of a 2x2 grid of 2x2 blocks
+    @pytest.mark.parametrize("point", [(2, 2), (0, 1), (1.0, 1), (1, 1, 1), "ab", (5, 1)])
+    def test_non_corner_points(self, point):
+        base = zero_instance(4, 4)
+        for reliable in (frozenset({point}), base.reliable - {(1, 1)} | {point}):
+            with pytest.raises(ValueError, match="non-corner points"):
+                dataclasses.replace(base, epsilon=1, reliable=reliable)
+
+    @pytest.mark.parametrize("value", [-1, 5, 2**70, 0.5])
+    def test_block_values_outside_zero_to_k_squared(self, value):
+        with pytest.raises(ValueError, match=r"integers in \[0, 4\]"):
+            dataclasses.replace(zero_instance(4, 4), blocks=((0, 0), (value, 0)))
+
+    @pytest.mark.parametrize("blocks", [(), ((),), ((), ())])
+    def test_empty_grid_is_accepted(self, blocks):
+        inst = Instance(k=2, epsilon=0, m=0, n=2 * len(blocks), row_sums=(), col_sums=(), blocks=blocks,
+                        reliable=frozenset())
+        assert inst._grid.shape == inst._reliable_grid.shape == (len(blocks), 0)
+        assert inst._grid.dtype == np.uint8 and inst._reliable_grid.dtype == bool
+        assert validate_instance(inst) == ref.validate_instance(inst)
+        assert [e.kind for e in validate_instance(inst)] == ["dimension"]
 
 
 HUGE = 10**20
 
 
 @st.composite
-def rough_instances(draw):
-    """Instances that break each rule of validate_instance now and then."""
+def rough_fields(draw):
+    """Constructor fields that break each rule of validate_instance, and of construction, now and then."""
     def rarely(options, usual):
         return draw(st.sampled_from([usual] * 9 + options))
 
@@ -130,15 +162,18 @@ def rough_instances(draw):
         return out
 
     bw, bh = max(bw + rarely([1, -1], 0), 0), bh + rarely([1], 0)  # now and then a grid one off
-    blocks = [values(kk, bw) for _ in range(bh)]
+    # one bad value in a whole grid now and then, as in a line-sum sequence
+    blocks = values(kk, bw * bh)
+    blocks = [blocks[bv * bw : (bv + 1) * bw] for bv in range(bh)]
     if draw(st.integers(0, 9)) == 0:
         blocks[0].append(0)  # ragged
     corners = [(k * bu + 1, k * bv + 1) for bv in range(bh) for bu in range(bw)]
     reliable = set(corners)
     if corners and draw(st.integers(0, 3)) == 0:
         reliable = draw(st.sets(st.sampled_from(corners)))
-    reliable |= draw(st.sets(st.sampled_from([(2, 2), (0, 1), (1.0, 1), (1, 1, 1), "ab", (m + 1, 1)]), max_size=1))
-    return Instance(
+    if draw(st.integers(0, 3)) == 0:
+        reliable.add(draw(st.sampled_from([(2, 2), (0, 1), (1.0, 1), (1, 1, 1), "ab", (m + 1, 1)])))
+    return dict(
         k=k,
         epsilon=epsilon,
         m=m,
@@ -148,6 +183,19 @@ def rough_instances(draw):
         blocks=tuple(map(tuple, blocks)),
         reliable=frozenset(reliable),
     )
+
+
+def construction_fault(fields: dict) -> bool:
+    """Whether the tuple constructor rejects the fields: a ragged grid, a
+    block value outside [0, k^2], or a reliable point that is not a corner
+    (k*bu + 1, k*bv + 1) of the grid with integer coordinates."""
+    k, blocks = fields["k"], fields["blocks"]
+    if len({len(row) for row in blocks}) > 1:
+        return True
+    if not all(0 <= v <= k * k for row in blocks for v in row):
+        return True
+    corners = {(k * bu + 1, k * bv + 1) for bv in range(len(blocks)) for bu in range(len(blocks[0]) if blocks else 0)}
+    return any(p not in corners or {type(x) for x in p} != {int} for p in fields["reliable"])
 
 
 class TestCorners:
@@ -161,21 +209,24 @@ class TestCorners:
 
 class TestValidateAgainstReference:
     @settings(max_examples=1000, deadline=None)
-    @given(rough_instances())
-    def test_same_findings_in_the_same_order(self, inst):
-        assert validate_instance(inst) == ref.validate_instance(inst)
+    @given(rough_fields())
+    def test_same_findings_in_the_same_order(self, fields):
+        if construction_fault(fields):
+            with pytest.raises(ValueError):
+                Instance(**fields)
+        else:
+            inst = Instance(**fields)
+            assert validate_instance(inst) == ref.validate_instance(inst)
 
     def test_every_kind_on_fixed_instances(self):
         kinds = set()
         base = zero_instance(4, 4)
         cases = [
-            dataclasses.replace(base, k=1),
+            dataclasses.replace(base, k=1, reliable=frozenset()),  # the corners move with k
             dataclasses.replace(base, m=3),
             dataclasses.replace(base, row_sums=(0, 0, 0)),
-            dataclasses.replace(base, blocks=((0, 0), (0,))),
+            dataclasses.replace(base, blocks=((0, 0),), reliable=frozenset({(1, 1), (3, 1)})),
             dataclasses.replace(base, row_sums=(5, -1, 0, HUGE)),
-            dataclasses.replace(base, blocks=((0, 5), (-1, 4))),
-            dataclasses.replace(base, reliable=base.reliable | {(2, 2)}),
             dataclasses.replace(base, reliable=base.reliable - {(1, 1)}),
             dataclasses.replace(base, row_sums=(1, 0, 0, 0)),
         ]
@@ -184,6 +235,12 @@ class TestValidateAgainstReference:
             assert errs == ref.validate_instance(inst)
             kinds |= {e.kind for e in errs}
         assert kinds == {"dimension", "shape", "value", "reliability", "sum-mismatch"}
+        # a ragged grid, block values outside [0, 4] and a non-corner point never reach validation
+        for changes in (
+            {"blocks": ((0, 0), (0,))}, {"blocks": ((0, 5), (-1, 4))}, {"reliable": base.reliable | {(2, 2)}}
+        ):
+            with pytest.raises(ValueError):
+                dataclasses.replace(base, **changes)
 
 
 class TestVerifySolution:

@@ -140,7 +140,7 @@ class TestConstrainedSolve:
 
 def _malformed(case: str) -> Instance:
     inst = make_exact_instance(random_image(4, 4, 0.5, 3), 2)
-    if case == "block value":
+    if case == "block value":  # rejected at construction, before any entry point runs
         return dataclasses.replace(inst, blocks=((7,) + inst.blocks[0][1:],) + inst.blocks[1:])
     if case == "row sum":
         return dataclasses.replace(inst, row_sums=(-1,) + inst.row_sums[1:])
