@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import BinaryImage, GrayImage, Instance, _instance_of_grids, validate_instance
+from .model import BinaryImage, GrayImage, Instance, _instance_of_grids, _require_well_formed, validate_instance
 
 
 class FormatError(ValueError):
@@ -158,9 +158,7 @@ def parse_instance(text: str) -> Instance:
         raise FormatError("trailing content after block rows", lines[pos][0])
 
     inst = _instance_of_grids(k, epsilon, row_sums, col_sums, *grids)
-    structural = [e for e in validate_instance(inst) if e.kind != "sum-mismatch"]
-    if structural:
-        raise FormatError("; ".join(str(e) for e in structural))
+    _require_well_formed(validate_instance(inst), FormatError)
     return inst
 
 

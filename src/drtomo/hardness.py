@@ -3,11 +3,13 @@
 A formula over T variables with S clauses becomes a square board of side
 S(6T+2) + 2T.  Truth values live in 2x2 "chips": ones in the bottom row
 mean True, ones in the left column mean False.  A diagonal of connectors
-copies each variable and its negation across the board, every clause
-gets a chip whose two verifier lines admit exactly one crossing one, and
-the uncertain (value 1, plus or minus epsilon) blocks sit exactly where
-a one may or may not pass through.  Every other block is exact with
-value 0 or 2, so a block is uncertain exactly when its value is 1.
+copies each variable and its negation across the board, and every clause
+gets a chip whose two verifier lines admit exactly one crossing one.
+`build_board` is the one statement of where the components sit, and the
+block values follow from it: a connector chip's block is exact with
+value 2, a block holding a cell of any other component is uncertain with
+value 1 (plus or minus epsilon), since a one may or may not pass through
+it, and every other block is exact with value 0.
 
 Parsimony, measured and conjectured: a board has exactly one solution
 per satisfying 1-in-3 assignment of its formula.  The test suite checks
@@ -36,7 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .formats import FormatError, _ints
-from .model import BinaryImage, BlockType, Instance, _instance_of_grids, _require_well_formed, classify_block
+from .model import (
+    BinaryImage, BlockType, Instance, _instance_of_grids, _require_well_formed, classify_block, validate_instance,
+)
 from .oracle import SearchBudget, constrained_solve
 
 Cell = tuple[int, int]
@@ -123,6 +127,7 @@ class BoardSpec:
     Initializer and connector chips are block-aligned; collector chips
     straddle two blocks.  candidate_cells is the set of cells that may
     carry a one in some solution; everything else is forced to zero.
+    The board's block values are read off these positions alone.
     """
 
     sat: OneInThreeInstance
@@ -136,18 +141,13 @@ class BoardSpec:
 
     @property
     def candidate_cells(self) -> frozenset[Cell]:
-        cells: set[Cell] = set()
-        for chip in (
-            list(self.init_chips.values())
-            + list(self.connector_chips.values())
-            + list(self.vcollector_chips.values())
-            + list(self.hcollector_chips.values())
-        ):
-            x, y = chip
-            cells.update((x + dx, y + dy) for dx in (0, 1) for dy in (0, 1))
-        for points in self.config_points.values():
-            cells.update(points)
-        return frozenset(cells)
+        chips = _chip_cells(self.init_chips, self.connector_chips, self.vcollector_chips, self.hcollector_chips)
+        return frozenset(chips.union(*self.config_points.values()))
+
+
+def _chip_cells(*chip_maps: dict) -> set[Cell]:
+    """The four cells of every chip in the maps, each chip given by its lower-left cell."""
+    return {(x + dx, y + dy) for chips in chip_maps for x, y in chips.values() for dx in (0, 1) for dy in (0, 1)}
 
 
 def build_board(sat: OneInThreeInstance) -> BoardSpec:
@@ -191,71 +191,22 @@ def build_board(sat: OneInThreeInstance) -> BoardSpec:
 def _board_constraints(spec: BoardSpec) -> tuple[np.ndarray, list[int], list[int]]:
     """Block values as a [bv, bu] array, plus row and column sums.
 
-    Every component claims its blocks as exact 0, exact 2 or uncertain 1,
-    so the value alone tells an uncertain block; blocks no component
-    claims are exact 0.
+    The values are read off the component positions: a connector chip's
+    block is exact 2, a block holding a cell of any other component is
+    uncertain 1, and every other block is exact 0.  A block holding a
+    connector chip and a cell of another component raises AssertionError.
+    The line sums depend only on S and T.
     """
-    sat = spec.sat
-    S, T, N = len(sat.clauses), sat.num_vars, spec.side
-    values = np.full((N // 2, N // 2), -1)  # -1: not claimed yet
-
-    def claim(i: int, j: int, value: int) -> None:
-        prev = values[j // 2, i // 2]
-        if prev != -1 and prev != value:
+    S, T, N = len(spec.sat.clauses), spec.sat.num_vars, spec.side
+    values = np.zeros((N // 2, N // 2), dtype=np.uint8)
+    others = _chip_cells(spec.init_chips, spec.vcollector_chips, spec.hcollector_chips)
+    x, y = np.array(list(others.union(*spec.config_points.values()))).T
+    values[(y - 1) // 2, (x - 1) // 2] = 1
+    for i, j in spec.connector_chips.values():
+        block = (j - 1) // 2, (i - 1) // 2
+        if values[block]:
             raise AssertionError(f"conflicting block constraint at ({i},{j})")
-        values[j // 2, i // 2] = value
-
-    a_last = spec.anchors[S]
-    # initializer: uncertain single ones on its anti-diagonal
-    for u in range(T):
-        for v in range(T):
-            claim(a_last + 2 * u, 1 + 2 * v, int(u + v == T - 1))
-    # connectors: exact pairs on their anti-diagonals
-    for s in range(1, S + 2):
-        a = spec.anchors[s - 1]
-        for u in range(T):
-            for v in range(T):
-                claim(a + 2 * u, a + 2 * v, 2 if u + v == T - 1 else 0)
-    for s in range(1, S + 1):
-        a = spec.anchors[s - 1]
-        U, N_s = sat.unnegated(s), sat.negated(s)
-        # vertical collector columns: two uncertain blocks around each chip
-        for t in range(1, T + 1):
-            for v_t in range(3 - 4 * t, 4 * (T - t) + 2, 2):
-                claim(a + 2 * (T - t), a + 2 * T + 4 * t - 3 + v_t, int(v_t in (-1, 1)))
-        # horizontal collector rows
-        for t in range(1, T + 1):
-            for u_t in range(3 - 4 * t, 4 * (T - t) + 2, 2):
-                claim(a + 2 * T + 4 * t - 1 + u_t, a + 6 * T + 2 * t, int(u_t in (-1, 1)))
-        # unused corner of the clause chip, above the vertical collector
-        for u in range(T):
-            for v in range(T):
-                claim(a + 2 * u, a + 6 * T + 2 * v, 0)
-        # vertical verifier: a one may cross only at the clause's literals
-        for t in range(1, T + 1):
-            for v in (1, 2):
-                hit = (t in U and v == 1) or (t in N_s and v == 2)
-                claim(a + 2 * T, a + 2 * T + 4 * t - 2 * v, int(hit))
-        # horizontal verifier
-        for t in range(1, T + 1):
-            for u in (1, 2):
-                hit = (t in U and u == 2) or (t in N_s and u == 1)
-                claim(a + 2 * T + 2 + 4 * t - 2 * u, a + 6 * T, int(hit))
-        # transmitter: the two off-diagonals carry the signal.  A variable
-        # absent from the clause needs both side blocks open so its value
-        # can pass straight through; a clause variable needs only the one
-        # its configuration uses.
-        for u in range(1, 2 * T):
-            t = (u + 1) // 2
-            open_plus = u % 2 == 1 and t not in N_s
-            open_minus = u % 2 == 1 and t not in U
-            claim(a + 2 * T + 2 + 2 * u, a + 2 * T + 2 * (u - 1), int(open_plus))
-            claim(a + 2 * T + 2 + 2 * (u - 1), a + 2 * T + 2 * u, int(open_minus))
-        for u in range(2 * T):
-            for v in range(2 * T):
-                if u - v not in (-1, 1):
-                    claim(a + 2 * T + 2 + 2 * u, a + 2 * T + 2 * v, 0)
-    values[values == -1] = 0  # every block not claimed by a component is zero
+        values[block] = 2
 
     rows = [0] * N
     cols = [0] * N
@@ -364,7 +315,7 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
         raise ValueError("target block size must be at least 2")
     if k_prime == 2:
         return inst
-    _require_well_formed(inst)
+    _require_well_formed(validate_instance(inst))
     # the same block grid and reliability, just bigger blocks
     return _instance_of_grids(
         k_prime, inst.epsilon, _lift_sums(inst.row_sums, k_prime), _lift_sums(inst.col_sums, k_prime),

@@ -46,11 +46,11 @@ class BinaryImage:
     def from_ones(cls, m: int, n: int, ones: Iterator[tuple[int, int]]) -> "BinaryImage":
         a = np.zeros((n, m), dtype=np.uint8)
         for p, q in ones:
-            a[q - 1, p - 1] = 1
+            a[_cell(m, n, p, q)] = 1
         return cls(a)
 
     def get(self, p: int, q: int) -> int:
-        return int(self.a[q - 1, p - 1])
+        return int(self.a[_cell(self.m, self.n, p, q)])
 
     def ones(self) -> list[tuple[int, int]]:
         qs, ps = np.nonzero(self.a)
@@ -68,6 +68,9 @@ class BinaryImage:
         return [int(x) for x in self.a.sum(axis=0)]
 
     def block_sum(self, i: int, j: int, k: int) -> int:
+        """Ones in the k x k box with lower-left cell (i, j); ValueError unless the box lies in the image."""
+        _cell(self.m, self.n, i, j)
+        _cell(self.m, self.n, i + k - 1, j + k - 1)
         return int(self.a[j - 1 : j - 1 + k, i - 1 : i - 1 + k].sum())
 
     def mutable(self) -> np.ndarray:
@@ -86,6 +89,16 @@ class BinaryImage:
 
     def __repr__(self) -> str:
         return f"BinaryImage({self.m}x{self.n}, {self.popcount()} ones)"
+
+
+def _cell(m: int, n: int, p: int, q: int) -> tuple[int, int]:
+    """Array index [q - 1, p - 1] of cell (p, q) of an m x n grid; ValueError outside it.
+
+    A plain index would wrap around at 0 and below.
+    """
+    if not (1 <= p <= m and 1 <= q <= n):
+        raise ValueError(f"({p},{q}) is not a cell of a {m}x{n} grid")
+    return q - 1, p - 1
 
 
 class BlockType(enum.Enum):
@@ -348,7 +361,8 @@ class GrayImage:
     values: tuple[tuple[int, ...], ...]  # values[v][u], v bottom up
 
     def value(self, u: int, v: int) -> int:
-        return self.values[v - 1][u - 1]
+        row, col = _cell(self.width, self.height, u, v)
+        return self.values[row][col]
 
 
 @dataclass(frozen=True)
@@ -526,7 +540,7 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
         raise ValueError(f"epsilon must be >= 0, got {inst.epsilon}")
     if inst.epsilon == 0 or fraction_unreliable == 0:
         return inst
-    _require_well_formed(inst)
+    _require_well_formed(validate_instance(inst))
     bh, bw = inst._grid.shape
     count = math.ceil(fraction_unreliable * bw * bh)
     rng = random.Random(seed)
@@ -541,11 +555,19 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
     return _instance_of_grids(inst.k, inst.epsilon, inst.row_sums, inst.col_sums, grid, reliable_grid)
 
 
-def _require_well_formed(inst: Instance) -> None:
-    """ValueError naming the validate_instance findings of a malformed instance."""
-    errs = [e for e in validate_instance(inst) if e.kind != "sum-mismatch"]
+def _require_well_formed(findings: list[ValidationError], error: type[ValueError] = ValueError) -> bool:
+    """Whether an instance's line totals agree, given its validate_instance findings.
+
+    The one rule for those findings: a sum mismatch is a verdict (the
+    instance is infeasible), any other finding is an error, raised as
+    `error` with every finding but the sum mismatch, in order.  Callers
+    look validate_instance up at their own module's name, which is where
+    perfbench/tracing.py times it.
+    """
+    errs = [e for e in findings if e.kind != "sum-mismatch"]
     if errs:
-        raise ValueError("; ".join(str(e) for e in errs))
+        raise error("; ".join(str(e) for e in errs))
+    return not findings
 
 
 def random_image(m: int, n: int, density: float, seed: int) -> BinaryImage:

@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BinaryImage, Instance, validate_instance
+from .model import BinaryImage, Instance, _require_well_formed, validate_instance
 
 
 @dataclass(frozen=True)
@@ -356,15 +356,13 @@ def _run(
     The pins are written before pre-elimination, which counts them and
     tests every group.
     """
-    errs = validate_instance(inst)
-    if any(e.kind != "sum-mismatch" for e in errs):
-        raise ValueError("; ".join(str(e) for e in errs))
+    sums_agree = _require_well_formed(validate_instance(inst))
     s = _Search(inst, budget, collect)
     for (p, q), bit in fixed.items():
         if not (1 <= p <= inst.m and 1 <= q <= inst.n) or bit not in (0, 1):
             raise ValueError(f"pin ({p}, {q}) = {bit} is not a bit on the {inst.m}x{inst.n} grid")
         s.cell[(q - 1) * inst.m + p - 1] = bit
-    if not errs and s.preeliminate():
+    if sums_agree and s.preeliminate():
         s.run()
     return s
 

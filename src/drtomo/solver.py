@@ -10,8 +10,11 @@ mask with one pair of sums per strip, and the subsolvers' block codes
 go into one code grid in a single scatter.  The code grid is verified
 against the proper-frame instance without decoding it: line sums come
 from per-code tables of the ones in a block's bottom and left lines,
-block sums from a popcount table.  A failed verification is the
-infeasibility verdict, which is exact in this setting.  An image is
+block sums from a popcount table.  The infeasibility verdict, exact in
+this setting, comes before that check: from the line totals, a strip no
+case fits, or a subsolver that finds no part.  A grid assembled from
+parts that every subsolver found satisfies the instance, so a failed
+check is a bug and raises RuntimeError.  An image is
 decoded only once, as solve_dr's answer; check_unique never builds one.
 
 solve_dr un-swaps and reduces on the code grid, in closed form: its
@@ -44,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import switches
-from .model import BinaryImage, Instance, _decode, validate_instance
+from .model import BinaryImage, Instance, _decode, _require_well_formed, validate_instance
 from .model import verify_solution  # noqa: F401  no longer called here; perfbench/tracing.py wraps this name
 from .subsolvers import (
     SubInstance,
@@ -220,13 +223,12 @@ def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int,
 
     Returns the strip permutation and the proper frame's subproblems and
     verified [bv, bu] block code grid; None if inst is infeasible,
-    ValueError if it is malformed.  Verifying in the proper frame decides
-    the original too, since properize's swaps map solutions one-to-one.
+    ValueError if it is malformed.  A grid that fails the check after every
+    subsolver succeeded is a bug, raised as RuntimeError.  Checking in the
+    proper frame checks the original too, since properize's swaps map
+    solutions one-to-one.
     """
-    errs = validate_instance(inst)
-    if any(e.kind != "sum-mismatch" for e in errs):
-        raise ValueError("; ".join(str(e) for e in errs))
-    if errs:
+    if not _require_well_formed(validate_instance(inst)):
         return None
     proper, perm = properize(inst)
     cases = _classify_all(proper)
@@ -247,7 +249,7 @@ def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int,
     grid[np.argsort(proper._grid, axis=None, kind="stable")] = np.concatenate(parts)
     grid = grid.reshape(proper._grid.shape)
     if not _satisfies(proper, grid):
-        return None
+        raise RuntimeError("the grid the subsolvers assembled fails the instance; the solver is off")
     return perm, subs, grid
 
 

@@ -1,5 +1,6 @@
 """Gadget boards for 1-in-3 satisfiability and the block-size lifting."""
 
+import dataclasses
 import itertools
 import random
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drtomo import hardness
-from drtomo.formats import FormatError
+from drtomo.formats import FormatError, write_instance
 from drtomo.hardness import (
     BoardSpec,
     OneInThreeInstance,
@@ -30,6 +31,7 @@ from drtomo.model import (
 )
 from drtomo.oracle import SearchBudget, constrained_solve, oracle_count, oracle_solve
 
+import hardness_reference
 from conftest import single_block_instance
 
 DEMO_SAT = OneInThreeInstance(num_vars=4, clauses=((1, -2, 3),))
@@ -292,6 +294,48 @@ class TestBoardFacts:
             for i, j in inst.corners():
                 assert inst.is_reliable(i, j) == (inst.value(i, j) != 1), (spec.sat, (i, j))
             assert set(np.unique(inst._grid)) <= {0, 1, 2}
+
+
+@st.composite
+def _drawn_formulas(draw, max_vars: int = 8, max_clauses: int = 5) -> OneInThreeInstance:
+    """A formula of 1 to max_clauses clauses over 3 to max_vars variables."""
+    T = draw(st.integers(3, max_vars))
+    clause = st.tuples(
+        st.permutations(range(1, T + 1)).map(lambda vs: vs[:3]),
+        st.tuples(*[st.sampled_from((1, -1))] * 3),
+    ).map(lambda c: tuple(sign * v for v, sign in zip(*c)))
+    return OneInThreeInstance(T, tuple(draw(st.lists(clause, min_size=1, max_size=max_clauses))))
+
+
+class TestMatchesClaimWalk:
+    """Block values read off the component positions equal the claim walk of `hardness_reference`."""
+
+    @staticmethod
+    def _assert_matches(sat: OneInThreeInstance) -> None:
+        for eps in (1, 2):
+            got, want = gen_sat_instance(sat, eps), hardness_reference.gen_sat_instance(sat, eps)
+            assert got == want, (sat, eps)
+            assert write_instance(got) == write_instance(want), (sat, eps)
+
+    def test_every_formula_up_to_four_variables_and_two_clauses(self):
+        formulas = [sat for T in (3, 4) for S in (1, 2) for sat in _formulas(T, S)]
+        assert len(formulas) == 604
+        for sat in formulas:
+            self._assert_matches(sat)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_drawn_formulas())
+    def test_drawn_formulas(self, sat):
+        self._assert_matches(sat)
+
+    def test_config_point_moved_into_a_connector_block_conflicts(self):
+        spec = build_board(DEMO_SAT)
+        x, y = spec.connector_chips[(1, 1)]
+        points = dict(spec.config_points)
+        points[(1, 1)] = frozenset(sorted(points[(1, 1)])[1:]) | {(x + 1, y + 1)}
+        moved = dataclasses.replace(spec, config_points=points)
+        with pytest.raises(AssertionError, match=rf"^conflicting block constraint at \({x},{y}\)$"):
+            hardness._board_constraints(moved)
 
 
 class TestLiftInstance:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import format_reference as ref
 from oracle_reference import reference_search
 
-from drtomo.formats import parse_instance, write_instance
+from drtomo.formats import FormatError, parse_instance, write_instance
 from drtomo.hardness import OneInThreeInstance, gen_sat_instance, lift_instance
 from drtomo.model import (
     BinaryImage,
@@ -67,6 +67,23 @@ class TestBinaryImage:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (5, 1), (-1, 2)])
+    def test_cells_outside_the_grid_raise(self, cell):
+        """A 1-based index at 0 or below would wrap around to the far edge."""
+        img = BinaryImage.from_ones(4, 4, [(4, 4), (4, 1)])
+        with pytest.raises(ValueError, match=r"not a cell of a 4x4 grid"):
+            BinaryImage.from_ones(4, 4, [cell])
+        with pytest.raises(ValueError, match=r"not a cell of a 4x4 grid"):
+            img.get(*cell)
+        with pytest.raises(ValueError, match=r"not a cell of a 4x4 grid"):
+            img.block_sum(*cell, 2)
+
+    def test_block_sum_box_must_lie_in_the_image(self):
+        img = BinaryImage(np.ones((4, 4), dtype=np.uint8))
+        assert img.block_sum(3, 3, 2) == 4
+        with pytest.raises(ValueError):
+            img.block_sum(4, 3, 2)
+
 
 class TestValidateInstance:
     def test_zero_instance_valid(self):
@@ -108,6 +125,36 @@ class TestValidateInstance:
                 k=2, epsilon=1, m=2, n=2, row_sums=(0, 0), col_sums=(0, 0),
                 blocks=((0,),), reliable=frozenset({(2, 2)}),
             )
+
+
+class TestWellFormedRule:
+    """A sum mismatch is a verdict; every other validate_instance finding is an error, worded alike by every caller."""
+
+    def test_every_caller_raises_the_same_findings(self):
+        # r_1 = 3 is out of range on a 2x2 grid, and the line totals disagree as well
+        exact = single_block_instance(1, (3, 0), (2, 0))
+        noisy = single_block_instance(1, (3, 0), (2, 0), epsilon=1)
+        want = "value: row sum r_1=3 outside [0, 2]"
+        with pytest.raises(FormatError) as err:
+            parse_instance(write_instance(noisy))
+        assert str(err.value) == want
+        calls = [
+            lambda: solve_dr(exact), lambda: check_unique(exact), lambda: oracle_solve(noisy),
+            lambda: oracle_count(noisy), lambda: perturb_instance(noisy, 0.5, seed=0), lambda: lift_instance(noisy, 4),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError and str(err.value) == want
+
+    def test_a_sum_mismatch_alone_is_a_verdict(self):
+        exact = single_block_instance(1, (1, 0), (0, 0))
+        noisy = single_block_instance(1, (1, 0), (0, 0), epsilon=1)
+        assert parse_instance(write_instance(noisy)) == noisy
+        assert solve_dr(exact) is None and check_unique(exact) is None
+        assert oracle_solve(noisy) == ([], True) and oracle_count(noisy) == (0, True)
+        assert perturb_instance(noisy, 1, seed=0).row_sums == (1, 0)
+        assert lift_instance(noisy, 4).row_sums == (1, 0, 0, 0)
 
 
 class TestInstanceConstruction:
@@ -401,6 +448,12 @@ class TestDegrade:
         gray = degrade(img, 2)
         assert sum(map(sum, gray.values)) == 1
         assert gray.value(2, 2) == 1
+
+    @pytest.mark.parametrize("block", [(0, 1), (1, 0), (5, 1), (-1, 2)])
+    def test_blocks_outside_the_grid_raise(self, block):
+        gray = degrade(BinaryImage(np.ones((8, 8), dtype=np.uint8)), 2)
+        with pytest.raises(ValueError, match=r"not a cell of a 4x4 grid"):
+            gray.value(*block)
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError):

@@ -386,6 +386,16 @@ class TestSolveDr:
         with pytest.raises(ValueError):
             solve_dr(inst)
 
+    def test_failed_check_after_the_subsolvers_is_a_bug(self, monkeypatch):
+        """A grid assembled from parts that every subsolver found must satisfy the instance."""
+        inst = make_exact_instance(BinaryImage.from_ones(4, 4, [(1, 1), (2, 2)]), 2)
+        assert solve_dr(inst) is not None and check_unique(inst) is not None
+        # a part of the right length for the three zero blocks, but full
+        monkeypatch.setitem(solver._SOLVERS, 0, lambda sub: np.full(np.count_nonzero(sub.mask), 15, np.uint8))
+        for run in (solve_dr, check_unique):
+            with pytest.raises(RuntimeError, match="fails the instance"):
+                run(inst)
+
 
 class TestClosedFormUnswap:
     """solve_dr's closed-form un-swap equals reduce of the un-swapped proper-frame image."""
