@@ -262,11 +262,24 @@ class Instance:
 
     def window(self, i: int, j: int) -> tuple[int, int]:
         """Admissible [lo, hi] range for the block sum at corner (i, j)."""
-        block = self._block(i, j)
-        v = self._grid.item(block)
-        if self._reliable_grid[block]:
-            return v, v
-        return max(0, v - self.epsilon), min(self.k * self.k, v + self.epsilon)
+        lo, hi = self._windows(self._block(i, j))
+        return int(lo), int(hi)
+
+    def _windows(self, at=...) -> tuple[np.ndarray, np.ndarray]:
+        """Admissible block sums lo and hi, as int64, of the blocks `at` indexes in `_grid` (all by default).
+
+        The one window rule: [max(0, v - epsilon), min(k^2, v + epsilon)]
+        about the block value v, narrowed to [v, v] on a reliable block.
+        With epsilon = 0 every window is [v, v], and lo is hi.  Computed
+        on each call and never kept: the arrays are as large as the grid.
+        """
+        values = self._grid[at].astype(np.int64)  # the noise bounds leave [0, k^2]; uint8 would wrap
+        if not self.epsilon:
+            return values, values
+        reliable = self._reliable_grid[at]
+        lo = np.where(reliable, values, np.maximum(values - self.epsilon, 0))
+        hi = np.where(reliable, values, np.minimum(values + self.epsilon, self.k * self.k))
+        return lo, hi
 
     @cached_property
     def _strip_counts(self) -> np.ndarray:
@@ -447,19 +460,13 @@ def verify_solution(inst: Instance, img: BinaryImage) -> VerificationReport:
         raise ValueError(f"image is {img.m}x{img.n}, instance expects {inst.m}x{inst.n}")
     k = inst.k
     got = _box_sums(img.a, k)
-    values = inst._grid.astype(np.int64)  # the window bounds below leave [0, k^2]; uint8 would wrap
-    lo = np.maximum(0, values - inst.epsilon)
-    hi = np.minimum(k * k, values + inst.epsilon)
-    # reliability narrows a window only where the noise window is not [v, v]
-    if ((lo != values) | (hi != values)).any():
-        lo = np.where(inst._reliable_grid, values, lo)
-        hi = np.where(inst._reliable_grid, values, hi)
+    lo, hi = inst._windows()
     bad_v, bad_u = np.nonzero((got < lo) | (got > hi))
     return VerificationReport(
         row_violations=_line_violations(inst.row_sums, img.a.sum(axis=1)),
         col_violations=_line_violations(inst.col_sums, img.a.sum(axis=0)),
         block_violations=[
-            ((k * u + 1, k * v + 1), int(values[v, u]), (int(lo[v, u]), int(hi[v, u])), int(got[v, u]))
+            ((k * u + 1, k * v + 1), inst._grid.item(v, u), (int(lo[v, u]), int(hi[v, u])), int(got[v, u]))
             for v, u in zip(bad_v.tolist(), bad_u.tolist())
         ],
     )

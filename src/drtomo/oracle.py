@@ -133,13 +133,12 @@ class _Search:
         self.nodes = 0
         self.exhausted = True
 
-        k, m, n, eps = inst.k, inst.m, inst.n, inst.epsilon
-        self.members, self.cell_groups, self.sizes = _layout(k, m, n)
-        # int64, since the noise window's bounds leave [0, k^2] before they are clipped
-        values, reliable = inst._grid.ravel().astype(np.int64), inst._reliable_grid.ravel()
+        m, n = inst.m, inst.n
+        self.members, self.cell_groups, self.sizes = _layout(inst.k, m, n)
         sums = np.array(inst.row_sums + inst.col_sums)
-        self.lo = np.concatenate((sums, np.where(reliable, values, np.maximum(values - eps, 0))))
-        self.hi = np.concatenate((sums, np.where(reliable, values, np.minimum(values + eps, k * k))))
+        lo, hi = inst._windows()
+        self.lo = np.concatenate((sums, lo.ravel()))
+        self.hi = np.concatenate((sums, hi.ravel()))
         self.cell = np.full(m * n, -1, dtype=np.int8)  # -1 while undecided
         self.trail: list[int] = []
         self.undecided: list[int] = []

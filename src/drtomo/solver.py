@@ -1,20 +1,24 @@
 """Exact polynomial-time solver and uniqueness test for k = 2, epsilon = 0.
 
-The pipeline normalizes each two-line strip so its larger sum comes
-first, peels off the forced 0- and 4-valued blocks, classifies every
-strip into one of three count patterns, and splits the rest into the
+The pipeline works on one strip table of bh + bw entries, the row
+strips and then the column strips.  It reads the line sums once into
+that table as one pair per strip, ordered larger first, and keeps the
+mask of the pairs it swapped; the block grid and its per-strip counts do
+not depend on line order, so no line-swapped instance is built.  It
+peels off the forced 0- and 4-valued blocks, classifies every strip
+into one of three count patterns, and splits the rest into the
 per-value subproblems of the subsolvers module.  All of it works on
 arrays over the [bv, bu] block grid: one classify_strip call covers
-the row strips and then the column strips, each subproblem is a block
-mask with one pair of sums per strip, and the subsolvers' block codes
-go into one code grid in a single scatter.  The code grid is verified
-against the proper-frame instance without decoding it: line sums come
-from per-code tables of the ones in a block's bottom and left lines,
-block sums from a popcount table.  The infeasibility verdict, exact in
-this setting, comes before that check: from the line totals, a strip no
-case fits, or a subsolver that finds no part.  A grid assembled from
-parts that every subsolver found satisfies the instance, so a failed
-check is a bug and raises RuntimeError.  An image is
+the whole table, each subproblem is a block mask with one pair of sums
+per strip, and the subsolvers' block codes go into one code grid in a
+single scatter.  That grid answers the ordered (proper-frame) sums, and
+is verified against them and the block grid without decoding it: line
+sums come from per-code tables of the ones in a block's bottom and left
+lines, block sums from a popcount table.  The infeasibility verdict,
+exact in this setting, comes before that check: from the line totals, a
+strip no case fits, or a subsolver that finds no part.  A grid assembled
+from parts that every subsolver found satisfies the instance, so a
+failed check is a bug and raises RuntimeError.  An image is
 decoded only once, as solve_dr's answer; check_unique never builds one.
 
 solve_dr un-swaps and reduces on the code grid, in closed form: its
@@ -93,21 +97,40 @@ class StripPermutation:
     col_swapped: np.ndarray
 
     def apply_to_instance(self, inst: Instance) -> Instance:
+        """inst with the lines of every swapped strip exchanged; ValueError
+        unless inst is an exact k = 2 instance with this many strips per axis."""
+        pairs, swapped = _strip_sums(inst)
+        bh, bw = inst._grid.shape
+        if (len(self.row_swapped), len(self.col_swapped)) != (bh, bw):
+            raise ValueError(
+                f"a permutation of {len(self.row_swapped)} row and {len(self.col_swapped)} column strips "
+                f"does not fit an instance of {bh} row and {bw} column strips"
+            )
+        # a pair leaves its larger-first order where exactly one of the two swaps applies
+        flip = np.concatenate((self.row_swapped, self.col_swapped)) != swapped
+        sums = np.where(flip[:, None], pairs[:, ::-1], pairs)
         # block values do not move, so the swapped instance keeps their views
-        return inst._with(
-            row_sums=_swap_lines(inst.row_sums, self.row_swapped),
-            col_sums=_swap_lines(inst.col_sums, self.col_swapped),
-        )
+        return inst._with(row_sums=tuple(sums[:bh].ravel().tolist()), col_sums=tuple(sums[bh:].ravel().tolist()))
 
 
-def _strip_pairs(sums) -> np.ndarray:
-    """Line sums as [strip, line] pairs; an odd last line belongs to no strip."""
-    return np.array(sums[: len(sums) // 2 * 2]).reshape(-1, 2)
+def _strip_sums(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The line sums of an exact k = 2 instance as its strip table, and which pairs were swapped.
 
-
-def _swap_lines(sums: tuple[int, ...], swapped: np.ndarray) -> tuple[int, ...]:
-    pairs = _strip_pairs(sums)
-    return (*np.where(swapped[:, None], pairs[:, ::-1], pairs).ravel().tolist(), *sums[pairs.size :])
+    Entry s < bh holds rows 2s + 1, 2s + 2, entry bh + s columns 2s + 1,
+    2s + 2, as an int64 [bh + bw, 2] pair ordered larger first; the
+    boolean mask [bh + bw] marks the pairs that order exchanged.
+    ValueError unless k = 2 and epsilon = 0 and each axis has two lines
+    per strip of the block grid.
+    """
+    if inst.k != 2 or inst.epsilon != 0:
+        raise ValueError("the exact solver requires k = 2 and epsilon = 0")
+    for sums, strips, axis in zip((inst.row_sums, inst.col_sums), inst._grid.shape, ("row", "column")):
+        if len(sums) != 2 * strips:
+            raise ValueError(f"{len(sums)} {axis} sums do not pair up into {strips} {axis} strips")
+    pairs = np.array(inst.row_sums + inst.col_sums, np.int64).reshape(-1, 2)
+    swapped = pairs[:, 0] < pairs[:, 1]
+    pairs[swapped] = pairs[swapped, ::-1]
+    return pairs, swapped
 
 
 def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
@@ -115,13 +138,15 @@ def properize(inst: Instance) -> tuple[Instance, StripPermutation]:
 
     Block sums do not change under an in-strip line swap, so only the
     line sums move; solutions of the two instances correspond one-to-one
-    by the same swaps.
+    by the same swaps.  An instance validate_instance rejects for more
+    than a sum mismatch raises ValueError.  The solver itself never
+    builds this instance: it reads the same swaps off its strip table.
     """
-    if inst.k != 2 or inst.epsilon != 0:
-        raise ValueError("properize requires k = 2 and epsilon = 0")
-    rows, cols = _strip_pairs(inst.row_sums), _strip_pairs(inst.col_sums)
-    perm = StripPermutation(rows[:, 0] < rows[:, 1], cols[:, 0] < cols[:, 1])
-    perm.row_swapped.flags.writeable = perm.col_swapped.flags.writeable = False
+    _require_well_formed(validate_instance(inst))
+    swapped = _strip_sums(inst)[1]
+    swapped.flags.writeable = False
+    bh = len(inst._grid)
+    perm = StripPermutation(swapped[:bh], swapped[bh:])
     return perm.apply_to_instance(inst), perm
 
 
@@ -167,20 +192,27 @@ def classify_strip(rj, rj1, v1, v2, v3) -> StripCase:
     return StripCase(ok * (CASE1 + (reach[1] >= 0) + (reach[2] >= 0)), split[:7] * ok)
 
 
-def _classify_all(inst: Instance) -> Optional[StripCase]:
-    """Cases of a proper instance's row strips, then its column strips, or None."""
+def _classify_all(inst: Instance, pairs: np.ndarray) -> Optional[StripCase]:
+    """Cases of every strip of inst, row strips then column strips, or None.
+
+    pairs is the strip table of _strip_sums: each strip's line sums,
+    larger first.
+    """
     v = inst._strip_counts
-    near, far = np.array(inst.row_sums + inst.col_sums).reshape(-1, 2).T - 2 * v[4]
+    near, far = pairs.T - 2 * v[4]
     cases = classify_strip(near, far, v[1], v[2], v[3])
     return None if np.count_nonzero(cases.tag) < len(cases.tag) else cases
 
 
 def derive_sub_sums(inst: Instance, cases: StripCase) -> dict[int, SubInstance]:
-    """Per-value subproblems of a classified proper instance.
+    """Per-value subproblems of a classified instance.
 
     The strip cases fix, per strip, how many ones each value class puts
-    into each of the two lines; those totals become the subproblems' pair
-    sums, (0, 0) in a strip that holds no block of the value.
+    into each of the two lines, the larger-sum line first; those totals
+    become the subproblems' pair sums, (0, 0) in a strip that holds no
+    block of the value.  inst gives only its block grid and strip
+    counts, which no line swap changes, so the instance itself serves
+    and no line-swapped copy is needed.
     """
     v = inst._strip_counts
     pairs = _PAIRS @ cases.counts
@@ -199,42 +231,45 @@ _SOLVERS = {0: fill_trivial, 1: solve_dr1, 2: solve_dr2, 3: solve_dr3, 4: fill_t
 _BOTTOM, _LEFT, _ONES = (np.array([bin(c & bits).count("1") for c in range(16)], np.uint8) for bits in (3, 5, 15))
 
 
-def _satisfies(inst: Instance, codes: np.ndarray) -> bool:
-    """verify_solution(inst, BinaryImage(_decode(codes))).satisfied for k = 2, epsilon = 0.
+def _satisfies(inst: Instance, pairs: np.ndarray, codes: np.ndarray) -> bool:
+    """Whether the image of a code grid has inst's block values and the line sums of pairs.
 
-    The decoded image is exactly its blocks, so its block sums are the
-    codes' popcounts, and the ones of the bottom line of a row strip and
-    of the left line of a column strip come from per-code tables; the
-    strip's other line holds the rest of its blocks' ones.
+    pairs is a strip table [bh + bw, 2] of (bottom, top) row and (left,
+    right) column sums, so this is verify_solution(inst,
+    BinaryImage(_decode(codes))).satisfied for k = 2, epsilon = 0 when
+    pairs holds inst's own sums.  The decoded image is exactly its
+    blocks, so its block sums are the codes' popcounts, and the ones of
+    the bottom line of a row strip and of the left line of a column
+    strip come from per-code tables; the strip's other line holds the
+    rest of its blocks' ones.
     """
     ones = _ONES.take(codes)
     if not np.array_equal(ones, inst._grid):
         return False
-    rows, cols = np.array(inst.row_sums), np.array(inst.col_sums)
-    bottom, left = _BOTTOM.take(codes).sum(1), _LEFT.take(codes).sum(0)
-    return bool(
-        np.array_equal(rows[0::2], bottom) and np.array_equal(rows[1::2], ones.sum(1) - bottom)
-        and np.array_equal(cols[0::2], left) and np.array_equal(cols[1::2], ones.sum(0) - left)
-    )
+    near = np.concatenate((_BOTTOM.take(codes).sum(1), _LEFT.take(codes).sum(0)))
+    total = np.concatenate((ones.sum(1), ones.sum(0)))
+    return bool(np.array_equal(pairs[:, 0], near) and np.array_equal(pairs[:, 1], total - near))
 
 
-def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int, SubInstance], np.ndarray]]:
+def _solve_checked(inst: Instance) -> Optional[tuple[np.ndarray, dict[int, SubInstance], np.ndarray]]:
     """The pipeline solve_dr and check_unique share.
 
-    Returns the strip permutation and the proper frame's subproblems and
-    verified [bv, bu] block code grid; None if inst is infeasible,
-    ValueError if it is malformed.  A grid that fails the check after every
-    subsolver succeeded is a bug, raised as RuntimeError.  Checking in the
-    proper frame checks the original too, since properize's swaps map
-    solutions one-to-one.
+    Returns the strip table's swap mask (row strips, then column
+    strips), the subproblems and the verified [bv, bu] block code grid
+    of the proper frame, where each strip's larger sum is in its first
+    line; None if inst is infeasible, ValueError if it is malformed.  A
+    grid that fails the check after every subsolver succeeded is a bug,
+    raised as RuntimeError.  The check reads the ordered sums of the
+    strip table, so it checks the original too: the swaps map solutions
+    one-to-one.
     """
     if not _require_well_formed(validate_instance(inst)):
         return None
-    proper, perm = properize(inst)
-    cases = _classify_all(proper)
+    pairs, swapped = _strip_sums(inst)
+    cases = _classify_all(inst, pairs)
     if cases is None:
         return None
-    subs = derive_sub_sums(proper, cases)
+    subs = derive_sub_sums(inst, cases)
     parts = []
     for nu, sub in subs.items():
         if not np.count_nonzero(sub.mask):
@@ -245,12 +280,12 @@ def _solve_checked(inst: Instance) -> Optional[tuple[StripPermutation, dict[int,
         parts.append(part)
     # the masks of values 0..4 partition the grid, and each part lists its
     # mask's blocks in row-major order: the order a stable sort by value keeps
-    grid = np.empty(proper._grid.size, np.uint8)
-    grid[np.argsort(proper._grid, axis=None, kind="stable")] = np.concatenate(parts)
-    grid = grid.reshape(proper._grid.shape)
-    if not _satisfies(proper, grid):
+    grid = np.empty(inst._grid.size, np.uint8)
+    grid[np.argsort(inst._grid, axis=None, kind="stable")] = np.concatenate(parts)
+    grid = grid.reshape(inst._grid.shape)
+    if not _satisfies(inst, pairs, grid):
         raise RuntimeError("the grid the subsolvers assembled fails the instance; the solver is off")
-    return perm, subs, grid
+    return swapped, subs, grid
 
 
 def _unswap_table(o: int, mirror: list[int]) -> tuple:
@@ -299,8 +334,9 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     solved = _solve_checked(inst)
     if solved is None:
         return None
-    perm, _, codes = solved
-    rows, cols = perm.row_swapped, perm.col_swapped  # the row pass goes first
+    swapped, _, codes = solved
+    bh = len(codes)
+    rows, cols = swapped[:bh], swapped[bh:]  # the row pass goes first
     if rows.any():
         codes[rows] = _unswap(codes[rows], *_UNSWAP_ROW)
     if cols.any():
@@ -311,10 +347,11 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
 def check_unique(inst: Instance) -> Optional[bool]:
     """Decide solution uniqueness for k = 2, epsilon = 0; None if infeasible.
 
-    Works in the line-swapped (proper) frame, where solutions correspond
-    one-to-one with the original's: the instance is unique iff every
-    per-value subproblem is uniquely solvable and no reversed local
-    switch applies to the solver's reduced solution.
+    Works in the proper frame of the strip table, each strip's larger
+    sum first, where solutions correspond one-to-one with the
+    original's: the instance is unique iff every per-value subproblem
+    is uniquely solvable and no reversed local switch applies to the
+    solver's reduced solution.
     """
     solved = _solve_checked(inst)
     if solved is None:

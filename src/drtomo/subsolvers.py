@@ -56,7 +56,9 @@ class SubInstance:
     rows[bv] = (r_j, r_{j+1}) for the horizontal strip at corner row
     j = 2*bv + 1, cols[bu] = (c_i, c_{i+1}) for the vertical strip at
     corner column i = 2*bu + 1; both are integer arrays, one pair per
-    strip of the mask, else ValueError.
+    strip of the mask, else ValueError.  The mask must be a 2-d boolean
+    array, else ValueError: an integer 0/1 array would index blocks by
+    number rather than select them.
     """
 
     nu: int
@@ -65,6 +67,9 @@ class SubInstance:
     cols: np.ndarray  # int [bw, 2]
 
     def __post_init__(self):
+        if not (isinstance(self.mask, np.ndarray) and self.mask.dtype == bool and self.mask.ndim == 2):
+            shape, dtype = np.shape(self.mask), np.asarray(self.mask).dtype
+            raise ValueError(f"mask must be a 2-d boolean array, got {dtype} of shape {shape}")
         if (self.rows.shape, self.cols.shape) != ((len(self.mask), 2), (self.mask.shape[1], 2)):
             raise ValueError(
                 f"pair sums of shapes {self.rows.shape} and {self.cols.shape} "

@@ -32,6 +32,7 @@ from drtomo.solver import (
     StripPermutation,
     _classify_all,
     _solve_checked,
+    _strip_sums,
     check_unique,
     classify_strip,
     derive_sub_sums,
@@ -88,8 +89,38 @@ class TestProperize:
 
     def test_requires_exact_dr(self):
         inst = single_block_instance(1, (1, 0), (1, 0), epsilon=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exact solver"):
             properize(inst)
+
+    def test_permutation_must_fit_the_strips(self):
+        inst = make_exact_instance(random_image(4, 2, 0.5, 1), 2)
+        three = StripPermutation(row_swapped=np.array([True, False, True]), col_swapped=np.array([False, True]))
+        with pytest.raises(ValueError, match="3 row and 2 column strips"):
+            three.apply_to_instance(inst)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"row_sums": (1, 0, 1)}, "expected 4 row sums, got 3"),
+        ({"col_sums": (2, 0, 0)}, "expected 2 column sums, got 3"),
+        ({"row_sums": (3, 0, 0, 0), "col_sums": (2, 1)}, "row sum r_1=3"),
+        ({"reliable": frozenset()}, "every block to be reliable"),
+    ])
+    def test_malformed_instances_raise(self, change, match):
+        # a 2x4 instance of two one-blocks, then one field made malformed
+        fields = dict(k=2, epsilon=0, m=2, n=4, row_sums=(1, 0, 1, 0), col_sums=(1, 1),
+                      blocks=((1,), (1,)), reliable=frozenset({(1, 1), (1, 3)}))
+        assert properize(Instance(**fields))[0].row_sums == (1, 0, 1, 0)
+        malformed = Instance(**{**fields, **change})
+        with pytest.raises(ValueError, match=match):
+            properize(malformed)
+        # the line sums are paired one axis at a time, so a line left over raises there too
+        if "expected" in match:
+            with pytest.raises(ValueError, match="do not pair up"):
+                StripPermutation(np.zeros(2, bool), np.zeros(1, bool)).apply_to_instance(malformed)
+
+    def test_sum_mismatch_still_properizes(self):
+        inst = single_block_instance(1, (0, 1), (0, 0))
+        proper, perm = properize(inst)
+        assert proper.row_sums == (1, 0) and perm.row_swapped.tolist() == [True]
 
 
 class TestClassifyStrip:
@@ -155,7 +186,7 @@ class TestDeriveSubSums:
 
     def test_pair_sums_per_value(self):
         inst = self.fixture()
-        cases = _classify_all(inst)
+        cases = _classify_all(inst, _strip_sums(inst)[0])
         assert cases is not None
         subs = derive_sub_sums(inst, cases)
         assert subs[1].I == frozenset({(1, 1)})
@@ -179,7 +210,7 @@ class TestDeriveSubSums:
             4, 2, [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
         )  # one full block next to a single one
         inst = make_exact_instance(img, 2)
-        cases = _classify_all(inst)
+        cases = _classify_all(inst, _strip_sums(inst)[0])
         assert cases is not None
         subs = derive_sub_sums(inst, cases)
         assert subs[4].I == frozenset({(1, 1)})
@@ -209,9 +240,11 @@ class TestGlueProperties:
     @given(exact_instances())
     def test_subproblems_and_codes(self, inst):
         proper, _ = properize(inst)
-        cases = _classify_all(proper)
+        pairs, _ = _strip_sums(inst)
+        assert pairs.ravel().tolist() == [*proper.row_sums, *proper.col_sums]
+        cases = _classify_all(inst, pairs)
         assert cases is not None
-        subs = derive_sub_sums(proper, cases)
+        subs = derive_sub_sums(inst, cases)
         assert sorted(subs) == [0, 1, 2, 3, 4]
         # strip counts, against counting each strip's values one by one
         strips = list(proper.blocks) + list(zip(*proper.blocks))
@@ -286,11 +319,11 @@ class TestAgainstReference:
                 assert write_image(img) == write_image(want)
             assert check_unique(case) == ref.check_unique(case)
             proper, _ = properize(case)
-            cases, ref_cases = _classify_all(proper), ref.classify_all(proper)
+            cases, ref_cases = _classify_all(case, _strip_sums(case)[0]), ref.classify_all(proper)
             assert (cases is None) == (ref_cases is None)
             if cases is None:
                 continue
-            subs, ref_subs = derive_sub_sums(proper, cases), ref.derive_sub_sums(proper, *ref_cases)
+            subs, ref_subs = derive_sub_sums(case, cases), ref.derive_sub_sums(proper, *ref_cases)
             for nu, sub in subs.items():
                 want = ref_subs[nu]
                 assert sub.I == want.I
@@ -332,7 +365,7 @@ class TestCodeGridCheck:
             values[bv, bu] += 1 if values[bv, bu] < 4 else -1
         changed = _instance_of_grids(2, 0, tuple(rows), tuple(cols), values, inst._reliable_grid)
         want = verify_solution(changed, BinaryImage(_decode(codes))).satisfied
-        assert solver._satisfies(changed, codes) == want
+        assert solver._satisfies(changed, np.reshape(rows + cols, (-1, 2)), codes) == want
         if grid == "solution":
             assert want == (change == "none")
 
@@ -397,6 +430,34 @@ class TestSolveDr:
                 run(inst)
 
 
+class TestStripTable:
+    """The pipeline reads the line sums into one strip table and builds no swapped instance."""
+
+    def test_builds_no_proper_frame_instance(self, monkeypatch):
+        cases = [make_exact_instance(random_image(m, n, 0.5, seed), 2) for seed, (m, n) in
+                 enumerate([(4, 4), (8, 6), (12, 10), (40, 24)])]
+        cases.append(single_block_instance(0, (1, 1), (1, 1)))  # infeasible after the line totals
+        want = [(solve_dr(inst), check_unique(inst)) for inst in cases]
+        assert any(img is not None and (_strip_sums(inst)[1].any()) for inst, (img, _) in zip(cases, want))
+
+        def called(*args, **kwargs):
+            raise AssertionError("the pipeline built a line-swapped instance")
+
+        monkeypatch.setattr(solver, "properize", called)
+        monkeypatch.setattr(Instance, "_with", called)
+        monkeypatch.setattr(StripPermutation, "apply_to_instance", called)
+        assert [(solve_dr(inst), check_unique(inst)) for inst in cases] == want
+
+    def test_pairs_larger_first(self):
+        inst = make_exact_instance(random_image(10, 6, 0.5, 2), 2)
+        pairs, swapped = _strip_sums(inst)
+        raw = np.reshape(inst.row_sums + inst.col_sums, (-1, 2))
+        assert pairs.dtype == np.int64 and pairs.shape == (3 + 5, 2)
+        assert swapped.tolist() == (raw[:, 0] < raw[:, 1]).tolist()
+        assert np.array_equal(pairs, np.where(swapped[:, None], raw[:, ::-1], raw))
+        assert (pairs[:, 0] >= pairs[:, 1]).all()
+
+
 class TestClosedFormUnswap:
     """solve_dr's closed-form un-swap equals reduce of the un-swapped proper-frame image."""
 
@@ -407,7 +468,9 @@ class TestClosedFormUnswap:
 
         def record(inst):
             solved = _solve_checked(inst)
-            seen.append((solved[0], BinaryImage(_decode(solved[2]))))
+            swapped, _, grid = solved
+            perm = StripPermutation(swapped[: len(grid)], swapped[len(grid) :])
+            seen.append((perm, BinaryImage(_decode(grid))))
             return solved
 
         monkeypatch.setattr(solver, "_solve_checked", record)

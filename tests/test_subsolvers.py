@@ -176,6 +176,19 @@ def test_strip_without_pair_sums_rejected(solver, s, field):
         solver(dataclasses.replace(s, **{field: getattr(s, field)[1:]}))
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [np.eye(2, dtype=np.int64), np.eye(2, dtype=np.uint8), np.array([True, False]), np.ones((1, 2, 2), bool)],
+    ids=["int", "uint8", "1-d", "3-d"],
+)
+def test_mask_must_be_a_2d_boolean_array(mask):
+    # an integer 0/1 mask would pick blocks by number, not select them
+    rows, cols = np.array([[1, 0], [1, 0]]), np.array([[1, 0], [1, 0]])
+    assert solve_dr1(SubInstance(1, np.eye(2, dtype=bool), rows, cols)).tolist() == [1, 1]
+    with pytest.raises(ValueError, match="2-d boolean array"):
+        SubInstance(1, mask, rows[: len(mask)], cols)
+
+
 class TestDr1:
     def test_four_block_construction(self):
         s = sub(1, FOUR_BLOCKS, {1: (1, 1), 3: (1, 1)}, {1: (1, 1), 3: (1, 1)})
