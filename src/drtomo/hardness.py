@@ -313,9 +313,9 @@ def lift_instance(inst: Instance, k_prime: int) -> Instance:
         raise ValueError("lifting starts from block size 2")
     if k_prime < 2:
         raise ValueError("target block size must be at least 2")
+    _require_well_formed(validate_instance(inst))
     if k_prime == 2:
         return inst
-    _require_well_formed(validate_instance(inst))
     # the same block grid and reliability, just bigger blocks
     return _instance_of_grids(
         k_prime, inst.epsilon, _lift_sums(inst.row_sums, k_prime), _lift_sums(inst.col_sums, k_prime),

@@ -28,12 +28,16 @@ class BinaryImage:
 
     def __init__(self, a: np.ndarray):
         # a[q-1, p-1] == xi_{p,q}; stored row q ascending (bottom to top).
-        a = np.asarray(a, dtype=np.uint8)
+        a = np.asarray(a)
         if a.ndim != 2:
             raise ValueError("bit array must be 2-dimensional")
-        if a.max(initial=0) > 1:
+        if a.dtype in (np.uint8, np.bool_):
+            bits = a.max(initial=0) <= 1
+        else:  # test the values as given: converting first would wrap 256 to 0 and truncate 0.5
+            bits = ((a == 0) | (a == 1)).all()
+        if not bits:
             raise ValueError("bits must be 0 or 1")
-        a = a.copy()
+        a = a.astype(np.uint8)
         a.flags.writeable = False
         self.a = a
         self.n, self.m = a.shape
@@ -543,11 +547,9 @@ def perturb_instance(inst: Instance, fraction_unreliable: float, seed: int) -> I
     """
     if not 0 <= fraction_unreliable <= 1:
         raise ValueError("fraction_unreliable must be in [0, 1]")
-    if inst.epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {inst.epsilon}")
+    _require_well_formed(validate_instance(inst))
     if inst.epsilon == 0 or fraction_unreliable == 0:
         return inst
-    _require_well_formed(validate_instance(inst))
     bh, bw = inst._grid.shape
     count = math.ceil(fraction_unreliable * bw * bh)
     rng = random.Random(seed)

@@ -21,26 +21,10 @@ from parts that every subsolver found satisfies the instance, so a
 failed check is a bug and raises RuntimeError.  An image is
 decoded only once, as solve_dr's answer; check_unique never builds one.
 
-solve_dr un-swaps and reduces on the code grid, in closed form: its
-answer is switches.reduce of the un-swapped proper-frame image, which
-the switches module runs as all row strips, then all column strips,
-then class 7.  The proper-frame image admits no forward switch.
-Un-swapping a row strip mirrors each of its blocks top to bottom
-(A11 <-> A21, B1 <-> B2, C11 <-> C21, B33 <-> B34, ...), which maps the
-patterns of horizontal classes 1/2, 3 and 4/5 onto each other, all
-absent, and the reversed class-6 pattern {A21, A22} + {C21, C22} onto
-the forward one {A11, A12} + {C11, C12}.  A strip holding the latter
-holds no B1 and no B2 (those would be the absent classes 2 and 4 before
-the mirror), and class 6 makes neither, so the strip reduces by class 6
-alone: its first n blocks of each slot in position order move, n the
-smaller slot count.  A strip that was not swapped does not move.
-Un-swapping a column strip mirrors left to right, which keeps every
-horizontal slot and commutes with the class-6 moves, so the row pass
-may run before it.  Neither a row mirror nor a horizontal class-6 move
-changes a block's vertical slot, so the column pass is the same
-argument with vertical class 6 {A11, A21} + {C11, C21}.  Class 7 then
-flips every B34, and a proper-frame image has none, so B34 is only a
-mirrored B33 and turns back into B33.
+solve_dr un-swaps and reduces on the code grid: its answer is
+switches.reduce of the un-swapped proper-frame image.  It mirrors the
+swapped strips back and runs them, and only them, through the switches
+module's strip fixpoint, row strips first.
 """
 
 from __future__ import annotations
@@ -288,48 +272,31 @@ def _solve_checked(inst: Instance) -> Optional[tuple[np.ndarray, dict[int, SubIn
     return swapped, subs, grid
 
 
-def _unswap_table(o: int, mirror: list[int]) -> tuple:
-    """A swapped strip of orientation o un-swaps each block to its mirror,
-    then moves it by class 6 if that lies in a slot of the switches table.
-
-    The mirror of B33 is kept as B33: it is B34, which class 7 flips back.
-    """
+def _mirror_table(mirror: list[int]) -> np.ndarray:
+    """A code table that mirrors every block but B33, whose mirror B34 class 7 flips back."""
     table = np.array(mirror, dtype=np.uint8)
     table[switches._B33] = switches._B33
-    return (table, *(switches._RULES[0, o, 5][:, table] != switches._NONE))
+    return table
 
 
-# a row strip mirrors its blocks top to bottom, then reduces by horizontal
-# class 6; a column strip mirrors them left to right, then reduces by
-# vertical class 6; both read the class's slots from the switches table
-_UNSWAP_ROW = _unswap_table(0, [(c & 3) << 2 | c >> 2 for c in range(16)])
-_UNSWAP_COL = _unswap_table(1, [(c & 5) << 1 | (c & 10) >> 1 for c in range(16)])
-
-
-def _unswap(strips: np.ndarray, mirror: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Swapped strips, one per row of `strips`, un-swapped and reduced.
-
-    Every block is mirrored; then class 6 moves the first n blocks of each
-    of its two slots, in position order and n the smaller slot count, to
-    their mirror once more, so those keep the code given.  `first` and
-    `second` mark the codes whose mirror lies in each slot.
-    """
-    first, second = first[strips], second[strips]
-    if not (first.any() and second.any()):  # no class-6 pair in any strip
-        return mirror[strips]
-    rank1, rank2 = first.cumsum(axis=1, dtype=np.int32), second.cumsum(axis=1, dtype=np.int32)
-    move = first & (rank1 <= rank2[:, -1:]) | second & (rank2 <= rank1[:, -1:])
-    return np.where(move, strips, mirror[strips])
+# a swapped row strip un-swaps by mirroring its blocks top to bottom, a
+# column strip by mirroring them left to right, and then runs as a row of
+# the transposed code grid, as switches.reduce runs vertical strips
+_ROW_MIRROR = _mirror_table([(c & 3) << 2 | c >> 2 for c in range(16)])
+_COLUMN_MIRROR = switches._TRANSPOSED[_mirror_table([(c & 5) << 1 | (c & 10) >> 1 for c in range(16)])]
 
 
 def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     """Reconstruct an image for an exact double-resolution instance.
 
     Returns None exactly when the instance is infeasible.  The returned
-    image satisfies every constraint and admits no forward local switch.
-    It equals switches.reduce of the proper frame's solution with its
-    strips un-swapped, and is built from the proper frame's code grid in
-    the closed form the module docstring derives.
+    image satisfies every constraint and admits no forward local switch:
+    it equals switches.reduce of the proper frame's solution with its
+    strips un-swapped, computed on the code grid.  The proper-frame
+    solution admits no forward switch, and mirroring or reducing the
+    strips of one orientation keeps each block in its slot of the other,
+    so a strip that was not swapped cannot move.  A mirrored B33 is kept
+    as B33, the code class 7 would give it, so no class-7 pass is needed.
     """
     solved = _solve_checked(inst)
     if solved is None:
@@ -338,9 +305,13 @@ def solve_dr(inst: Instance) -> Optional[BinaryImage]:
     bh = len(codes)
     rows, cols = swapped[:bh], swapped[bh:]  # the row pass goes first
     if rows.any():
-        codes[rows] = _unswap(codes[rows], *_UNSWAP_ROW)
+        strips = _ROW_MIRROR.take(codes[rows])
+        switches._reduce_strips(strips)
+        codes[rows] = strips
     if cols.any():
-        codes[:, cols] = _unswap(codes[:, cols].T, *_UNSWAP_COL).T
+        strips = _COLUMN_MIRROR.take(codes[:, cols].T)
+        switches._reduce_strips(strips)
+        codes[:, cols] = switches._TRANSPOSED.take(strips).T
     return BinaryImage(_decode(codes))
 
 

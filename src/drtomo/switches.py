@@ -40,9 +40,25 @@ choice order: forward classes 1 to 7, then reversed.
     transposition the forward vertical rules 1 to 6 are the horizontal
     ones (class 3 lists its slots in the other order, which does not
     change a forward move).
-  - In a strip of len blocks, Phi = (len + 1) * #{B1, B2} + #{A11, A12}
-    starts at most len * (len + 1) and drops with every forward move of
-    classes 1 to 6, so the strip stops after at most that many moves.
+  - A strip of len blocks reaches its fixpoint in six O(len) steps, one
+    per class in the order 1, 3, 2, 4, 5, 6.  A step rewrites the first
+    n blocks of each of its class's two slots in position order, n the
+    smaller slot count: the class's own run of first pairs, since no
+    rewrite puts a block back into a slot of its class.  With A1 =
+    {A11, A12}, A2 = {A21, A22}, C1 = {C11, C12}, C2 = {C21, C22}, the
+    classes pair A1+B2, A2+B1, B1+B2, C2+B2, C1+B1 and A1+C1, and this
+    order is the first-move order's:
+    - B1 and B2 only decrease.
+    - Once class 1 stops with B2 left, no A1 remains.  From there, class
+      2 followed by class 1 rewrites the first B1 and the first B2
+      exactly as class 3 does, and puts the A block back to its old
+      code.  Once class 3 stops, B1 or B2 is gone, so the A1 that class
+      2 makes and the C2 that class 5 makes feed no class 1 or 4.
+    - Class 4 can fire only while B2 remains.  At that point no B1 and
+      no A1 remain, so its C1 feed no class 5 or 6.
+    - Class 6 fires only once no B1 is left (class 5 would take its C1
+      first) and no B2 (class 1 would take its A1), so class 2 never
+      fires again and its C2 feed no class 4.
 - `has_reversed_switch` answers from the same codes: any B33 block
   admits the reversed class-7 flip.  Every other reversed rule but class
   6 reads a B33, so without one the answer is whether some strip holds
@@ -276,44 +292,42 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
 _TRANSPOSED = np.array([c & 9 | (c & 2) << 1 | (c & 4) >> 1 for c in range(16)], dtype=np.uint8)
 
 
-# The distinct slots of the horizontal forward rules 1 to 6 as code masks,
-# each rule as the indices of its two slots, and per code its slot
-# (len(_SLOTS) for none) and its forward target: a code lies in at most one
-# slot and has one target in all of them.
-_SLOTS, _PAIRS = np.unique((_RULES[0, 0, :6] != _NONE).reshape(12, 16), axis=0, return_inverse=True)
-_PAIRS = _PAIRS.reshape(6, 2).tolist()
-_SLOT_OF = np.where(_SLOTS.any(axis=0), _SLOTS.argmax(axis=0), len(_SLOTS)).tolist()
-_FORWARD_TARGET = _RULES[0, 0, :6].min(axis=(0, 1)).tolist()
+# The strip fixpoint's steps, horizontal forward classes 1, 3, 2, 4, 5
+# and 6 (module docstring): per step, which codes lie in each of its two
+# slots and each code's target.  Bit 2*s + i of _STEP_MARKS[c] marks code
+# c in slot i of step s.
+_STEP_RULES = _RULES[0, 0, [0, 2, 1, 3, 4, 5]]
+_STEPS = [(a != _NONE, b != _NONE, np.minimum(a, b)) for a, b in _STEP_RULES]
+_STEP_MARKS = ((_STEP_RULES != _NONE) << np.arange(12, dtype=np.uint16).reshape(6, 2, 1)).sum(
+    axis=(0, 1), dtype=np.uint16
+)
 
 
-def _reduce_rows(grid: list[list[int]]) -> bool:
+def _live_steps(codes: np.ndarray) -> int:
+    """Bit 2*s set iff some row of a code grid holds both slots of step s."""
+    marks = np.bitwise_or.reduce(_STEP_MARKS.take(codes), axis=1)
+    return int(np.bitwise_or.reduce(marks & marks >> 1)) & 0x555
+
+
+def _reduce_strips(codes: np.ndarray) -> bool:
     """Run every row of a code grid, in place, to its own fixpoint under the
     horizontal forward rules 1 to 6; whether any block changed.
 
-    A row keeps one bit mask of positions per slot, so the lowest rule with
-    both slots present and its first pair are read from lowest set bits.
+    Each step pairs the two slots of one class by rank: in every strip it
+    rewrites the first n blocks of each slot in position order, n the
+    smaller slot count.  A step no strip holds both slots of is skipped.
     """
-    rules = _RULE_MAPS[0][0][:6]
-    moved = False
-    for row in grid:
-        here = set(row)
-        if not any(not here.isdisjoint(a) and not here.isdisjoint(b) for a, b in rules):
+    live = _live_steps(codes)
+    moved = live != 0
+    for s, (in_a, in_b, target) in enumerate(_STEPS):
+        if not live >> 2 * s & 1:
             continue
-        moved = True
-        masks = [0] * (len(_SLOTS) + 1)  # the last one collects blocks in no slot
-        for p, c in enumerate(row):
-            masks[_SLOT_OF[c]] |= 1 << p
-        while True:
-            for a, b in _PAIRS:
-                if masks[a] and masks[b]:
-                    break
-            else:
-                break
-            for slot, bit in ((a, masks[a] & -masks[a]), (b, masks[b] & -masks[b])):
-                p = bit.bit_length() - 1
-                code = row[p] = _FORWARD_TARGET[row[p]]
-                masks[slot] ^= bit
-                masks[_SLOT_OF[code]] |= bit
+        a, b = in_a.take(codes), in_b.take(codes)
+        rank_a, rank_b = a.cumsum(axis=1, dtype=np.int32), b.cumsum(axis=1, dtype=np.int32)
+        move = a & (rank_a <= rank_b[:, -1:]) | b & (rank_b <= rank_a[:, -1:])
+        np.copyto(codes, target.take(codes), where=move)
+        if s < len(_STEPS) - 1:
+            live = _live_steps(codes)
     return moved
 
 
@@ -322,17 +336,14 @@ def reduce(img: BinaryImage) -> BinaryImage:
 
     Equivalent to repeatedly applying find_switch's first forward move:
     the horizontal strips, then the vertical strips, each run to its own
-    fixpoint, then every anti-diagonal block flips (see the module
-    docstring).
+    fixpoint by _reduce_strips, then every anti-diagonal block flips (see
+    the module docstring).  Returns img itself when nothing moves.
     """
     codes = _even_codes(img)
-    rows = codes.tolist()
-    moved = _reduce_rows(rows)
-    if moved:
-        codes = np.array(rows, dtype=np.uint8)
-    columns = _TRANSPOSED[codes.T].tolist()
-    if _reduce_rows(columns):
-        codes = _TRANSPOSED[np.array(columns, dtype=np.uint8).T]
+    moved = _reduce_strips(codes)
+    columns = _TRANSPOSED.take(codes.T)
+    if _reduce_strips(columns):
+        codes = _TRANSPOSED.take(columns.T)
         moved = True
     flip = codes == _B34
     if not moved and not flip.any():

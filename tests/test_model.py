@@ -44,8 +44,15 @@ def zero_instance(m=2, n=2):
 
 class TestBinaryImage:
     def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BinaryImage(np.array([[0, 2]]))
+        # the values as given, not after a uint8 conversion wraps or truncates them
+        for bits in [[0, 2]], [[256, 1]], [[0.5, 1]], [[1.7]], [[-1, 0]], np.array([[-1, 0]]), [[float("nan"), 1]]:
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BinaryImage(bits)
+
+    @pytest.mark.parametrize("bits", [[[0, 1]], [[0.0, 1.0]], [[False, True]], np.array([[0, 1]], dtype=np.int8)])
+    def test_accepts_bits_of_any_type(self, bits):
+        img = BinaryImage(np.array(bits))
+        assert img.a.dtype == np.uint8 and img.a.tolist() == [[0, 1]]
 
     def test_cartesian_addressing(self):
         img = BinaryImage.from_ones(3, 2, [(1, 1), (3, 2)])
@@ -141,6 +148,9 @@ class TestWellFormedRule:
         calls = [
             lambda: solve_dr(exact), lambda: check_unique(exact), lambda: oracle_solve(noisy),
             lambda: oracle_count(noisy), lambda: perturb_instance(noisy, 0.5, seed=0), lambda: lift_instance(noisy, 4),
+            # the calls that return their instance unchanged check it first
+            lambda: perturb_instance(exact, 0.5, seed=0), lambda: perturb_instance(noisy, 0, seed=0),
+            lambda: lift_instance(noisy, 2),
         ]
         for call in calls:
             with pytest.raises(ValueError) as err:

@@ -30,6 +30,7 @@ from drtomo.switches import (
     _RULES,
     _V_RULES,
     _LocalTV,
+    _reduce_strips,
     _sign,
     _unkey,
     all_switches,
@@ -42,7 +43,7 @@ from drtomo.switches import (
 )
 
 import tv_reference
-from switch_reference import reduce_by_steps, tv_descend_full
+from switch_reference import reduce_by_steps, reduce_rows, tv_descend_full
 
 T = BlockType
 
@@ -381,6 +382,23 @@ class TestReduce:
     def test_odd_dimensions_rejected(self):
         with pytest.raises(ValueError):
             reduce(BinaryImage.zeros(4, 5))
+
+
+class TestStripFixpoint:
+    """_reduce_strips, the rank-pairing steps, against the one-move-at-a-time strip fixpoint."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    def test_every_strip_up_to_five_blocks(self, length):
+        # all 16**length strips as the rows of one code grid
+        codes = (np.arange(16**length)[:, None] >> 4 * np.arange(length) & 15).astype(np.uint8)
+        want = codes.tolist()
+        assert _reduce_strips(codes) == reduce_rows(want)
+        assert codes.tolist() == want
+
+    def test_returns_the_image_itself_when_nothing_moves(self):
+        img = reduce(random_image(12, 10, 0.5, 3))
+        assert reduce(img) is img
+        assert _reduce_strips(np.zeros((3, 0), dtype=np.uint8)) is False
 
 
 class TestHasReversedSwitch:
