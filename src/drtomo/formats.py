@@ -10,7 +10,8 @@ Each section of a document is checked and converted as a whole, and a
 rejected section is walked token by token only to name its first error.
 The block section is read as bytes: one `bytes.translate` codes them, a
 table of byte pairs checks the grammar and finds every token's end, and
-array operations read the values and the `?` marks off those ends.
+the `?` marks and one-digit values are read off those ends; a section
+with a longer token or a `-` takes its values from `int()` instead.
 Writers build each section from the arrays in the same way.
 
 Raster files are written top row first, so file raster row 1 holds image
@@ -69,16 +70,8 @@ _PAIR = {
     (_DIGIT, _SPACE): 3, (_DIGIT, _BREAK): 4, (_MARK, _SPACE): 5, (_MARK, _BREAK): 6,
 }
 _FOLLOWS = np.array([_PAIR.get(pair, 0) for pair in itertools.product(_KIND, _KIND)], dtype=np.uint8)
-
-
-@lru_cache(maxsize=8)
-def _byte_codes(kk: int) -> tuple[bytes, bytes]:
-    """Tables from a byte to its code and to 16 times its code, the digits
-    above kk made _OTHER: below 10, no token holding one is in [0, kk]."""
-    codes = bytearray(_CODES)
-    for byte in range(ord("0") + kk + 1, ord("9") + 1):
-        codes[byte] = _OTHER
-    return bytes(codes), bytes(16 * code for code in codes)
+_CODES_BEFORE = bytes(16 * code for code in _CODES)
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")  # int() counts them against its digit limit
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -171,9 +164,8 @@ def _block_grids(rows: list[tuple[int, str]], bh: int, bw: int, kk: int) -> tupl
         if not text.isascii():
             return None
     data = f"\n{text}\n".encode("ascii")
-    to_code, to_code_before = _byte_codes(kk)
-    codes = np.frombuffer(data.translate(to_code), dtype=np.uint8)
-    pairs = _FOLLOWS.take(np.frombuffer(data.translate(to_code_before), dtype=np.uint8)[:-1] + codes[1:])
+    codes = np.frombuffer(data.translate(_CODES), dtype=np.uint8)
+    pairs = _FOLLOWS.take(np.frombuffer(data.translate(_CODES_BEFORE), dtype=np.uint8)[:-1] + codes[1:])
     found = np.bincount(pairs, minlength=3)
     if found[0]:
         return None
@@ -184,37 +176,19 @@ def _block_grids(rows: list[tuple[int, str]], bh: int, bw: int, kk: int) -> tupl
     if ends.size != bh * bw or np.count_nonzero(ending[bw - 1 :: bw] & 1):
         return None
     marked = ending >= 5
-    lasts = ends - marked  # last digits
-    values = _many_digit_values(codes, lasts, kk) if found[2] else codes.take(lasts)
-    if values is None:
-        return None
-    # only a `-` can make a value negative
-    if b"-" in data:
-        minus = (np.frombuffer(data, dtype=np.uint8) == ord("-")).nonzero()[0]
-        if np.count_nonzero(values.take(np.searchsorted(lasts, minus))):
+    if found[2] or b"-" in data:
+        # without its leading zeros, a token longer than a signed kk is out of range
+        tokens = _LEADING_ZEROS.sub("", text.replace("?", "")).split()
+        if max(map(len, tokens)) > len(str(kk)) + 1:
             return None
-    return values.reshape(bh, bw), ~marked.reshape(bh, bw)
-
-
-def _many_digit_values(codes: np.ndarray, lasts: np.ndarray, kk: int) -> np.ndarray | None:
-    """Values of the tokens with their last digits at `lasts`, or None if one is above kk."""
-    width = len(str(kk))
-    digit = codes < 10
-    size = max(codes.size - width, 0)
-    # a nonzero digit with `width` digits after it puts its token above kk
-    far = digit[:size] & (codes[:size] != 0)
-    for e in range(1, width + 1):
-        far &= digit[e : size + e]
-    if far.any():
+        values = np.array(list(map(int, tokens)))
+        if values.min() < 0:
+            return None
+    else:  # one digit each: the code of each token's last digit
+        values = codes.take(ends - marked)
+    if values.max() > kk:
         return None
-    values = codes.take(lasts).astype(np.int64)
-    run = np.ones(lasts.size, dtype=bool)  # the token's digits reach back e places
-    for e in range(1, width):
-        # index 0 holds the frame's first break, which ends every run
-        at = np.maximum(lasts - e, 0)
-        run &= digit[at]
-        values += codes.take(at) * (run * 10**e)
-    return None if np.count_nonzero(values > kk) else values
+    return values.reshape(bh, bw), ~marked.reshape(bh, bw)
 
 
 def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, last: int) -> FormatError:
@@ -230,8 +204,9 @@ def _block_rows_error(rows: list[tuple[int, str]], bh: int, bw: int, kk: int, la
             body = tok[:-1] if tok.endswith("?") else tok
             if not _INT.fullmatch(body):
                 return FormatError(f"bad block token {tok!r}", no)
-            if not 0 <= int(body) <= kk:
-                return FormatError(f"block value {int(body)} outside [0, {kk}]", no)
+            value = _LEADING_ZEROS.sub("", body)  # as in _block_grids
+            if len(value) > len(str(kk)) + 1 or not 0 <= int(value) <= kk:
+                return FormatError(f"block value {value.lstrip('+')} outside [0, {kk}]", no)
     raise AssertionError("block rows failed a section check but have no fault")
 
 
@@ -277,10 +252,7 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 def _pnm_fields(data: bytes, header: int) -> list[bytes]:
-    """The magic number and `header` - 1 more fields, then the rest of the file.
-
-    Comments run from `#` to the end of the line and are dropped.
-    """
+    """The magic number, `header` - 1 more fields and the rest of the file, without `#` comments."""
     return _COMMENT.sub(b"", data).translate(_SEPARATORS).split(maxsplit=header)
 
 
@@ -304,10 +276,14 @@ def _pnm_header(data: bytes, fields: list[bytes], count: int, error: str) -> lis
     """Fields 1..count as integers; `error` is the message when one is missing or malformed."""
     if len(fields) <= count:
         raise FormatError(error)
-    for x in range(1, count + 1):
-        if not _PNM_INT.fullmatch(fields[x]):
+    # no field of a file that parses has more digits than the file has bytes
+    # and than maxval 65535; int() refuses a token past its digit limit
+    width = len(str(max(len(data), 65535)))
+    tokens = [_LEADING_ZEROS.sub("", field.decode("latin-1")) for field in fields[1 : count + 1]]
+    for x, token in enumerate(tokens, start=1):
+        if not _INT.fullmatch(token) or len(token) > width + 1:
             raise FormatError(error, _pnm_line(data, x))
-    return list(map(int, fields[1 : count + 1]))
+    return list(map(int, tokens))
 
 
 def read_image(data: bytes) -> BinaryImage:
@@ -336,9 +312,7 @@ def write_image(img: BinaryImage) -> bytes:
 
 
 def write_gray(g: GrayImage) -> bytes:
-    lines = ["P2", f"{g.width} {g.height}", str(g.maxval)]
-    for v in range(g.height, 0, -1):
-        lines.append(" ".join(str(x) for x in g.values[v - 1]))
+    lines = ["P2", f"{g.width} {g.height}", str(g.maxval), *(" ".join(map(str, row)) for row in g.values[::-1])]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -313,7 +313,11 @@ def unique_dr2(sub: SubInstance, codes: np.ndarray) -> bool:
     tails = np.where(flip, ends[:, 1], ends[:, 0]).ravel()
     heads = np.where(flip, ends[:, 0], ends[:, 1]).ravel()
     # int32 indices and float64 data, which csr_matrix and
-    # connected_components take without converting
+    # connected_components take without converting.  Every arc has its own
+    # block node at one end, so no arc is listed twice, which the search
+    # needs: on a CSR that repeats an arc it never returns (scipy 1.17.1).
+    # A graph that contracts blocks into strip-to-strip arcs must merge its
+    # repeated arcs first (csr_matrix.sum_duplicates).
     indptr = np.zeros(size + 1, np.int32)
     indptr[1:] = np.cumsum(np.bincount(tails, minlength=size))
     graph = csr_matrix(

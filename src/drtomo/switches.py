@@ -455,8 +455,8 @@ def _site_key(own: int, right: int, up: int) -> int:
 _SITE = np.array([_site_key(own, right, up) for own in range(3) for right in range(3) for up in range(3)])
 
 
-def _site_table(sites, width: int) -> np.ndarray:
-    """Keyed TV of some sites of a block, [context, code].
+def _site_table(sites, width: int) -> list[list[int]]:
+    """Keyed TV of some sites of a block, [context][code].
 
     A site lists its (own, right, up) cells as 0-3 for bit i of the
     block's code or 4 + j for trit j of the context, and a context indexes
@@ -464,7 +464,7 @@ def _site_table(sites, width: int) -> np.ndarray:
     """
     ctx = np.indices((3,) * width).reshape(width, -1, 1)
     cells = list(np.arange(16) >> np.arange(4)[:, None] & 1) + list(ctx)
-    return sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites)
+    return sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites).tolist()
 
 
 # The eight sites of the block whose bottom-left cell is (c, r), in three
@@ -475,7 +475,6 @@ def _site_table(sites, width: int) -> np.ndarray:
 _RIGHT_UP = _site_table([(0, 1, 2), (1, 4, 3), (2, 3, 6), (3, 5, 7)], 4)
 _LEFT = _site_table([(4, 0, 5), (5, 2, 6)], 3)
 _BELOW = _site_table([(4, 5, 0), (5, 6, 1)], 3)
-_RIGHT_UP_L, _LEFT_L, _BELOW_L = _RIGHT_UP.tolist(), _LEFT.tolist(), _BELOW.tolist()
 
 
 class _LocalTV:
@@ -499,21 +498,9 @@ class _LocalTV:
         n, m = img.a.shape
         e = np.full((n + 2, m + 2), 2, dtype=np.intp)
         e[1:-1, 1:-1] = img.a
-
-        def context(*cells):
-            """Base-3 index of the trits at offsets (dr, dc) from every block's bottom-left cell."""
-            index = 0
-            for dr, dc in cells:
-                index = index * 3 + e[1 + dr : n + 1 + dr : 2, 1 + dc : m + 1 + dc : 2]
-            return index
-
-        self.totals = (
-            _RIGHT_UP[context((0, 2), (1, 2), (2, 0), (2, 1))]
-            + _LEFT[context((0, -1), (1, -1), (2, -1))]
-            + _BELOW[context((-1, 0), (-1, 1), (-1, 2))]
-        ).tolist()
         self.e = e.tolist()
         self.codes = _codes(img.a).tolist()
+        self.totals = [[self._total(u, v) for u in range(m // 2)] for v in range(n // 2)]
         self.pairs: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
     def _tables(self, u: int, v: int) -> tuple[list[int], list[int], list[int]]:
@@ -521,10 +508,14 @@ class _LocalTV:
         e, c, r = self.e, 2 * u + 1, 2 * v + 1
         below, low, high, above = e[r - 1], e[r], e[r + 1], e[r + 2]
         return (
-            _RIGHT_UP_L[((low[c + 2] * 3 + high[c + 2]) * 3 + above[c]) * 3 + above[c + 1]],
-            _LEFT_L[(low[c - 1] * 3 + high[c - 1]) * 3 + above[c - 1]],
-            _BELOW_L[(below[c] * 3 + below[c + 1]) * 3 + below[c + 2]],
+            _RIGHT_UP[((low[c + 2] * 3 + high[c + 2]) * 3 + above[c]) * 3 + above[c + 1]],
+            _LEFT[(low[c - 1] * 3 + high[c - 1]) * 3 + above[c - 1]],
+            _BELOW[(below[c] * 3 + below[c + 1]) * 3 + below[c + 2]],
         )
+
+    def _total(self, u: int, v: int) -> list[int]:
+        """The block's totals, [code], in the current image."""
+        return [x + y + z for x, y, z in zip(*self._tables(u, v))]
 
     def _write(self, u: int, v: int, code: int) -> None:
         c, r = 2 * u + 1, 2 * v + 1
@@ -581,7 +572,7 @@ class _LocalTV:
             for b in range(max(v - 1, 0), min(v + 2, h))
         }
         for a, b in near:
-            self.totals[b][a] = [x + y + z for x, y, z in zip(*self._tables(a, b))]
+            self.totals[b][a] = self._total(a, b)
             for key in ((a, b, 0), (a - 1, b, 0), (a, b, 1), (a, b - 1, 1)):
                 self.pairs.pop(key, None)
         return near

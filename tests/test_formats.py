@@ -247,6 +247,56 @@ class TestIntegerTokens:
             read_gray(data)
         assert err.value.line == line
 
+
+class TestLongTokens:
+    """Tokens past int()'s default limit of 4300 digits, which the reference's int() refuses."""
+
+    NINES, PAD = "9" * 5000, "0" * 5000
+
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_block_token_is_out_of_range(self, k, sign):
+        for rows in ((f"1 {sign}{self.NINES}", "2 3"), ("1 2", f"3 {sign}000{self.NINES}?")):
+            with pytest.raises(FormatError) as err:
+                parse_instance(TestBlockTokens.document(k, rows))
+            line = 8 if self.NINES in rows[0] else 9
+            want = f"line {line}: block value {'-' * (sign == '-')}{self.NINES} outside [0, {k * k}]"
+            assert str(err.value) == want and err.value.line == line
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_zero_padded_block_token_parses(self, k):
+        text = TestBlockTokens.document(k, (f"1 +{self.PAD}3?", f"-{self.PAD} {self.PAD}2"))
+        inst = parse_instance(text)
+        assert inst.blocks == ((0, 2), (1, 3)) and not inst.is_reliable(k + 1, k + 1)
+        # the token walk that names a section's first fault reads it too
+        with pytest.raises(FormatError, match=r"^line 8: bad block token 'x'$"):
+            parse_instance(TestBlockTokens.document(k, (f"{self.PAD}3 x", "0 0")))
+
+    @pytest.mark.parametrize("old, new, line", [("k 2", "k ", 2), ("rows 0 0", "rows 0 ", 5)])
+    def test_header_token_names_its_line(self, old, new, line):
+        with pytest.raises(FormatError, match="expected integers") as err:
+            parse_instance(MINIMAL.replace(old, new + self.NINES))
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("sign", [b"", b"-"])
+    def test_pnm_header_field_is_rejected_on_its_line(self, sign):
+        nines = sign + self.NINES.encode()
+        for data, line in ((b"P1 " + nines + b" 1 0", 1), (b"P1\n1\n" + nines + b"\n1\n", 3)):
+            with pytest.raises(FormatError, match="malformed PBM dimensions") as err:
+                read_image(data)
+            assert err.value.line == line
+        for data, line in ((b"P2 1 1\n" + nines + b"\n0\n", 2), (b"P2\n" + nines + b" 1 4 0", 2)):
+            with pytest.raises(FormatError, match="malformed PGM header or body") as err:
+                read_gray(data)
+            assert err.value.line == line
+
+    def test_zero_padded_pnm_header_parses(self):
+        pad = self.PAD.encode()
+        assert read_image(b"P1 " + pad + b"2 +" + pad + b"1 1 0") == BinaryImage.from_ones(2, 1, [(1, 1)])
+        gray = read_gray(b"P2 1 1 " + pad + b"7 5")
+        assert (gray.width, gray.height, gray.maxval, gray.values) == (1, 1, 7, ((5,),))
+
+
 class TestBlockRowSpacing:
     """Block rows split into tokens wherever str.split() splits them."""
 

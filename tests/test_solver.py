@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drtomo import solver, switches
+from drtomo import solver, subsolvers, switches
 from drtomo.formats import write_image
 from drtomo.model import (
     BinaryImage,
@@ -459,10 +459,12 @@ class TestStripTable:
 
 
 class TestClosedFormUnswap:
-    """solve_dr's closed-form un-swap equals reduce of the un-swapped proper-frame image."""
+    """solve_dr's un-swap, which mirrors the swapped strips of the code grid and
+    takes them to their fixpoint (switches._reduce_strips), equals reduce of
+    the un-swapped proper-frame image."""
 
     @pytest.fixture
-    def closed_form(self, monkeypatch):
+    def strip_fixpoint(self, monkeypatch):
         """A check of one instance that returns its strip permutation."""
         seen = []  # solve_dr's own proper-frame solution, decoded as it runs
 
@@ -485,7 +487,7 @@ class TestClosedFormUnswap:
 
         return check
 
-    def test_every_4x4_instance_with_a_swapped_strip(self, closed_form):
+    def test_every_4x4_instance_with_a_swapped_strip(self, strip_fixpoint):
         # all 65536 images, with bit 4r + c as cell (c + 1, r + 1); one image per instance
         a = (np.arange(1 << 16)[:, None] >> np.arange(16) & 1).astype(np.uint8).reshape(-1, 4, 4)
         rows, cols = a.sum(axis=2), a.sum(axis=1)
@@ -495,10 +497,13 @@ class TestClosedFormUnswap:
         _, first = np.unique(keys, axis=0, return_index=True)
         assert len(first) > 20000
         for x in np.flatnonzero(swapped)[first]:
-            perm = closed_form(make_exact_instance(BinaryImage(a[x]), 2), reference=False)
+            perm = strip_fixpoint(make_exact_instance(BinaryImage(a[x]), 2), reference=False)
             assert perm.row_swapped.any() or perm.col_swapped.any()
 
     def test_calls_neither_reduce_nor_the_image_unswap(self, monkeypatch):
+        """The un-swap and the strip fixpoint run on the code grid: no image is
+        un-swapped and switches.reduce is never called."""
+
         def called(*args):
             raise AssertionError("solve_dr ran a whole-image post-pass")
 
@@ -508,15 +513,15 @@ class TestClosedFormUnswap:
         assert perm.row_swapped.any() and perm.col_swapped.any()
         assert verify_solution(inst, solve_dr(inst)).satisfied
 
-    def test_random_rectangles(self, closed_form):
+    def test_random_rectangles(self, strip_fixpoint):
         rng = random.Random(15)
         for seed in range(300):
             m, n = 2 * rng.randint(1, 20), 2 * rng.randint(1, 20)
             img = random_image(m, n, rng.uniform(0.1, 0.9), seed)
-            closed_form(make_exact_instance(img, 2))
+            strip_fixpoint(make_exact_instance(img, 2))
 
     @pytest.mark.parametrize("heavy", [(), ("B1", "B2", "B31")])
-    def test_mirrored_phantoms(self, heavy, closed_form):
+    def test_mirrored_phantoms(self, heavy, strip_fixpoint):
         # a proper phantom flipped top to bottom swaps every unbalanced row
         # strip and no column strip; flipped left to right, the other way round
         tiles = list(BlockType)
@@ -531,9 +536,51 @@ class TestClosedFormUnswap:
             _, perm = properize(make_exact_instance(phantom, 2))
             a = ref.apply_to_image(perm, phantom).a
             for flipped in (a, a[::-1], a[:, ::-1], a[::-1, ::-1]):
-                perm = closed_form(make_exact_instance(BinaryImage(flipped), 2))
+                perm = strip_fixpoint(make_exact_instance(BinaryImage(flipped), 2))
                 kinds[bool(perm.row_swapped.any()), bool(perm.col_swapped.any())] += 1
         assert kinds[False, False] and kinds[True, False] and kinds[False, True] and kinds[True, True]
+
+
+class TestUniqueDr2Graph:
+    """The graph unique_dr2 hands to connected_components lists no arc twice:
+    the strong-component search does not return on one that does (scipy 1.17)."""
+
+    @pytest.fixture
+    def arcs(self, monkeypatch):
+        """Arc counts of the graphs seen, each checked before the search runs."""
+        seen = []
+        search = subsolvers.connected_components
+
+        def checked(graph, **kwargs):
+            coo = graph.tocoo()
+            tail_head = coo.row.astype(np.int64) * graph.shape[1] + coo.col
+            assert np.unique(tail_head).size == tail_head.size, "a (tail, head) pair repeats"
+            seen.append(tail_head.size)
+            return search(graph, **kwargs)
+
+        monkeypatch.setattr(subsolvers, "connected_components", checked)
+        return seen
+
+    def test_every_4x4_instance(self, arcs):
+        a = (np.arange(1 << 16)[:, None] >> np.arange(16) & 1).astype(np.uint8).reshape(-1, 4, 4)
+        rows, cols = a.sum(axis=2), a.sum(axis=1)
+        blocks = a.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4)).reshape(-1, 4)
+        _, first = np.unique(np.concatenate((rows, cols, blocks), axis=1), axis=0, return_index=True)
+        for x in first[(blocks[first] == 2).any(axis=1)]:
+            check_unique(make_exact_instance(BinaryImage(a[x]), 2))
+        assert len(arcs) > 10000
+
+    @pytest.mark.parametrize("side", [8, 16, 32, 64])
+    def test_two_one_heavy_phantoms(self, arcs, side):
+        # no block of one or three ones, so every check reaches the nu = 2 test
+        tiles = [BlockType[t] for t in "B1 B2 B31 B32 B33 B34 EMPTY FULL".split()]
+        weights = [1, 0.3, 1, 0.3, 1, 0.3, 2, 2]
+        corners = [(i, j) for i in range(1, side, 2) for j in range(1, side, 2)]
+        rng = random.Random(side)
+        for _ in range(30):
+            types = dict(zip(corners, rng.choices(tiles, weights, k=len(corners))))
+            check_unique(make_exact_instance(image_of_types(types, side, side), 2))
+        assert len(arcs) == 30 and max(arcs) >= side * side // 4
 
 
 class TestCheckUnique:
