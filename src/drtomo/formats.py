@@ -85,13 +85,17 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _ints(fields: list[str], lineno: int) -> list[int]:
     # int() of a field without whitespace takes [+-]?[0-9]+, and also `_`
-    # separators and non-ASCII digits, which are excluded first
+    # separators and non-ASCII digits, which are excluded first; a field
+    # past int()'s digit limit is tried again without its leading zeros
     joined = " ".join(fields)
     if joined.isascii() and "_" not in joined:
         try:
             return list(map(int, fields))
         except ValueError:
-            pass
+            try:
+                return list(map(int, _LEADING_ZEROS.sub("", joined).split()))
+            except ValueError:
+                pass
     raise FormatError(f"expected integers, got {joined!r}", lineno)
 
 

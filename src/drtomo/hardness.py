@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .formats import FormatError, _ints
+from .formats import FormatError, _content_lines, _ints
 from .model import (
     BinaryImage, BlockType, Instance, _instance_of_grids, _require_well_formed, classify_block, validate_instance,
 )
@@ -89,9 +89,8 @@ def parse_sat(text: str) -> OneInThreeInstance:
     """
     clauses = []
     header: Optional[tuple[int, int]] = None
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c"):
+    for no, line in _content_lines(text):
+        if line.startswith("c"):
             continue
         if line.startswith("p"):
             fields = line.split()

@@ -237,27 +237,6 @@ class _Search:
         self.undecided = np.flatnonzero(undecided).tolist()
         return True
 
-    def _frontier(self, above: tuple[int, ...], passed: list[int], ahead: frozenset[int]) -> tuple[int, ...]:
-        """The frontier groups at a vertex, from its parent's and the cells passed since.
-
-        A group of a passed cell stays while it has an undecided cell at or
-        after the vertex's depth: one still unset, or one that propagation
-        has set below it (in ``ahead``, as 2 * cell + bit).
-        """
-        groups, free = self.groups, self.free
-        active = dict.fromkeys(above)  # an ordered set
-        below = None
-        for c in passed:
-            for g in groups[c]:
-                if not free[g]:
-                    if below is None:
-                        below = {h for x in ahead for h in groups[x >> 1]}
-                    if g not in below:
-                        active.pop(g, None)
-                        continue
-                active[g] = None
-        return tuple(active)
-
     def run(self) -> None:
         """Visit the search tree in order, one node per vertex, within budget.
 
@@ -276,8 +255,14 @@ class _Search:
         max_nodes, max_solutions = self.budget.max_nodes, self.budget.max_solutions
         memo: dict | None = None if self.collect else {}
         # the frontier groups at each depth d reached: those with undecided
-        # cells both before d and at or after it
-        frontier: dict[int, tuple[int, ...]] = {0: ()}
+        # cells both before d and at or after it, that is, whose first cell
+        # in the search order lies before d and whose last lies at or after it
+        frontier: dict[int, tuple[int, ...]] = {}
+        span: dict[int, list[int]] = {}  # group: [first, last] position in undecided
+        if memo is not None:
+            for d, c in enumerate(undecided):
+                for g in groups[c]:
+                    span.setdefault(g, [d, d])[1] = d
         branches: list[tuple[int, int, int]] = []  # (depth, trail mark, bit) of each branch taken
         # (depth, state, count, nodes before it, cells set below it) of each
         # branching vertex on the path whose subtree is being walked
@@ -313,8 +298,11 @@ class _Search:
                     up, mark, _ = branches[-1]
                     ahead = opened[-1][4].union([2 * c + cell[c] for c in trail[mark:]])
                     ahead = ahead.difference([2 * c + cell[c] for c in undecided[up:depth]])
-                    if depth not in frontier:
-                        frontier[depth] = self._frontier(frontier[up], undecided[up:depth], ahead)
+                if depth not in frontier:
+                    # from a list: tuple() of a generator grows the tuple by
+                    # reallocation, which left repeated counts about 1 MB
+                    # more peak RSS
+                    frontier[depth] = tuple([g for g, (first, last) in span.items() if first < depth <= last])
                 state = (depth, ahead, *[used[g] for g in frontier[depth]])
                 known = memo.get(state)
                 if known and nodes + known[1] - 1 <= max_nodes and self.count + known[0] < max_solutions:

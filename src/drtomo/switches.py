@@ -68,15 +68,17 @@ choice order: forward classes 1 to 7, then reversed.
   (p, q) reads cells (p, q), (p+1, q) and (p, q+1), so every other site
   keeps its value and the local difference is the exact global one.  A
   block's sites, its own four plus the two left of and the two below it,
-  read only the blocks of its 3x3 neighbourhood.
+  read only the blocks of its 3x3 neighbourhood, so its differences are
+  table rows indexed by the codes of those blocks (_LocalTV).
   - The descent keeps a candidate table: each strip's least improving
     move over classes 1 to 6 of both directions, and for a horizontal
     strip also over the class-7 flips of its blocks.  A step takes the
-    table's least entry, refreshes the single differences of the blocks
-    in the 3x3 neighbourhood of each moved block (u, v), and re-scores
-    the strips through them, rows v-1 to v+1 and columns u-1 to u+1.  No
-    block of another strip has a site that reads a changed cell, so every
-    other entry stays exact.
+    table's least entry, writes the moved blocks' codes, recomputes the
+    single differences of the blocks in the 3x3 neighbourhood of each
+    moved block (u, v) from the code grid, and re-scores the strips
+    through them, rows v-1 to v+1 and columns u-1 to u+1.  No block of
+    another strip has a site that reads a changed cell, so every other
+    entry stays exact.
   - Moves compare by their exact difference (an integer key of a +
     b*sqrt(2)), then in the scan order of find_switch over both
     directions: forward before reversed; classes 1 to 6, then 7;
@@ -86,8 +88,9 @@ choice order: forward classes 1 to 7, then reversed.
   - Re-scoring a strip of len blocks takes O(len) per rule.  A pair of
     non-neighbours scores the sum of its two single differences, so each
     block is met with the best block of the other slot at least two
-    positions before it, a running minimum; the at most len - 1
-    neighbour pairs are scored on their own.  A step on an N x N image
+    positions before it, a running minimum; each of the at most len - 1
+    neighbour pairs adds one correction to its singles, for the sites of
+    its second block that read its first.  A step on an N x N image
     thus costs O(N), but steepest descent takes about 4x the steps per
     doubling of N, so the descent as a whole is not linear.
 """
@@ -453,132 +456,120 @@ def _site_key(own: int, right: int, up: int) -> int:
 
 
 _SITE = np.array([_site_key(own, right, up) for own in range(3) for right in range(3) for up in range(3)])
+_OUT = 16  # the code of a block outside the image
+# _TRITS[c, i]: bit i of code c, or the trit 2 of a cell outside the image for _OUT
+_TRITS = np.vstack((np.arange(16)[:, None] >> np.arange(4) & 1, np.full((1, 4), 2)))
 
 
-def _site_table(sites, width: int) -> list[list[int]]:
+def _site_table(sites) -> list[list[int]]:
     """Keyed TV of some sites of a block, [context][code].
 
     A site lists its (own, right, up) cells as 0-3 for bit i of the
-    block's code or 4 + j for trit j of the context, and a context indexes
-    its width trits in base 3, the first most significant.
+    block's code and 4 + 4*j + i for bit i of block j of the context, a
+    pair of codes indexed as first * 17 + second.
     """
-    ctx = np.indices((3,) * width).reshape(width, -1, 1)
-    cells = list(np.arange(16) >> np.arange(4)[:, None] & 1) + list(ctx)
+    context = np.indices((17, 17)).reshape(2, -1, 1)
+    cells = [_TRITS[c, i] for c in (np.arange(16), *context) for i in range(4)]
     return sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites).tolist()
 
 
-# The eight sites of the block whose bottom-left cell is (c, r), in three
-# groups by the cells around it that they read: its own four sites read
-# (c+2, r), (c+2, r+1), (c, r+2) and (c+1, r+2); the two left of it read
-# (c-1, r), (c-1, r+1) and (c-1, r+2); the two below it read (c, r-1),
-# (c+1, r-1) and (c+2, r-1).
-_RIGHT_UP = _site_table([(0, 1, 2), (1, 4, 3), (2, 3, 6), (3, 5, 7)], 4)
-_LEFT = _site_table([(4, 0, 5), (5, 2, 6)], 3)
-_BELOW = _site_table([(4, 5, 0), (5, 6, 1)], 3)
+# The eight sites of a block, in three groups by the two blocks around it
+# that they read, context blocks 0 and 1: its own four sites read the block
+# to its right (bits 0 and 2) and the one above it (bits 0 and 1); the two
+# left of it read the block to its left (bits 1 and 3) and the one above
+# that (bit 1); the two below it read the block below (bits 2 and 3) and
+# the one right of that (bit 2).
+_RIGHT_UP = _site_table([(0, 1, 2), (1, 4, 3), (2, 3, 8), (3, 6, 9)])
+_LEFT = _site_table([(5, 0, 7), (7, 2, 9)])
+_BELOW = _site_table([(6, 7, 0), (7, 10, 1)])
 
 
 class _LocalTV:
-    """Exact TV differences of block rewrites, kept per block.
+    """Exact TV differences of block rewrites, read off one code grid.
 
-    The image is held as trits with a frame of 2s (see _SITE), and blocks
-    as (u, v) code-grid positions.  A block's sites are the gradient sites
-    that read one of its cells: its own four plus the two left of and the
-    two below it.  totals[v][u][t] is the keyed TV of those sites with the
-    block rewritten to code t, so a single rewrite differs by totals[t] -
-    totals[code]: no other site reads the block.  Those sites read only the
-    block's 3x3 neighbourhood, so a rewrite refreshes the totals there.
-    Two blocks of one strip that are not neighbours share no site and no
-    site reads both, so a pair's difference is the sum of its singles; a
-    neighbour pair is the first rewrite followed by the second one's
-    difference in the rewritten image, cached per pair until a rewrite
-    touches either block's neighbourhood.
+    The image is held as its code grid framed by _OUT, so that
+    codes[v + 1][u + 1] is the code of block (u, v).  A block's sites are
+    the gradient sites that read one of its cells: its own four plus the
+    two left of and the two below it.  They read only the block's 3x3
+    neighbourhood, and no other site reads the block, so a single
+    rewrite's key is the sum of its three table rows at the target less
+    the same sum at the current code.  Two blocks of one strip that are
+    not neighbours share no site and no site reads both, so a pair's key
+    is the sum of its singles.  Of a neighbour pair's sites, only the
+    next block's _LEFT (row pair) or _BELOW (column pair) sites read the
+    first block; its key is the two singles plus that row with the first
+    block at its target less the row at its current code, each read at
+    the next block's target less at its current code.
     """
 
     def __init__(self, img: BinaryImage):
-        n, m = img.a.shape
-        e = np.full((n + 2, m + 2), 2, dtype=np.intp)
-        e[1:-1, 1:-1] = img.a
-        self.e = e.tolist()
-        self.codes = _codes(img.a).tolist()
-        self.totals = [[self._total(u, v) for u in range(m // 2)] for v in range(n // 2)]
-        self.pairs: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
+        h, w = img.n // 2, img.m // 2
+        framed = np.full((h + 2, w + 2), _OUT, dtype=np.uint8)
+        framed[1:-1, 1:-1] = _codes(img.a)
+        self.codes = framed.tolist()
+
+    def code(self, u: int, v: int) -> int:
+        return self.codes[v + 1][u + 1]
 
     def _tables(self, u: int, v: int) -> tuple[list[int], list[int], list[int]]:
-        """The block's rows of _RIGHT_UP, _LEFT and _BELOW; totals are their sums."""
-        e, c, r = self.e, 2 * u + 1, 2 * v + 1
-        below, low, high, above = e[r - 1], e[r], e[r + 1], e[r + 2]
+        """The block's rows of _RIGHT_UP, _LEFT and _BELOW."""
+        codes = self.codes
+        below, row, above = codes[v], codes[v + 1], codes[v + 2]
         return (
-            _RIGHT_UP[((low[c + 2] * 3 + high[c + 2]) * 3 + above[c]) * 3 + above[c + 1]],
-            _LEFT[(low[c - 1] * 3 + high[c - 1]) * 3 + above[c - 1]],
-            _BELOW[(below[c] * 3 + below[c + 1]) * 3 + below[c + 2]],
+            _RIGHT_UP[row[u + 2] * 17 + above[u + 1]],
+            _LEFT[row[u] * 17 + above[u]],
+            _BELOW[below[u + 1] * 17 + below[u + 2]],
         )
 
-    def _total(self, u: int, v: int) -> list[int]:
-        """The block's totals, [code], in the current image."""
+    def totals(self, u: int, v: int) -> list[int]:
+        """The keyed TV of the block's sites with the block at each code."""
         return [x + y + z for x, y, z in zip(*self._tables(u, v))]
 
-    def _write(self, u: int, v: int, code: int) -> None:
-        c, r = 2 * u + 1, 2 * v + 1
-        low, high = self.e[r], self.e[r + 1]
-        low[c], low[c + 1] = code & 1, code >> 1 & 1
-        high[c], high[c + 1] = code >> 2 & 1, code >> 3
-
     def single(self, u: int, v: int, target: int) -> int:
-        totals = self.totals[v][u]
-        return totals[target] - totals[self.codes[v][u]]
+        now = self.code(u, v)
+        return sum(row[target] - row[now] for row in self._tables(u, v))
 
-    def neighbours(self, o: int, u: int, v: int, first: int, second: int) -> int:
-        """Key of rewriting (u, v) to first and the next block of its
-        orientation-o strip, (u+1, v) or (u, v+1), to second."""
-        per_targets = self.pairs.setdefault((u, v, o), {})
-        key = per_targets.get((first, second))
-        if key is None:
-            u2, v2 = (u + 1, v) if o == 0 else (u, v + 1)
-            now = self.codes[v2][u2]
-            self._write(u, v, first)
-            right_up, left, below = self._tables(u2, v2)
-            self._write(u, v, self.codes[v][u])
-            key = per_targets[first, second] = (
-                self.single(u, v, first)
-                + right_up[second] + left[second] + below[second]
-                - (right_up[now] + left[now] + below[now])
-            )
-        return key
+    def correction(self, o: int, u: int, v: int, first: int, second: int) -> int:
+        """A neighbour pair's key less its singles: (u, v) rewritten to
+        first and the next block of its orientation-o strip, (u+1, v) or
+        (u, v+1), to second."""
+        codes = self.codes
+        now = codes[v + 1][u + 1]
+        if o == 0:  # (u+1, v) reads (u, v) in its _LEFT row, beside (u, v+1)
+            beside, next_now, rows = codes[v + 2][u + 1], codes[v + 1][u + 2], _LEFT
+        else:  # (u, v+1) reads (u, v) in its _BELOW row, beside (u+1, v)
+            beside, next_now, rows = codes[v + 1][u + 2], codes[v + 2][u + 1], _BELOW
+        new, old = rows[first * 17 + beside], rows[now * 17 + beside]
+        return new[second] - new[next_now] - old[second] + old[next_now]
 
     def delta(self, corners, sources, targets) -> tuple[int, int]:
         """TV(after the rewrite) - TV(now), as (a, b) counts; sources are
-        the blocks' current codes."""
-        (u1, v1), *rest = [(i // 2, j // 2) for i, j in corners]
-        key = self.single(u1, v1, targets[0])
-        if rest:
-            (u2, v2), = rest
-            if abs(u1 - u2) + abs(v1 - v2) == 1:
-                key = self.neighbours(int(u1 == u2), u1, v1, *targets)
-            else:
-                key += self.single(u2, v2, targets[1])
+        the blocks' current codes, listed in strip order as the scan lists
+        them."""
+        blocks = [(i // 2, j // 2) for i, j in corners]
+        key = sum(self.single(u, v, target) for (u, v), target in zip(blocks, targets))
+        if len(blocks) == 2:
+            (u1, v1), (u2, v2) = blocks
+            if abs(u2 - u1) + abs(v2 - v1) == 1:
+                key += self.correction(int(u1 == u2), u1, v1, *targets)
         return _unkey(key)
 
     def apply(self, corners, targets) -> set[tuple[int, int]]:
-        """Rewrite the blocks; the blocks whose totals were refreshed."""
+        """Rewrite the blocks; return the blocks of their 3x3
+        neighbourhoods, whose differences the rewrite may change."""
         blocks = [(i // 2, j // 2) for i, j in corners]
         for (u, v), code in zip(blocks, targets):
-            self._write(u, v, code)
-            self.codes[v][u] = code
-        h, w = len(self.codes), len(self.codes[0])
-        near = {
+            self.codes[v + 1][u + 1] = code
+        h, w = len(self.codes) - 2, len(self.codes[0]) - 2
+        return {
             (a, b)
             for u, v in blocks
             for a in range(max(u - 1, 0), min(u + 2, w))
             for b in range(max(v - 1, 0), min(v + 2, h))
         }
-        for a, b in near:
-            self.totals[b][a] = self._total(a, b)
-            for key in ((a, b, 0), (a - 1, b, 0), (a, b, 1), (a, b - 1, 1)):
-                self.pairs.pop(key, None)
-        return near
 
     def image(self) -> BinaryImage:
-        return BinaryImage(np.array(self.e, dtype=np.uint8)[1:-1, 1:-1])
+        return BinaryImage(_decode(np.array(self.codes, dtype=np.uint8)[1:-1, 1:-1]))
 
 
 # _ROLES[o][c]: (rule, slot A target, slot B target) for each rule of
@@ -599,15 +590,19 @@ _ROLES = [
 _NO_MOVE = (0,)
 
 
-def _members(o: int, p: int, code: int, totals: list[int]) -> tuple:
-    """(rule, member) for each rule of orientation o that a block at
-    position p of its strip takes part in; a member is (p, slot A key,
-    slot A target, slot B key, slot B target), with None for a slot
-    without the block's code."""
+def _members(local: _LocalTV, u: int, v: int) -> tuple[tuple, tuple]:
+    """The block's (rule, member) pairs in its row and in its column, one
+    for each rule of the orientation that it takes part in; a member is
+    (position in the strip, slot A key, slot A target, slot B key, slot B
+    target), with None for a slot without the block's code."""
+    code, totals = local.code(u, v), local.totals(u, v)
     now = totals[code]
     return tuple(
-        (rule, (p, None if a is None else totals[a] - now, a, None if b is None else totals[b] - now, b))
-        for rule, a, b in _ROLES[o][code]
+        tuple(
+            (rule, (p, None if a is None else totals[a] - now, a, None if b is None else totals[b] - now, b))
+            for rule, a, b in _ROLES[o][code]
+        )
+        for o, p in ((0, u), (1, v))
     )
 
 
@@ -619,8 +614,8 @@ def _best_pair(local: _LocalTV, o: int, s: int, members: list) -> tuple:
     unless the first block is in slot B only.  A pair of non-neighbours
     scores the sum of its singles, so each block as second meets the best
     first block before the previous member (the smallest position on
-    ties) and the previous member itself, which _LocalTV.neighbours
-    scores when it is the block's neighbour.
+    ties) and the previous member itself, whose sum of singles
+    _LocalTV.correction completes when it is the block's neighbour.
     """
     best = _NO_MOVE
     first_a = first_b = None  # best (key, p, target) in slot A, in slot B only, before last
@@ -647,7 +642,7 @@ def _best_pair(local: _LocalTV, o: int, s: int, members: list) -> tuple:
             if targets is not None:
                 if q == p - 1:
                     u, v = (q, s) if o == 0 else (s, q)
-                    key = local.neighbours(o, u, v, *targets)
+                    key += local.correction(o, u, v, *targets)
                 # earlier candidates all start before q, so this one wins only on its key
                 if key < best[0]:
                     best = (key, q, p, targets)
@@ -700,12 +695,12 @@ def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
     if not verify_solution(inst, img).satisfied:
         raise ValueError("input image does not solve the instance")
     local = _LocalTV(img)
-    codes, totals = local.codes, local.totals
+    h, w = img.n // 2, img.m // 2
     # strips[o][s][p]: the _members of block p of row (o = 0) or column s
-    strips = (
-        [[_members(0, u, c, t) for u, (c, t) in enumerate(zip(*row))] for row in zip(codes, totals)],
-        [[_members(1, v, c, t) for v, (c, t) in enumerate(zip(*column))] for column in zip(zip(*codes), zip(*totals))],
-    )
+    strips = ([[None] * w for _ in range(h)], [[None] * h for _ in range(w)])
+    for v in range(h):
+        for u in range(w):
+            strips[0][v][u], strips[1][u][v] = _members(local, u, v)
     best = {(o, s): _strip_best(local, o, s, strip) for o in (0, 1) for s, strip in enumerate(strips[o])}
     current_tv = tv(img)
     steps = 0
@@ -716,11 +711,10 @@ def tv_descend(inst: Instance, img: BinaryImage, on_step=None) -> BinaryImage:
         key, d, k, o, s, p1, p2, targets = move
         blocks = [(p, s) if o == 0 else (s, p) for p in (p1, p2)[: len(targets)]]
         corners = tuple((2 * u + 1, 2 * v + 1) for u, v in blocks)
-        sources = tuple(codes[v][u] for u, v in blocks)
+        sources = tuple(local.code(u, v) for u, v in blocks)
         dirty = set()
         for u, v in local.apply(corners, targets):
-            strips[0][v][u] = _members(0, u, codes[v][u], totals[v][u])
-            strips[1][u][v] = _members(1, v, codes[v][u], totals[v][u])
+            strips[0][v][u], strips[1][u][v] = _members(local, u, v)
             dirty.update(((0, v), (1, u)))
         for strip in dirty:
             best[strip] = _strip_best(local, *strip, strips[strip[0]][strip[1]])

@@ -272,11 +272,24 @@ class TestLongTokens:
         with pytest.raises(FormatError, match=r"^line 8: bad block token 'x'$"):
             parse_instance(TestBlockTokens.document(k, (f"{self.PAD}3 x", "0 0")))
 
-    @pytest.mark.parametrize("old, new, line", [("k 2", "k ", 2), ("rows 0 0", "rows 0 ", 5)])
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [("k 2", "k ", 2), ("rows 0 0", "rows 0 ", 5), ("eps 0", "eps ", 3), ("size 2 2", "size 2 ", 4),
+         ("cols 0 0", "cols 0 ", 6)],
+    )
     def test_header_token_names_its_line(self, old, new, line):
         with pytest.raises(FormatError, match="expected integers") as err:
             parse_instance(MINIMAL.replace(old, new + self.NINES))
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("k 2", "k {}2"), ("eps 0", "eps {}"), ("size 2 2", "size 2 +{}2"), ("rows 0 0", "rows 0 -{}"),
+         ("cols 0 0", "cols {}0 0")],
+        ids=["k", "eps", "size", "rows", "cols"],
+    )
+    def test_zero_padded_header_token_parses(self, old, new):
+        assert parse_instance(MINIMAL.replace(old, new.format(self.PAD))) == parse_instance(MINIMAL)
 
     @pytest.mark.parametrize("sign", [b"", b"-"])
     def test_pnm_header_field_is_rejected_on_its_line(self, sign):

@@ -99,6 +99,8 @@ class TestOneInThree:
             ("p 1in3 3 1\n1 two 3\n", 2),
             ("p 1in3 3 1\np 1in3 3 1\n1 2 3\n", 2),  # repeated header
             ("p 1in3 3 2\n1 2 3\np 1in3 3 1\n", 3),
+            ("p 1in3 " + "9" * 5000 + " 1\n1 2 3\n", 1),  # past int()'s digit limit
+            ("p 1in3 3 1\n1 2 " + "9" * 5000 + "\n", 2),
         ],
     )
     def test_malformed_numbers_and_headers_name_their_line(self, text, line):
@@ -108,6 +110,11 @@ class TestOneInThree:
     def test_signed_and_zero_padded_numbers_accepted(self):
         sat = parse_sat("p 1in3 +3 01\n+1 -2 03\n")
         assert sat == OneInThreeInstance(3, ((1, -2, 3),))
+
+    @pytest.mark.parametrize("text", ["p 1in3 {0}3 1\n1 -2 3\n", "p 1in3 3 1\n1 -{0}2 +{0}3\n"], ids=["header", "clause"])
+    def test_numbers_zero_padded_past_the_int_digit_limit(self, text):
+        # int() refuses more than 4300 digits, leading zeros included
+        assert parse_sat(text.format("0" * 5000)) == OneInThreeInstance(3, ((1, -2, 3),))
 
 
 class TestBuildBoard:

@@ -713,3 +713,18 @@ class TestLocalTVTables:
                     a[2 * v : 2 * v + 2, 2 * u : 2 * u + 2] = [[code >> dx + 2 * dy & 1 for dx in (0, 1)] for dy in (0, 1)]
                     after = tv(BinaryImage(a))
                     assert _unkey(local.single(u, v, code)) == (after.a - base.a, after.b - base.b)
+
+    @pytest.mark.parametrize("m, n", [(2, 6), (6, 2), (4, 4)])
+    def test_delta_is_exact_at_the_frame(self, m, n):
+        # every block of a 2x6 or 6x2 image touches the frame, so every
+        # neighbour pair's correction reads the code outside the image; the
+        # 4x4 images are a fixed sample of 4096
+        words = range(1 << 12) if m * n == 12 else random.Random(0).sample(range(1 << 16), 4096)
+        for word in words:
+            img = BinaryImage(np.array([word >> b & 1 for b in range(m * n)], dtype=np.uint8).reshape(n, m))
+            local = _LocalTV(img)
+            base = tv(img)
+            for move in all_switches(img, FORWARD) + all_switches(img, REVERSED):
+                after = tv(apply_switch(img, move))
+                got = local.delta(move.corners, codes(move.sources), codes(move.targets))
+                assert got == (after.a - base.a, after.b - base.b)
