@@ -35,18 +35,21 @@ least as many nodes.  On a 60x60 gadget board that search needs 0.2M to
 an explicit stack, so its depth is bounded by memory, not by the
 interpreter's recursion limit.
 
-A count needs no solution, only how many there are, and many vertices
-of one depth root the same subtree.  Below depth d every unset cell lies
-at d or after, so a vertex's subtree depends only on d, the bits
-propagation has set below d and the used counts of the frontier groups,
-those with undecided cells both before d and at or after it.  A counting
-run records the (count, nodes) of each branching vertex whose subtree it
-has finished under that state, and adds the record when the state comes
-back, unless a cap falls inside the subtree.  The answers are those of
-the walk: a node is counted whether it is walked or added from a
-record.  The records grow with the vertices expanded, not with the nodes
-counted: a 6x6 eps = 1 count of 858 solutions over 11862 nodes records
-157 vertices.  Runs that collect solutions keep no records.
+A count needs no solution, only how many there are, and many vertices of
+one depth root the same subtree.  At depth d every unset cell lies at d
+or after, so a vertex's subtree depends only on d, the cells from d on
+and the used counts of the frontier groups, those with undecided cells
+both before d and at or after it.  The search holds only the cells
+pre-elimination leaves undecided, numbered in search order, so the
+cells from d on are one slice of its cell list, read as one bytes
+object.  A counting run records the (count, nodes) of each branching
+vertex whose subtree it has finished under that state, and adds the
+record when the state comes back, unless a cap falls inside the subtree.
+The answers are those of the walk: a node is counted whether it is
+walked or added from a record.  The records grow with the vertices
+expanded, not with the nodes counted: a 6x6 eps = 1 count of 858
+solutions over 11862 nodes records 157 vertices.  Runs that collect
+solutions keep no records.
 
 A malformed instance (any ``validate_instance`` finding other than a sum
 mismatch) and a pin outside the grid or with a bit other than 0 or 1 raise
@@ -57,8 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from .model import BinaryImage, Instance, _require_well_formed, validate_instance
@@ -87,41 +88,37 @@ class SearchBudget:
                 raise ValueError(f"{name} must be an integer of at least 1, got {cap!r}")
 
 
-# room for the 26 board shapes of the gadget parsimony sweep (about 20 MB
+# room for the 26 board shapes of the gadget parsimony sweep (about 9 MB
 # together), so a sweep that revisits a shape does not rebuild its layout
 @lru_cache(maxsize=32)
-def _layout(k: int, m: int, n: int) -> tuple[tuple[Sequence[int], ...], np.ndarray, np.ndarray]:
-    """The groups of a k-block m x n grid: per group, per cell, and their sizes.
+def _layout(k: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of a k-block m x n grid: per cell, and their sizes.
 
-    Returns the cells of every group (a range per line, a tuple per
-    block), the three groups (row, column, block) of every cell as an
-    (m*n, 3) array, and the size of every group.  It depends on the shape
+    Returns the three groups (row, column, block) of every cell as an
+    (m*n, 3) array and the size of every group.  It depends on the shape
     alone, so instances of one shape share it.
     """
     q, p = np.divmod(np.arange(m * n), m)
     cell_groups = np.stack((q, n + p, n + m + (q // k) * (m // k) + p // k), axis=1)
-    blocks = np.arange(m * n).reshape(n // k, k, m // k, k).transpose(0, 2, 1, 3).reshape(-1, k * k)
-    members = (
-        *(range(q * m, q * m + m) for q in range(n)),
-        *(range(p, m * n, m) for p in range(m)),
-        *map(tuple, blocks.tolist()),
-    )
-    sizes = np.array([m] * n + [n] * m + [k * k] * len(blocks))
+    sizes = np.array([m] * n + [n] * m + [k * k] * ((m // k) * (n // k)))
     cell_groups.flags.writeable = sizes.flags.writeable = False  # shared by every search of the shape
-    return members, cell_groups, sizes
+    return cell_groups, sizes
 
 
 class _Search:
     """One depth-first enumeration over the undecided cells of an instance.
 
-    Cell (p, q) has index (q-1)*m + p-1.  Groups are numbered rows bottom
-    up, then columns left to right, then blocks in ``Instance.corners``
-    order.  Until pre-elimination the cells and the group bounds are
-    arrays; from then on they, ``used`` and ``free`` are lists, which the
-    search reads one entry at a time, and ``groups`` holds the three
-    groups of each cell still undecided.  Every cell assigned after
-    the sweep goes on ``trail``; undoing the trail to a mark restores the
-    state the mark was taken in.
+    Cell (p, q) has index (q-1)*m + p-1 in ``image``, the array of all
+    cells (2 while undecided).  Groups are numbered rows bottom up, then
+    columns left to right, then blocks in ``Instance.corners`` order.
+    Until pre-elimination the cells and the group bounds are arrays; from
+    then on the search numbers the cells still undecided 0, 1, ... in
+    index order (``at`` maps them back to ``image``) and reads lists one
+    entry at a time: ``cell`` holds their bits (2 while unset),
+    ``groups`` their three groups, ``members`` each group's cells among
+    them, and ``used``, ``free``, ``lo`` and ``hi`` the group counts and
+    bounds.  Every cell assigned after the sweep goes on ``trail``;
+    undoing the trail to a mark restores the state the mark was taken in.
     """
 
     def __init__(self, inst: Instance, budget: SearchBudget, collect: bool):
@@ -134,15 +131,14 @@ class _Search:
         self.exhausted = True
 
         m, n = inst.m, inst.n
-        self.members, self.cell_groups, self.sizes = _layout(inst.k, m, n)
+        self.cell_groups, self.sizes = _layout(inst.k, m, n)
         sums = np.array(inst.row_sums + inst.col_sums)
         lo, hi = inst._windows()
         self.lo = np.concatenate((sums, lo.ravel()))
         self.hi = np.concatenate((sums, hi.ravel()))
-        self.cell = np.full(m * n, -1, dtype=np.int8)  # -1 while undecided
+        self.image = np.full(m * n, 2, dtype=np.int8)
         self.trail: list[int] = []
         self.undecided: list[int] = []
-        self.groups: list = []  # per cell, the three groups of those the search may set
 
     def _set(self, c: int, bit: int) -> None:
         """Assign cell c and count it in its three groups; no group is tested."""
@@ -158,7 +154,7 @@ class _Search:
         cell, trail, used, free, groups = self.cell, self.trail, self.used, self.free, self.groups
         for c in trail[mark:]:
             bit = cell[c]
-            cell[c] = -1
+            cell[c] = 2
             for g in groups[c]:
                 free[g] += 1
                 used[g] -= bit
@@ -183,7 +179,7 @@ class _Search:
             if f and (u == hi[g] or u + f == lo[g]):
                 bit = int(u != hi[g])
                 for c in members[g]:
-                    if cell[c] < 0:  # _set, inlined in the hottest loop
+                    if cell[c] == 2:  # _set, inlined in the hottest loop
                         cell[c] = bit
                         trail.append(c)
                         for h in groups[c]:
@@ -207,11 +203,11 @@ class _Search:
         the search reads, and the groups that still force go to
         `_propagate`.
         """
-        cell, cell_groups, lo, hi = self.cell, self.cell_groups, self.lo, self.hi
+        cell, cell_groups, lo, hi = self.image, self.cell_groups, self.lo, self.hi
         size = len(self.sizes)
         used = np.bincount(cell_groups[cell == 1].ravel(), minlength=size)
-        free = self.sizes - np.bincount(cell_groups[cell >= 0].ravel(), minlength=size)
-        undecided = cell < 0
+        free = self.sizes - np.bincount(cell_groups[cell < 2].ravel(), minlength=size)
+        undecided = cell == 2
         zero = undecided & (used == hi)[cell_groups].any(axis=1)
         one = undecided & (used + free == lo)[cell_groups].any(axis=1)
         cell[zero], cell[one] = 0, 1  # 1 last: a cell forced both ways overfills its 0-forcing group
@@ -223,18 +219,19 @@ class _Search:
         queue = np.flatnonzero((free > 0) & ((used == hi) | (used + free == lo))).tolist()
         undecided &= ~forced
         # from here on only the cells undecided now are set, undone or passed,
-        # so only they get their groups as Python tuples, indexed by cell
-        # since the search reads them at every node
-        groups = self.groups = [None] * len(cell)
-        at = np.flatnonzero(undecided).tolist()
-        for c, three in zip(at, map(tuple, cell_groups[at].tolist())):
-            groups[c] = three
+        # so the search numbers them 0, 1, ... in index order and reads them,
+        # their groups and each group's members among them one at a time
+        self.at = np.flatnonzero(undecided)
+        groups = self.groups = list(map(tuple, cell_groups[self.at].tolist()))
+        members = self.members = {}
+        for c, three in enumerate(groups):
+            for g in three:
+                members.setdefault(g, []).append(c)
         self.used, self.free, self.lo, self.hi = used.tolist(), free.tolist(), lo.tolist(), hi.tolist()
-        self.cell = cell.tolist()
+        self.cell = [2] * len(groups)
         if not self._propagate(queue):
             return False
-        undecided[self.trail] = False
-        self.undecided = np.flatnonzero(undecided).tolist()
+        self.undecided = [c for c, bit in enumerate(self.cell) if bit == 2]
         return True
 
     def run(self) -> None:
@@ -242,12 +239,12 @@ class _Search:
 
         A run that only counts records the (count, nodes) of each branching
         vertex whose subtree it has finished, under the vertex's state: its
-        depth d, the bits propagation has set below d, and the used counts
-        of the frontier groups at d.  No other state reaches the subtree,
-        so when the state comes back the recorded pair is added instead of
-        walking the subtree again, provided neither cap falls inside it;
-        otherwise the subtree is walked and the cap stops the run at the
-        exact node or solution.
+        depth d, the cells from ``undecided[d]`` to the last as they
+        stand, and the used counts of the frontier groups at d.  Nothing
+        else reaches the subtree, so when the state comes back the recorded
+        pair is added instead of walking the subtree again, provided
+        neither cap falls inside it; otherwise the subtree is walked and
+        the cap stops the run at the exact node or solution.
         """
         undecided = self.undecided
         cell, trail, groups, used = self.cell, self.trail, self.groups, self.used
@@ -264,15 +261,15 @@ class _Search:
                 for g in groups[c]:
                     span.setdefault(g, [d, d])[1] = d
         branches: list[tuple[int, int, int]] = []  # (depth, trail mark, bit) of each branch taken
-        # (depth, state, count, nodes before it, cells set below it) of each
-        # branching vertex on the path whose subtree is being walked
-        opened: list[tuple[int, tuple, int, int, frozenset[int]]] = []
+        # (depth, state, count, nodes before it) of each branching vertex on
+        # the path whose subtree is being walked
+        opened: list[tuple[int, tuple, int, int]] = []
         depth = nodes = 0
         while True:
             # a new vertex at this depth, then one per cell below it that
             # propagation already fixed, each the only child of the one before
             top = depth
-            while depth < len(undecided) and cell[undecided[depth]] >= 0:
+            while depth < len(undecided) and cell[undecided[depth]] < 2:
                 depth += 1
             nodes += depth - top + 1
             if nodes > max_nodes:
@@ -283,26 +280,22 @@ class _Search:
             if depth == len(undecided):
                 self.count += 1
                 if self.collect:
-                    a = np.array(cell, dtype=np.uint8).reshape(self.inst.n, self.inst.m)
-                    self.solutions.append(BinaryImage(a))
+                    a = self.image.astype(np.uint8)
+                    a[self.at] = cell
+                    self.solutions.append(BinaryImage(a.reshape(self.inst.n, self.inst.m)))
                 if self.count >= max_solutions:
                     self.exhausted = False
                     return
                 bit = 2  # a leaf has no child to try
             elif memo is not None:
-                # the cells below depth that propagation has set, each as
-                # 2 * cell + bit: the parent's and the branch's, less those
-                # from the parent's depth to this one
-                ahead: frozenset[int] = frozenset()
-                if branches:
-                    up, mark, _ = branches[-1]
-                    ahead = opened[-1][4].union([2 * c + cell[c] for c in trail[mark:]])
-                    ahead = ahead.difference([2 * c + cell[c] for c in undecided[up:depth]])
                 if depth not in frontier:
                     # from a list: tuple() of a generator grows the tuple by
                     # reallocation, which left repeated counts about 1 MB
                     # more peak RSS
                     frontier[depth] = tuple([g for g, (first, last) in span.items() if first < depth <= last])
+                # the cells from depth on, 2 while unset; those among them that
+                # pre-elimination set read the same at every vertex
+                ahead = bytes(cell[undecided[depth]:])
                 state = (depth, ahead, *[used[g] for g in frontier[depth]])
                 known = memo.get(state)
                 if known and nodes + known[1] - 1 <= max_nodes and self.count + known[0] < max_solutions:
@@ -310,7 +303,7 @@ class _Search:
                     self.nodes = nodes = nodes + known[1] - 1
                     bit = 2  # its subtree is counted
                 else:
-                    opened.append((depth, state, self.count, nodes - 1, ahead))
+                    opened.append((depth, state, self.count, nodes - 1))
             # the next vertex is the first admissible untried child of the
             # deepest vertex on the path that still has one
             while True:
@@ -326,7 +319,7 @@ class _Search:
                     bit += 1
                     continue
                 if opened and opened[-1][0] == depth:  # its subtree is finished
-                    _, state, count, start, _ = opened.pop()
+                    _, state, count, start = opened.pop()
                     memo[state] = (self.count - count, nodes - start)
                 if not branches:
                     return
@@ -348,7 +341,7 @@ def _run(
     for (p, q), bit in fixed.items():
         if not (1 <= p <= inst.m and 1 <= q <= inst.n) or bit not in (0, 1):
             raise ValueError(f"pin ({p}, {q}) = {bit} is not a bit on the {inst.m}x{inst.n} grid")
-        s.cell[(q - 1) * inst.m + p - 1] = bit
+        s.image[(q - 1) * inst.m + p - 1] = bit
     if sums_agree and s.preeliminate():
         s.run()
     return s

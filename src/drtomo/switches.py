@@ -461,16 +461,22 @@ _OUT = 16  # the code of a block outside the image
 _TRITS = np.vstack((np.arange(16)[:, None] >> np.arange(4) & 1, np.full((1, 4), 2)))
 
 
-def _site_table(sites) -> list[list[int]]:
-    """Keyed TV of some sites of a block, [context][code].
+def _site_tables(*groups) -> list[list[list[int]]]:
+    """Keyed TV of each group of sites of a block, [context][code].
 
     A site lists its (own, right, up) cells as 0-3 for bit i of the
     block's code and 4 + 4*j + i for bit i of block j of the context, a
-    pair of codes indexed as first * 17 + second.
+    pair of codes indexed as first * 17 + second.  The tables share one
+    int object per distinct key.
     """
     context = np.indices((17, 17)).reshape(2, -1, 1)
     cells = [_TRITS[c, i] for c in (np.arange(16), *context) for i in range(4)]
-    return sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites).tolist()
+    keys: dict[int, int] = {}
+    tables = []
+    for sites in groups:
+        table = sum(_SITE[cells[own] * 9 + cells[right] * 3 + cells[up]] for own, right, up in sites)
+        tables.append([[keys.setdefault(key, key) for key in row] for row in table.tolist()])
+    return tables
 
 
 # The eight sites of a block, in three groups by the two blocks around it
@@ -479,9 +485,9 @@ def _site_table(sites) -> list[list[int]]:
 # left of it read the block to its left (bits 1 and 3) and the one above
 # that (bit 1); the two below it read the block below (bits 2 and 3) and
 # the one right of that (bit 2).
-_RIGHT_UP = _site_table([(0, 1, 2), (1, 4, 3), (2, 3, 8), (3, 6, 9)])
-_LEFT = _site_table([(5, 0, 7), (7, 2, 9)])
-_BELOW = _site_table([(6, 7, 0), (7, 10, 1)])
+_RIGHT_UP, _LEFT, _BELOW = _site_tables(
+    [(0, 1, 2), (1, 4, 3), (2, 3, 8), (3, 6, 9)], [(5, 0, 7), (7, 2, 9)], [(6, 7, 0), (7, 10, 1)]
+)
 
 
 class _LocalTV:
@@ -544,14 +550,15 @@ class _LocalTV:
 
     def delta(self, corners, sources, targets) -> tuple[int, int]:
         """TV(after the rewrite) - TV(now), as (a, b) counts; sources are
-        the blocks' current codes, listed in strip order as the scan lists
-        them."""
+        the blocks' current codes, and the blocks may be listed in either
+        order along their strip."""
         blocks = [(i // 2, j // 2) for i, j in corners]
-        key = sum(self.single(u, v, target) for (u, v), target in zip(blocks, targets))
-        if len(blocks) == 2:
-            (u1, v1), (u2, v2) = blocks
+        moves = sorted(zip(blocks, targets))  # in position order along the strip
+        key = sum(self.single(u, v, target) for (u, v), target in moves)
+        if len(moves) == 2:
+            ((u1, v1), first), ((u2, v2), second) = moves
             if abs(u2 - u1) + abs(v2 - v1) == 1:
-                key += self.correction(int(u1 == u2), u1, v1, *targets)
+                key += self.correction(int(u1 == u2), u1, v1, first, second)
         return _unkey(key)
 
     def apply(self, corners, targets) -> set[tuple[int, int]]:

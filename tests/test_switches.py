@@ -542,7 +542,7 @@ class TestAgainstReferences:
     @given(even_images)
     def test_local_tv_delta_is_exact(self, img):
         local = _LocalTV(img)
-        for _ in range(2):  # the second round runs on cached differences
+        for _ in range(2):  # the second round runs on the code grid after a move
             base = tv(img)
             moves = all_switches(img, FORWARD) + all_switches(img, REVERSED)
             for move in moves:
@@ -718,13 +718,20 @@ class TestLocalTVTables:
     def test_delta_is_exact_at_the_frame(self, m, n):
         # every block of a 2x6 or 6x2 image touches the frame, so every
         # neighbour pair's correction reads the code outside the image; the
-        # 4x4 images are a fixed sample of 4096
+        # 4x4 images are a fixed sample of 4096; each two-block move is also
+        # scored with its blocks listed against strip order, which
+        # apply_switch accepts
         words = range(1 << 12) if m * n == 12 else random.Random(0).sample(range(1 << 16), 4096)
         for word in words:
             img = BinaryImage(np.array([word >> b & 1 for b in range(m * n)], dtype=np.uint8).reshape(n, m))
             local = _LocalTV(img)
             base = tv(img)
             for move in all_switches(img, FORWARD) + all_switches(img, REVERSED):
-                after = tv(apply_switch(img, move))
-                got = local.delta(move.corners, codes(move.sources), codes(move.targets))
-                assert got == (after.a - base.a, after.b - base.b)
+                listed = [move]
+                if len(move.corners) == 2:
+                    reverse = {f: getattr(move, f)[::-1] for f in ("corners", "sources", "targets")}
+                    listed.append(dataclasses.replace(move, **reverse))
+                for each in listed:
+                    after = tv(apply_switch(img, each))
+                    got = local.delta(each.corners, codes(each.sources), codes(each.targets))
+                    assert got == (after.a - base.a, after.b - base.b)
