@@ -6,27 +6,31 @@ way in this package to decide noisy or k > 2 instances exactly.
 Every row, column and block is a window group: a set of cells that must
 hold between lo and hi ones (lo = hi = the line sum for a line,
 ``Instance.window`` for a block), and every cell lies in exactly three
-groups.  A partial assignment is kept while each group can still be
-completed, that is while used <= hi and used + free >= lo.
+groups.  Each group keeps two rooms: room1 = hi - used, the ones it may
+still take, and room0 = used + free - lo, the zeros.  Setting a cell to
+b takes one from room_b of its three groups and leaves their other
+rooms as they are, since used and free move by opposite amounts.  A
+partial assignment is kept while no room is below 0.
 
-One forcing rule runs everywhere: used == hi forces the free cells of a
-group to 0, used + free == lo forces them to 1.  It is the unit
+One forcing rule runs everywhere: a group with room_b at 0 forces its
+free cells, room0 + room1 - (hi - lo) of them, to 1 - b.  It is the unit
 propagation step of DPLL.  Pre-elimination applies it from every group
 with the pins counted, in two steps: one array sweep assigns every cell
-that some group forces and tests every group, then a queue of the groups
+that some group forces and tests every room, then a queue of the groups
 that still force runs the rule to fixpoint one cell at a time.  Forcing
 only adds assignments; as more cells are set, a group that fails keeps
-failing and a group that forces a cell either still forces it or
-fails.  So the fixpoint, or the contradiction, does not depend on the
-order in which groups force: the sweep and the queue reach the one the
-queue alone reaches.  On a 60x60 gadget board the
-sweep settles about 3450 of the 3600 cells, which the queue alone
-assigned one at a time in about 9.5k queue operations.
+failing and a group that forces a cell either still forces it or fails.
+So the fixpoint, or the contradiction, does not depend on the order in
+which groups force: the sweep and the queue reach the one the queue
+alone reaches.  On a 60x60 gadget board the sweep settles about 3450 of
+the 3600 cells, which the queue alone assigned one at a time in about
+9.5k queue operations.
 
-After each cell the search sets, propagation runs from that cell's three
-groups; backtracking undoes a trail of assigned cells.  The depth-first
-search branches on the cells pre-elimination left undecided, in a static
-order (bottom row up, left to right, 0 before 1), and steps over those
+After each cell the search sets, propagation runs from those of its
+groups whose room fell to 0: a room is tested only where it falls.
+Backtracking undoes a trail of assigned cells.  The depth-first search
+branches on the cells pre-elimination left undecided, in a static order
+(bottom row up, left to right, 0 before 1), and steps over those
 propagation has fixed since.  So propagation only cuts subtrees that
 hold no solution: the solutions and their order are those of a search
 that tests each cell against its own groups alone, which visits at
@@ -38,18 +42,18 @@ interpreter's recursion limit.
 A count needs no solution, only how many there are, and many vertices of
 one depth root the same subtree.  At depth d every unset cell lies at d
 or after, so a vertex's subtree depends only on d, the cells from d on
-and the used counts of the frontier groups, those with undecided cells
-both before d and at or after it.  The search holds only the cells
-pre-elimination leaves undecided, numbered in search order, so the
-cells from d on are one slice of its cell list, read as one bytes
-object.  A counting run records the (count, nodes) of each branching
-vertex whose subtree it has finished under that state, and adds the
-record when the state comes back, unless a cap falls inside the subtree.
-The answers are those of the walk: a node is counted whether it is
-walked or added from a record.  The records grow with the vertices
-expanded, not with the nodes counted: a 6x6 eps = 1 count of 858
-solutions over 11862 nodes records 157 vertices.  Runs that collect
-solutions keep no records.
+and the rooms for 1 of the frontier groups, those with undecided cells
+both before d and at or after it (hi - used is one-to-one with used).
+The search holds only the cells pre-elimination leaves undecided,
+numbered in search order, so the cells from d on are one slice of its
+cell list, read as one bytes object.  A counting run records the
+(count, nodes) of each branching vertex whose subtree it has finished
+under that state, and adds the record when the state comes back, unless
+a cap falls inside the subtree.  The answers are those of the walk: a
+node is counted whether it is walked or added from a record.  The
+records grow with the vertices expanded, not with the nodes counted: a
+6x6 eps = 1 count of 858 solutions over 11862 nodes records 157
+vertices.  Runs that collect solutions keep no records.
 
 A malformed instance (any ``validate_instance`` finding other than a sum
 mismatch) and a pin outside the grid or with a bit other than 0 or 1 raise
@@ -115,10 +119,11 @@ class _Search:
     then on the search numbers the cells still undecided 0, 1, ... in
     index order (``at`` maps them back to ``image``) and reads lists one
     entry at a time: ``cell`` holds their bits (2 while unset),
-    ``groups`` their three groups, ``members`` each group's cells among
-    them, and ``used``, ``free``, ``lo`` and ``hi`` the group counts and
-    bounds.  Every cell assigned after the sweep goes on ``trail``;
-    undoing the trail to a mark restores the state the mark was taken in.
+    ``sides[b]`` the sides 2g + b of each one's three groups g,
+    ``members`` each group's cells among them, ``room`` at side 2g + b
+    room_b of group g, and ``slack`` each group's hi - lo.  Every cell
+    assigned after the sweep goes on ``trail``; undoing the trail to a
+    mark restores the state the mark was taken in.
     """
 
     def __init__(self, inst: Instance, budget: SearchBudget, collect: bool):
@@ -133,102 +138,101 @@ class _Search:
         m, n = inst.m, inst.n
         self.cell_groups, self.sizes = _layout(inst.k, m, n)
         sums = np.array(inst.row_sums + inst.col_sums)
-        lo, hi = inst._windows()
-        self.lo = np.concatenate((sums, lo.ravel()))
-        self.hi = np.concatenate((sums, hi.ravel()))
+        self.lo, self.hi = (np.concatenate((sums, bound.ravel())) for bound in inst._windows())
         self.image = np.full(m * n, 2, dtype=np.int8)
         self.trail: list[int] = []
         self.undecided: list[int] = []
 
-    def _set(self, c: int, bit: int) -> None:
-        """Assign cell c and count it in its three groups; no group is tested."""
+    def _set(self, c: int, bit: int) -> list[int]:
+        """Assign cell c and take it from its groups' rooms for bit; returns the sides that fell to 0."""
         self.cell[c] = bit
         self.trail.append(c)
-        used, free = self.used, self.free
-        for g in self.groups[c]:
-            free[g] -= 1
-            used[g] += bit
+        room, fell = self.room, []
+        for side in self.sides[bit][c]:
+            left = room[side] - 1
+            room[side] = left
+            if left <= 0:
+                fell.append(side)
+        return fell
 
     def _undo(self, mark: int) -> None:
         """Unassign the cells trailed since the trail had length mark."""
-        cell, trail, used, free, groups = self.cell, self.trail, self.used, self.free, self.groups
+        cell, trail, room, sides = self.cell, self.trail, self.room, self.sides
         for c in trail[mark:]:
-            bit = cell[c]
+            for side in sides[cell[c]][c]:
+                room[side] += 1
             cell[c] = 2
-            for g in groups[c]:
-                free[g] += 1
-                used[g] -= bit
         del trail[mark:]
 
     def _propagate(self, queue: list[int]) -> bool:
-        """Test the queued groups and apply the forcing rule to fixpoint.
+        """Apply the forcing rule to fixpoint from the queued sides, whose rooms fell to 0 or below.
 
-        A group that can no longer be completed makes this return False.
-        A forcing group assigns its free cells and queues their other
-        groups in turn, so every group whose counts changed is tested
-        after its last change; the forcing group itself is then complete
-        and within its bounds, so it is not queued again.
+        A room below 0 makes this return False.  A side 2g + b at 0 forces
+        the free cells of group g to 1 - b, and each of them queues the
+        sides 2h + 1 - b of its groups h whose rooms fall to 0 or below, so
+        every room below 0 is tested.  Group g's own room ends at its slack.
         """
-        used, free, lo, hi = self.used, self.free, self.lo, self.hi
-        cell, trail, members, groups = self.cell, self.trail, self.members, self.groups
+        room, slack, members, sides = self.room, self.slack, self.members, self.sides
+        cell, trail = self.cell, self.trail
         while queue:
-            g = queue.pop()
-            u, f = used[g], free[g]
-            if u > hi[g] or u + f < lo[g]:
+            full = queue.pop()
+            if room[full] < 0:
                 return False
-            if f and (u == hi[g] or u + f == lo[g]):
-                bit = int(u != hi[g])
+            g, own = full >> 1, full ^ 1
+            free = room[own] - slack[g]  # room0 + room1 - (hi - lo), with room[full] == 0
+            if free:
+                bit = own & 1
+                taken = sides[bit]
                 for c in members[g]:
                     if cell[c] == 2:  # _set, inlined in the hottest loop
                         cell[c] = bit
                         trail.append(c)
-                        for h in groups[c]:
-                            free[h] -= 1
-                            used[h] += bit
-                            if h != g:
-                                queue.append(h)
-                        f -= 1
-                        if not f:
+                        for side in taken[c]:
+                            left = room[side] - 1
+                            room[side] = left
+                            if left <= 0 and side != own:
+                                queue.append(side)
+                        free -= 1
+                        if not free:
                             break
         return True
 
     def preeliminate(self) -> bool:
         """Apply the forcing rule from every group to fixpoint; False on a contradiction.
 
-        One array sweep counts the pinned cells into their groups, assigns
-        every cell some group forces, counts again and tests every group.
-        A group that fails before the sweep fails after it too, and a cell
+        One array sweep takes the pins from their groups' rooms, assigns
+        every cell some group forces, takes again and tests every room.  A
+        group that fails before the sweep fails after it too, and a cell
         forced both ways ends as 1 and fails the group that forced it to 0,
         so that one test finds both.  The state then moves into the lists
-        the search reads, and the groups that still force go to
-        `_propagate`.
+        the search reads, and the sides that still force go to `_propagate`.
         """
-        cell, cell_groups, lo, hi = self.image, self.cell_groups, self.lo, self.hi
-        size = len(self.sizes)
-        used = np.bincount(cell_groups[cell == 1].ravel(), minlength=size)
-        free = self.sizes - np.bincount(cell_groups[cell < 2].ravel(), minlength=size)
+        cell, cell_groups, size = self.image, self.cell_groups, len(self.sizes)
+
+        def rooms() -> np.ndarray:  # [g, b]: room_b of group g, from one count of each group's 0s, 1s and 2s
+            held = sum(np.bincount(3 * col + cell, minlength=3 * size) for col in cell_groups.T).reshape(size, 3)
+            return np.stack((self.sizes - self.lo - held[:, 0], self.hi - held[:, 1]), axis=1)
+
         undecided = cell == 2
-        zero = undecided & (used == hi)[cell_groups].any(axis=1)
-        one = undecided & (used + free == lo)[cell_groups].any(axis=1)
-        cell[zero], cell[one] = 0, 1  # 1 last: a cell forced both ways overfills its 0-forcing group
-        forced = zero | one
-        used += np.bincount(cell_groups[one].ravel(), minlength=size)
-        free -= np.bincount(cell_groups[forced].ravel(), minlength=size)
-        if np.any((used > hi) | (used + free < lo)):
+        hit = ((rooms() == 0) @ np.uint8((2, 1)))[cell_groups]  # 1 from a group forcing the cell to 0, 2 to 1
+        hit = (hit[:, 0] | hit[:, 1] | hit[:, 2]) * undecided
+        cell[hit == 1], cell[hit > 1] = 0, 1  # a cell forced both ways ends as 1 and overfills its 0-forcing group
+        room = rooms()
+        if room.min() < 0:
             return False
-        queue = np.flatnonzero((free > 0) & ((used == hi) | (used + free == lo))).tolist()
-        undecided &= ~forced
-        # from here on only the cells undecided now are set, undone or passed,
-        # so the search numbers them 0, 1, ... in index order and reads them,
-        # their groups and each group's members among them one at a time
-        self.at = np.flatnonzero(undecided)
-        groups = self.groups = list(map(tuple, cell_groups[self.at].tolist()))
+        slack = self.hi - self.lo
+        queue = np.flatnonzero((room == 0) & (room[:, 0] + room[:, 1] > slack)[:, None]).tolist()
+        # from here on only the cells undecided now are set, undone or passed, so the search
+        # numbers them 0, 1, ... in index order and reads them one at a time from lists
+        self.at = np.flatnonzero(undecided & (hit == 0))
+        at_groups = cell_groups[self.at]
+        self.sides = tuple(list(map(tuple, (2 * at_groups + b).tolist())) for b in (0, 1))
         members = self.members = {}
-        for c, three in enumerate(groups):
+        for c, three in enumerate(at_groups.tolist()):
             for g in three:
                 members.setdefault(g, []).append(c)
-        self.used, self.free, self.lo, self.hi = used.tolist(), free.tolist(), lo.tolist(), hi.tolist()
-        self.cell = [2] * len(groups)
+        self.room, self.slack = room.ravel().tolist(), slack.tolist()
+        self.cell = [2] * len(self.at)
         if not self._propagate(queue):
             return False
         self.undecided = [c for c, bit in enumerate(self.cell) if bit == 2]
@@ -240,29 +244,27 @@ class _Search:
         A run that only counts records the (count, nodes) of each branching
         vertex whose subtree it has finished, under the vertex's state: its
         depth d, the cells from ``undecided[d]`` to the last as they
-        stand, and the used counts of the frontier groups at d.  Nothing
+        stand, and the rooms for 1 of the frontier groups at d.  Nothing
         else reaches the subtree, so when the state comes back the recorded
         pair is added instead of walking the subtree again, provided
         neither cap falls inside it; otherwise the subtree is walked and
         the cap stops the run at the exact node or solution.
         """
         undecided = self.undecided
-        cell, trail, groups, used = self.cell, self.trail, self.groups, self.used
+        cell, trail, room = self.cell, self.trail, self.room
         set_, undo, propagate = self._set, self._undo, self._propagate
         max_nodes, max_solutions = self.budget.max_nodes, self.budget.max_solutions
         memo: dict | None = None if self.collect else {}
-        # the frontier groups at each depth d reached: those with undecided
-        # cells both before d and at or after it, that is, whose first cell
-        # in the search order lies before d and whose last lies at or after it
+        # the sides 2g + 1 of the frontier groups g at each depth d reached:
+        # those whose first undecided cell lies before d and whose last does not
         frontier: dict[int, tuple[int, ...]] = {}
-        span: dict[int, list[int]] = {}  # group: [first, last] position in undecided
+        span: dict[int, list[int]] = {}  # side 2g + 1: [first, last] position in undecided
         if memo is not None:
             for d, c in enumerate(undecided):
-                for g in groups[c]:
-                    span.setdefault(g, [d, d])[1] = d
+                for side in self.sides[1][c]:
+                    span.setdefault(side, [d, d])[1] = d
         branches: list[tuple[int, int, int]] = []  # (depth, trail mark, bit) of each branch taken
-        # (depth, state, count, nodes before it) of each branching vertex on
-        # the path whose subtree is being walked
+        # (depth, state, count, nodes before it) of each branching vertex on the path being walked
         opened: list[tuple[int, tuple, int, int]] = []
         depth = nodes = 0
         while True:
@@ -289,14 +291,13 @@ class _Search:
                 bit = 2  # a leaf has no child to try
             elif memo is not None:
                 if depth not in frontier:
-                    # from a list: tuple() of a generator grows the tuple by
-                    # reallocation, which left repeated counts about 1 MB
-                    # more peak RSS
-                    frontier[depth] = tuple([g for g, (first, last) in span.items() if first < depth <= last])
+                    # from a list: tuple() of a generator grows the tuple by reallocation,
+                    # which left repeated counts about 1 MB more peak RSS
+                    frontier[depth] = tuple([side for side, (first, last) in span.items() if first < depth <= last])
                 # the cells from depth on, 2 while unset; those among them that
                 # pre-elimination set read the same at every vertex
                 ahead = bytes(cell[undecided[depth]:])
-                state = (depth, ahead, *[used[g] for g in frontier[depth]])
+                state = (depth, ahead, *[room[side] for side in frontier[depth]])
                 known = memo.get(state)
                 if known and nodes + known[1] - 1 <= max_nodes and self.count + known[0] < max_solutions:
                     self.count += known[0]
@@ -310,8 +311,7 @@ class _Search:
                 if bit < 2:
                     c = undecided[depth]
                     mark = len(trail)
-                    set_(c, bit)
-                    if propagate(list(groups[c])):
+                    if propagate(set_(c, bit)):
                         branches.append((depth, mark, bit))
                         depth += 1
                         break
@@ -333,8 +333,8 @@ def _run(
 ) -> _Search:
     """Check the input, pin the fixed cells, pre-eliminate and search.
 
-    The pins are written before pre-elimination, which counts them and
-    tests every group.
+    The pins are written before pre-elimination, which takes them from
+    their groups' rooms and tests every room.
     """
     sums_agree = _require_well_formed(validate_instance(inst))
     s = _Search(inst, budget, collect)

@@ -548,10 +548,9 @@ class _LocalTV:
         new, old = rows[first * 17 + beside], rows[now * 17 + beside]
         return new[second] - new[next_now] - old[second] + old[next_now]
 
-    def delta(self, corners, sources, targets) -> tuple[int, int]:
-        """TV(after the rewrite) - TV(now), as (a, b) counts; sources are
-        the blocks' current codes, and the blocks may be listed in either
-        order along their strip."""
+    def delta(self, corners, targets) -> tuple[int, int]:
+        """TV(after the rewrite) - TV(now), as (a, b) counts; the blocks
+        may be listed in either order along their strip."""
         blocks = [(i // 2, j // 2) for i, j in corners]
         moves = sorted(zip(blocks, targets))  # in position order along the strip
         key = sum(self.single(u, v, target) for (u, v), target in moves)

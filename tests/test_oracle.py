@@ -365,9 +365,9 @@ def _chip_pins(sat: OneInThreeInstance, assignment: tuple[bool, ...]) -> dict[tu
     return fixed
 
 
-def _noisy6(seed: int) -> Instance:
-    """A 6x6 epsilon = 1 instance with half its blocks unreliable, as the benchmark draws them."""
-    inst = dataclasses.replace(make_exact_instance(random_image(6, 6, 0.5, seed), 2), epsilon=1)
+def _noisy6(seed: int, k: int = 2, epsilon: int = 1) -> Instance:
+    """A 6x6 instance with half its blocks unreliable, as the benchmark draws them at k = 2, epsilon = 1."""
+    inst = dataclasses.replace(make_exact_instance(random_image(6, 6, 0.5, seed), k), epsilon=epsilon)
     return perturb_instance(inst, 0.5, seed + 1)
 
 
@@ -587,3 +587,38 @@ class TestCountMemo:
         assert outcomes[0] == outcomes[1] == (858, 11862, True)
         # exact: a state that merges fewer vertices walks more subtrees again
         assert walked == [1835, 315]
+
+
+class TestPinnedOutcomes:
+    """The oracle's answers on a fixed sweep, pinned to one digest recorded before the search kept rooms.
+
+    The digest covers (count, nodes, exhausted) of counting runs under
+    several node caps, and the solutions in order, with ``exhausted``, of
+    `oracle_solve` and of `constrained_solve` with pins.  The sweep runs
+    on seeded 6x6 k = 2 instances at epsilon 1 and 2, a k = 3 epsilon = 1
+    instance, a k = 4 lift of a noisy instance and the 4-variable gadget
+    boards.  Any change to what the oracle answers, or to how many nodes
+    it visits, changes the digest.
+    """
+
+    DIGEST = "59a0522f193de0dd"
+
+    @staticmethod
+    def _sweep() -> str:
+        pins = {(1, 1): 1, (4, 3): 0, (6, 6): 1}
+        cases = [(_noisy6(seed, 2, eps), pins) for eps in (1, 2) for seed in range(6)]
+        cases += [(_noisy6(7, 3), pins), (lift_instance(_noisy6(3), 4), pins)]
+        for formula in (SAT, UNSAT):
+            board = gen_sat_instance(formula)
+            cases += [(board, _chip_pins(formula, a)) for a in ((True, True, False, True), (False,) * 4)]
+        h = hashlib.sha256()
+        for inst, fixed in cases:
+            for cap in (50, 500, 5000, 10**6):
+                s = oracle._run(inst, SearchBudget(max_nodes=cap), False, {})
+                h.update(repr((s.count, s.nodes, s.exhausted)).encode())
+            for sols, exhausted in (oracle_solve(inst), constrained_solve(inst, fixed)):
+                h.update(repr((len(sols), exhausted, _digest(sols))).encode())
+        return h.hexdigest()[:16]
+
+    def test_matches_record(self):
+        assert self._sweep() == self.DIGEST

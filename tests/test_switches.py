@@ -547,7 +547,7 @@ class TestAgainstReferences:
             moves = all_switches(img, FORWARD) + all_switches(img, REVERSED)
             for move in moves:
                 after = tv(apply_switch(img, move))
-                got = local.delta(move.corners, codes(move.sources), codes(move.targets))
+                got = local.delta(move.corners, codes(move.targets))
                 assert got == (after.a - base.a, after.b - base.b)
             if not moves:
                 break
@@ -733,5 +733,5 @@ class TestLocalTVTables:
                     listed.append(dataclasses.replace(move, **reverse))
                 for each in listed:
                     after = tv(apply_switch(img, each))
-                    got = local.delta(each.corners, codes(each.sources), codes(each.targets))
+                    got = local.delta(each.corners, codes(each.targets))
                     assert got == (after.a - base.a, after.b - base.b)
