@@ -80,11 +80,8 @@ choice order: forward classes 1 to 7, then reversed.
     another strip has a site that reads a changed cell, so every other
     entry stays exact.
   - Moves compare by their exact difference (an integer key of a +
-    b*sqrt(2)), then in the scan order of find_switch over both
-    directions: forward before reversed; classes 1 to 6, then 7;
-    horizontal strips bottom to top before vertical strips left to
-    right; pairs (p1 < p2) in lexicographic order; class 7 row by row.
-    That is the first least move of a full rescan.
+    b*sqrt(2)), then in find_switch's scan order, forward moves before
+    reversed ones.  That is the first least move of a full rescan.
   - Re-scoring a strip of len blocks takes O(len) per rule.  A pair of
     non-neighbours scores the sum of its two single differences, so each
     block is met with the best block of the other slot at least two
@@ -97,7 +94,9 @@ choice order: forward classes 1 to 7, then reversed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -152,11 +151,11 @@ def _rule_table() -> np.ndarray:
 
 
 _RULES = _rule_table()
-# _RULES as nested lists [d][o][r][i] of slot maps {code: target}
-_RULE_MAPS = [
-    [[[{c: t for c, t in enumerate(slot) if t != _NONE} for slot in rule] for rule in rules] for rules in by_o]
-    for by_o in _RULES.tolist()
-]
+# bit 4*r + 2*o + i of _SLOT_MARKS[d, c]: code c is in slot i of class r + 1,
+# orientation o and direction d; bit 24 is class 7, the highest
+_SLOT_MARKS = ((_RULES != _NONE) << np.arange(28, dtype=np.uint32).reshape(7, 2, 2, 1).swapaxes(0, 1)).sum(
+    axis=(1, 2, 3), dtype=np.uint32
+)
 
 
 def _index(what: str, value: str, allowed: tuple[str, str]) -> int:
@@ -179,51 +178,36 @@ class SwitchMove:
 # Scan-order enumeration
 # --------------------------------------------------------------------------
 
-def _pairs(strip: list[int], slot_a: dict, slot_b: dict) -> Iterator[tuple]:
-    """(p1, p2, sources, targets) of the matching pairs of a strip, p1 < p2."""
-    for p1, t1 in enumerate(strip):
-        if t1 in slot_a:
-            other, mine = slot_b, slot_a
-        elif t1 in slot_b:
-            other, mine = slot_a, slot_b
-        else:
+def _scan(codes: np.ndarray, direction: str) -> Iterator[tuple]:
+    """find_switch's moves of a code grid in order, as (cls, orientation,
+    corners, source codes, target codes).  Only the strips whose blocks'
+    slot marks, or-ed together, hold both slot bits of a rule are listed."""
+    d = _index("direction", direction, _DIRECTIONS)
+    marks = _SLOT_MARKS[d].take(codes)
+    # per orientation o, a strip's bit 4*r + 2*o: it holds both slots of class r + 1
+    both = [x & x >> 1 for x in (np.bitwise_or.reduce(marks, axis=1), np.bitwise_or.reduce(marks, axis=0))]
+    live = [int(np.bitwise_or.reduce(x)) for x in both]
+    for r, o in product(range(6), (0, 1)):
+        if not live[o] >> 4 * r + 2 * o & 1:
             continue
-        for p2 in range(p1 + 1, len(strip)):
-            t2 = strip[p2]
-            if t2 in other:
-                yield p1, p2, (t1, t2), (mine[t1], other[t2])
-
-
-def _scan(grid: list[list[int]], direction: str) -> Iterator[tuple]:
-    """All applicable moves of a code grid in the deterministic scan order.
-
-    Yields (cls, orientation, corners, source codes, target codes); grid[v]
-    holds the codes of the blocks at (2u+1, 2v+1).  Order: class
-    ascending; within a class horizontal strips before vertical; strips
-    bottom-to-top (left-to-right for vertical); block pairs within a strip
-    in lexicographic order.  Class 7 visits single blocks in horizontal
-    strip order.
-    """
-    rules = _RULE_MAPS[_index("direction", direction, _DIRECTIONS)]
-    strips = (grid, [list(col) for col in zip(*grid)])
-    present = [[set(strip) for strip in strips[o]] for o in (0, 1)]
-    for r in range(6):
-        for o, orientation in enumerate(_ORIENTATIONS):
-            slot_a, slot_b = rules[o][r]
-            for s, (strip, here) in enumerate(zip(strips[o], present[o])):
-                if here.isdisjoint(slot_a) or here.isdisjoint(slot_b):
-                    continue
-                for p1, p2, sources, targets in _pairs(strip, slot_a, slot_b):
-                    if o == 0:
-                        corners = ((2 * p1 + 1, 2 * s + 1), (2 * p2 + 1, 2 * s + 1))
-                    else:
-                        corners = ((2 * s + 1, 2 * p1 + 1), (2 * s + 1, 2 * p2 + 1))
-                    yield r + 1, orientation, corners, sources, targets
-    flip = rules[0][6][0]
-    for v, row in enumerate(grid):
-        for u, c in enumerate(row):
-            if c in flip:
-                yield 7, "horizontal", ((2 * u + 1, 2 * v + 1),), (c,), (flip[c],)
+        slot_a, slot_b = _RULES[d, o, r]
+        for s in np.flatnonzero(both[o] >> 4 * r + 2 * o & 1).tolist():
+            line = codes[s] if o == 0 else codes[:, s]
+            to_a, to_b = slot_a.take(line), slot_b.take(line)  # _NONE outside the slot
+            is_a, is_b = to_a != _NONE, to_b != _NONE
+            members, at_a, at_b = (np.flatnonzero(x).tolist() for x in (is_a | is_b, is_a, is_b))
+            line, to_a, to_b = line.tolist(), to_a.tolist(), to_b.tolist()
+            for p1 in members:
+                # a block in both slots (reversed class 3 reads B33 in both) takes slot A
+                mine, other, after = (to_a, to_b, at_b) if to_a[p1] != _NONE else (to_b, to_a, at_a)
+                for p2 in after[bisect_right(after, p1) :]:
+                    # (x, y) of blocks p1 and p2 of row s, swapped for column s
+                    corners = tuple((2 * p + 1, 2 * s + 1)[:: 1 - 2 * o] for p in (p1, p2))
+                    yield r + 1, _ORIENTATIONS[o], corners, (line[p1], line[p2]), (mine[p1], other[p2])
+    vs, us = np.nonzero(marks >= 1 << 24)  # class 7, bit 24
+    found = codes[vs, us]
+    for v, u, c, t in zip(vs.tolist(), us.tolist(), found.tolist(), _RULES[d, 0, 6, 0].take(found).tolist()):
+        yield 7, "horizontal", ((2 * u + 1, 2 * v + 1),), (c,), (t,)
 
 
 def _even_codes(img: BinaryImage) -> np.ndarray:
@@ -246,14 +230,22 @@ def _switch_move(direction: str, found: tuple) -> SwitchMove:
 
 
 def find_switch(img: BinaryImage, direction: str = FORWARD) -> Optional[SwitchMove]:
-    """First applicable rewrite under the documented scan order, if any."""
-    found = next(_scan(_even_codes(img).tolist(), direction), None)
+    """First applicable rewrite of one direction in the scan order, if any:
+    classes 1 to 6 in turn, horizontal strips bottom to top before vertical
+    ones left to right, a strip's pairs (p1 < p2) in lexicographic order,
+    a block in both slots of its rule (B33, reversed class 3) taking slot
+    A; then class 7, block by block, row by row."""
+    found = next(_scan(_even_codes(img), direction), None)
     return None if found is None else _switch_move(direction, found)
 
 
 def all_switches(img: BinaryImage, direction: str = FORWARD) -> list[SwitchMove]:
-    """Every applicable rewrite of one direction, in find_switch's scan order."""
-    return [_switch_move(direction, f) for f in _scan(_even_codes(img).tolist(), direction)]
+    """Every applicable rewrite of one direction, in find_switch's scan order.
+
+    The list holds every pair of a strip, so it grows as N**3 on an N x N
+    image: 254,203 forward moves on the raw random_image(320, 320, 0.3, 0).
+    """
+    return [_switch_move(direction, f) for f in _scan(_even_codes(img), direction)]
 
 
 def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
@@ -264,13 +256,14 @@ def apply_switch(img: BinaryImage, move: SwitchMove) -> BinaryImage:
     in one strip of its orientation (either one names class 7).
     """
     o = _index("orientation", move.orientation, _ORIENTATIONS)
-    rules = _RULE_MAPS[_index("direction", move.direction, _DIRECTIONS)][0 if move.cls == 7 else o]
-    slots = rules[move.cls - 1] if move.cls in range(1, 8) else ({}, {})
+    d = _index("direction", move.direction, _DIRECTIONS)
+    rule = (d, 0 if move.cls == 7 else o, move.cls - 1)
+    slots = _RULES[rule].tolist() if move.cls in range(1, 8) else [[_NONE] * 16] * 2
     rewrites = [(s.value, t.value) for s, t in zip(move.sources, move.targets)]
     corners = move.corners
     if not (
         len(corners) == len(move.sources) == len(move.targets) == (1 if move.cls == 7 else 2)
-        and any(all(slot.get(s) == t for slot, (s, t) in zip(order, rewrites)) for order in (slots, slots[::-1]))
+        and any(all(slot[s] == t for slot, (s, t) in zip(order, rewrites)) for order in (slots, slots[::-1]))
         # one strip: a single coordinate across it and distinct ones along it
         and len({c[1 - o] for c in corners}) == 1 and len({c[o] for c in corners}) == len(corners)
     ):
@@ -584,9 +577,9 @@ class _LocalTV:
 _ROLES = [
     [
         tuple(
-            (rule, a.get(c), b.get(c))
-            for rule, (a, b) in enumerate(_RULE_MAPS[0][o] + _RULE_MAPS[1][o])
-            if c in a or c in b
+            (rule, None if a == _NONE else a, None if b == _NONE else b)
+            for rule, (a, b) in enumerate(_RULES[:, o, ..., c].reshape(14, 2).tolist())
+            if (a, b) != (_NONE, _NONE)
         )
         for c in range(16)
     ]
@@ -616,11 +609,11 @@ def _best_pair(local: _LocalTV, o: int, s: int, members: list) -> tuple:
     """Least (key, p1, p2, targets) over the pairs of one rule in a strip.
 
     members are the rule's members in the strip, by position.  As in
-    _pairs, a block of slot A comes first in a pair, then one of slot B,
-    unless the first block is in slot B only.  A pair of non-neighbours
-    scores the sum of its singles, so each block as second meets the best
-    first block before the previous member (the smallest position on
-    ties) and the previous member itself, whose sum of singles
+    find_switch's scan, a block of slot A comes first in a pair, then one
+    of slot B, unless the first block is in slot B only.  A pair of
+    non-neighbours scores the sum of its singles, so each block as second
+    meets the best first block before the previous member (the smallest
+    position on ties) and the previous member itself, whose sum of singles
     _LocalTV.correction completes when it is the block's neighbour.
     """
     best = _NO_MOVE

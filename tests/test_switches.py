@@ -23,10 +23,12 @@ from drtomo.switches import (
     REVERSED,
     SwitchMove,
     TVValue,
+    _DIRECTIONS,
     _H_RULES,
     _KA,
     _KB,
     _NONE,
+    _ORIENTATIONS,
     _RULES,
     _V_RULES,
     _LocalTV,
@@ -43,7 +45,7 @@ from drtomo.switches import (
 )
 
 import tv_reference
-from switch_reference import reduce_by_steps, reduce_rows, tv_descend_full
+from switch_reference import apply_switch_by_maps, reduce_by_steps, reduce_rows, scan_switches, tv_descend_full
 
 T = BlockType
 
@@ -125,6 +127,39 @@ class TestReversedClassThreeTargets:
         assert [(mv.orientation, mv.cls, mv.corners, mv.sources, mv.targets) for mv in class3] == [want]
 
 
+@st.composite
+def placed_moves(draw):
+    """SwitchMoves of classes 0 to 8 on the blocks of an 8x8 image.
+
+    Sources and targets are drawn from all 16 codes, or mostly from the
+    slots of a table rule (the move's own or any other); the blocks mostly
+    lie in one strip of the move's orientation, else in one strip of the
+    other or in strips of their own.  About one move in ten is a rewrite
+    of the table.
+    """
+    often = st.sampled_from([True] * 4 + [False])
+    cls = draw(st.integers(0, 8))
+    direction, orientation = draw(st.sampled_from(_DIRECTIONS)), draw(st.sampled_from(_ORIENTATIONS))
+    o = _ORIENTATIONS.index(orientation)
+    own = (_DIRECTIONS.index(direction), 0 if cls == 7 else o, cls - 1)
+    any_rule = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 6))
+    rule = own if cls in range(1, 8) and draw(often) else draw(any_rule)
+    n = (1 if cls == 7 else 2) if draw(often) else draw(st.integers(1, 2))
+    sources, targets = [], []
+    for slot in _RULES[rule][draw(st.permutations([0, 1]))[:n]]:
+        members = np.flatnonzero(slot != _NONE).tolist()
+        source = draw(st.sampled_from(members)) if members and draw(often) else draw(st.integers(0, 15))
+        mapped = slot[source] != _NONE and draw(often)
+        sources.append(T(source))
+        targets.append(T(int(slot[source]) if mapped else draw(st.integers(0, 15))))
+    axis = o if draw(often) else 1 - o
+    lines = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    across = [draw(st.integers(0, 3))] * n if draw(often) else draw(lines)
+    blocks = [(p, q) if axis == 0 else (q, p) for p, q in zip(draw(lines), across)]
+    corners = tuple((2 * u + 1, 2 * v + 1) for u, v in blocks)
+    return SwitchMove(orientation, cls, direction, corners, tuple(sources), tuple(targets))
+
+
 class TestApplySwitch:
     def test_class_one_rewrite(self):
         img = image_of_types({(1, 1): T.A11, (3, 1): T.B2}, 4, 2)
@@ -182,11 +217,24 @@ class TestApplySwitch:
             apply_switch(img, move)
 
     def test_reversed_pair_order_accepted(self):
-        # _pairs lists a slot-B block first when it comes first in its strip
+        # the scan lists a slot-B block first when it comes first in its strip
         img = image_of_types({(1, 1): T.B33, (3, 1): T.A21}, 4, 2)
         move = SwitchMove("horizontal", 1, REVERSED, ((1, 1), (3, 1)), (T.B33, T.A21), (T.B2, T.A11))
         assert move in all_switches(img, REVERSED)
         assert signature(apply_switch(img, move)) == signature(img)
+
+    @settings(max_examples=500, deadline=None)
+    @given(placed_moves())
+    def test_accepts_exactly_the_moves_the_slot_maps_accept(self, move):
+        img = image_of_types(dict(zip(move.corners, move.sources)), 8, 8)
+
+        def outcome(apply):
+            try:
+                return apply(img, move)
+            except ValueError as error:
+                return str(error)
+
+        assert outcome(apply_switch) == outcome(apply_switch_by_maps)
 
 
 class TestNamedValues:
@@ -554,6 +602,44 @@ class TestAgainstReferences:
             local.apply(moves[0].corners, codes(moves[0].targets))
             img = apply_switch(img, moves[0])
             assert local.image() == img
+
+
+def scan_matches_reference(img: BinaryImage) -> None:
+    for direction in (FORWARD, REVERSED):
+        want = list(scan_switches(img, direction))
+        assert all_switches(img, direction) == want
+        assert find_switch(img, direction) == (want[0] if want else None)
+
+
+class TestScanMatchesReference:
+    """find_switch and all_switches against the list engine of tests/switch_reference.py."""
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (2, 6), (6, 2)])
+    def test_every_small_image(self, m, n):
+        for bits in (np.arange(1 << m * n)[:, None] >> np.arange(m * n) & 1).astype(np.uint8).reshape(-1, n, m):
+            scan_matches_reference(BinaryImage(bits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(even_images)
+    def test_drawn_images(self, img):
+        scan_matches_reference(img)
+
+    def test_random_images_up_to_64x64(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            m, n = 2 * rng.randint(1, 32), 2 * rng.randint(1, 32)
+            img = random_image(m, n, rng.uniform(0.1, 0.9), rng.randrange(2**31))
+            scan_matches_reference(img)
+            scan_matches_reference(reduce(img))
+
+    def test_first_move_on_random_images_up_to_256x256(self):
+        rng = random.Random(12)
+        for _ in range(24):
+            m, n = 2 * rng.randint(1, 128), 2 * rng.randint(1, 128)
+            img = random_image(m, n, rng.uniform(0.1, 0.9), rng.randrange(2**31))
+            for each in (img, reduce(img)):
+                for direction in (FORWARD, REVERSED):
+                    assert find_switch(each, direction) == next(scan_switches(each, direction), None)
 
 
 class TestDescentMatchesFullRecompute:

@@ -1,15 +1,17 @@
 """The rescanning TV descent, kept as the differential reference.
 
 `tv_descend` here scans every applicable move of both directions at every
-step (`switches._scan`) and scores each through a cache of single-block
-differences (`_LocalTV`).  `drtomo.switches.tv_descend` keeps a best move
-per strip instead; its `on_step` traces and outputs must equal these.
+step with the reference scan, `switch_reference._scan`, and scores each
+through a cache of single-block differences (`_LocalTV`).
+`drtomo.switches.tv_descend` keeps a best move per strip instead; its
+`on_step` traces and outputs must equal these.
 """
 
 import numpy as np
 
 from drtomo.model import BinaryImage, Corner, Instance, _codes, verify_solution
-from drtomo.switches import FORWARD, REVERSED, TVValue, _scan, _sign, _switch_move, tv
+from drtomo.switches import FORWARD, REVERSED, TVValue, _sign, _switch_move, tv
+from switch_reference import _scan
 
 
 class _LocalTV:
