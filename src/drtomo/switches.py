@@ -16,6 +16,11 @@ slot.  Class 7 is slot A of r = 6 under o = 0 only, as find_switch scans
 it.  Numbered 7*d + r, the rules of one orientation come in tv_descend's
 choice order: forward classes 1 to 7, then reversed.
 
+The scan, the fixpoint and the reversed test find the strips that hold
+both slots of a rule in one pass (_strip_pass) over one per-code mark
+table: bit 4*r + 2*o + i of _SLOT_MARKS[d, c] marks code c in slot i of
+class r + 1, orientation o and direction d (bit 24 marks class 7).
+
 - `reduce` runs each strip to its own fixpoint under classes 1 to 6,
   horizontal strips first, then flips every remaining anti-diagonal block
   at once.  A strip is two adjacent lines, a slot one side of a two-block
@@ -60,9 +65,9 @@ choice order: forward classes 1 to 7, then reversed.
       first) and no B2 (class 1 would take its A1), so class 2 never
       fires again and its C2 feed no class 4.
 - `has_reversed_switch` answers from the same codes: any B33 block
-  admits the reversed class-7 flip.  Every other reversed rule but class
-  6 reads a B33, so without one the answer is whether some strip holds
-  a code of each slot of reversed class 6.
+  admits the reversed class-7 flip.  Without one, no code lies in both
+  slots of a rule, so a rule of classes 1 to 6 applies iff some strip
+  holds a code of each of its slots.
 - `tv_descend` scores a move by the change of total variation over the
   gradient sites that read one of its at most 8 changed cells.  A site
   (p, q) reads cells (p, q), (p+1, q) and (p, q+1), so every other site
@@ -156,6 +161,17 @@ _RULES = _rule_table()
 _SLOT_MARKS = ((_RULES != _NONE) << np.arange(28, dtype=np.uint32).reshape(7, 2, 2, 1).swapaxes(0, 1)).sum(
     axis=(1, 2, 3), dtype=np.uint32
 )
+_PAIR_BITS = 0x111111  # bit 4*r of classes 1 to 6, shifted by 2*o for orientation o
+
+
+def _strip_pass(marks: np.ndarray, o: int) -> tuple[np.ndarray, int]:
+    """Per orientation-o strip of a grid of _SLOT_MARKS (rows for o = 0),
+    x & x >> 1 of its or-ed marks x, whose bit 4*r + 2*o is set iff the
+    strip holds a code of each slot of class r + 1, and the or over all
+    strips masked to those bits; the other bits straddle two slots."""
+    x = np.bitwise_or.reduce(marks, axis=1 - o)
+    both = x & x >> 1
+    return both, int(np.bitwise_or.reduce(both)) & _PAIR_BITS << 2 * o
 
 
 def _index(what: str, value: str, allowed: tuple[str, str]) -> int:
@@ -184,9 +200,7 @@ def _scan(codes: np.ndarray, direction: str) -> Iterator[tuple]:
     slot marks, or-ed together, hold both slot bits of a rule are listed."""
     d = _index("direction", direction, _DIRECTIONS)
     marks = _SLOT_MARKS[d].take(codes)
-    # per orientation o, a strip's bit 4*r + 2*o: it holds both slots of class r + 1
-    both = [x & x >> 1 for x in (np.bitwise_or.reduce(marks, axis=1), np.bitwise_or.reduce(marks, axis=0))]
-    live = [int(np.bitwise_or.reduce(x)) for x in both]
+    both, live = zip(*(_strip_pass(marks, o) for o in (0, 1)))
     for r, o in product(range(6), (0, 1)):
         if not live[o] >> 4 * r + 2 * o & 1:
             continue
@@ -289,20 +303,9 @@ _TRANSPOSED = np.array([c & 9 | (c & 2) << 1 | (c & 4) >> 1 for c in range(16)],
 
 
 # The strip fixpoint's steps, horizontal forward classes 1, 3, 2, 4, 5
-# and 6 (module docstring): per step, which codes lie in each of its two
-# slots and each code's target.  Bit 2*s + i of _STEP_MARKS[c] marks code
-# c in slot i of step s.
-_STEP_RULES = _RULES[0, 0, [0, 2, 1, 3, 4, 5]]
-_STEPS = [(a != _NONE, b != _NONE, np.minimum(a, b)) for a, b in _STEP_RULES]
-_STEP_MARKS = ((_STEP_RULES != _NONE) << np.arange(12, dtype=np.uint16).reshape(6, 2, 1)).sum(
-    axis=(0, 1), dtype=np.uint16
-)
-
-
-def _live_steps(codes: np.ndarray) -> int:
-    """Bit 2*s set iff some row of a code grid holds both slots of step s."""
-    marks = np.bitwise_or.reduce(_STEP_MARKS.take(codes), axis=1)
-    return int(np.bitwise_or.reduce(marks & marks >> 1)) & 0x555
+# and 6 (module docstring): per step, its class index r, which codes lie in
+# each of its two slots and each code's target.
+_STEPS = [(r, *(_RULES[0, 0, r] != _NONE), _RULES[0, 0, r].min(axis=0)) for r in (0, 2, 1, 3, 4, 5)]
 
 
 def _reduce_strips(codes: np.ndarray) -> bool:
@@ -313,17 +316,17 @@ def _reduce_strips(codes: np.ndarray) -> bool:
     rewrites the first n blocks of each slot in position order, n the
     smaller slot count.  A step no strip holds both slots of is skipped.
     """
-    live = _live_steps(codes)
+    live = _strip_pass(_SLOT_MARKS[0].take(codes), 0)[1]
     moved = live != 0
-    for s, (in_a, in_b, target) in enumerate(_STEPS):
-        if not live >> 2 * s & 1:
+    for s, (r, in_a, in_b, target) in enumerate(_STEPS):
+        if not live >> 4 * r & 1:
             continue
         a, b = in_a.take(codes), in_b.take(codes)
         rank_a, rank_b = a.cumsum(axis=1, dtype=np.int32), b.cumsum(axis=1, dtype=np.int32)
         move = a & (rank_a <= rank_b[:, -1:]) | b & (rank_b <= rank_a[:, -1:])
         np.copyto(codes, target.take(codes), where=move)
         if s < len(_STEPS) - 1:
-            live = _live_steps(codes)
+            live = _strip_pass(_SLOT_MARKS[0].take(codes), 0)[1]
     return moved
 
 
@@ -348,12 +351,6 @@ def reduce(img: BinaryImage) -> BinaryImage:
     return BinaryImage(_decode(codes))
 
 
-# bit 2*o + i of _REVERSED_SIX[c]: code c lies in slot i of reversed class 6, orientation o
-_REVERSED_SIX = ((_RULES[1, :, 5] != _NONE) << np.arange(4, dtype=np.uint8).reshape(2, 2, 1)).sum(
-    axis=(0, 1), dtype=np.uint8
-)
-
-
 def has_reversed_switch(img: BinaryImage) -> bool:
     """Whether find_switch(img, REVERSED) finds a move."""
     return _has_reversed_switch(_even_codes(img))
@@ -363,12 +360,10 @@ def _has_reversed_switch(codes: np.ndarray) -> bool:
     """has_reversed_switch of the image with this code grid."""
     if (codes == _B33).any():
         return True  # the reversed class-7 flip
-    # every other reversed rule but class 6 reads a B33, and class 6
-    # applies iff some strip holds a code of each of its slots
-    marks = _REVERSED_SIX.take(codes)
-    rows = np.bitwise_or.reduce(marks, axis=1) & 3  # horizontal strips
-    columns = np.bitwise_or.reduce(marks, axis=0) >> 2  # vertical strips
-    return bool((rows == 3).any() or (columns == 3).any())
+    # B33 is the one code in both slots of a rule (reversed class 3), so
+    # from here a strip holding both slots of a rule holds a pair of it
+    marks = _SLOT_MARKS[1].take(codes)
+    return bool(_strip_pass(marks, 0)[1] or _strip_pass(marks, 1)[1])
 
 
 # --------------------------------------------------------------------------
@@ -376,17 +371,11 @@ def _has_reversed_switch(codes: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 def _sign(da: int, db: int) -> int:
-    """Sign of da + db*sqrt(2) without floating point."""
-    if da >= 0 and db >= 0:
-        return 1 if (da or db) else 0
-    if da <= 0 and db <= 0:
-        return -1
-    # mixed signs: compare da^2 against 2*db^2 on the dominant side
-    lhs = da * da
-    rhs = 2 * db * db
-    if da > 0:  # db < 0: positive iff da > -db*sqrt(2)
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1  # da < 0, db > 0
+    """Sign of da + db*sqrt(2) without floating point: the sign of the
+    term of larger magnitude, |da| against |db|*sqrt(2) compared squared
+    (they are equal only at 0, as sqrt(2) is irrational)."""
+    x = da if da * da > 2 * db * db else db
+    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from drtomo.switches import (
     _NONE,
     _ORIENTATIONS,
     _RULES,
+    _SLOT_MARKS,
     _V_RULES,
     _LocalTV,
     _reduce_strips,
@@ -401,6 +403,14 @@ class TestRuleTable:
         assert np.flatnonzero(_RULES[1, 0, 6, 0] != _NONE).tolist() == [T.B33.value]
         assert (_RULES[:, 0, 6, 1] == _NONE).all() and (_RULES[:, 1, 6] == _NONE).all()
 
+    def test_slot_marks_are_the_table_bit_by_bit(self):
+        # the one mark layout the scan, the strip fixpoint and the reversed test read
+        marks = _SLOT_MARKS.tolist()
+        for d, o, r, i, c in np.ndindex(2, 2, 6, 2, 16):
+            assert marks[d][c] >> 4 * r + 2 * o + i & 1 == (_RULES[d, o, r, i, c] != _NONE), (d, o, r, i, c)
+        # bit 24, the highest, is class 7
+        assert np.array_equal(_SLOT_MARKS >> 24, _RULES[:, 0, 6, 0] != _NONE)
+
 
 class TestReduce:
     def test_single_antidiagonal(self):
@@ -609,6 +619,7 @@ def scan_matches_reference(img: BinaryImage) -> None:
         want = list(scan_switches(img, direction))
         assert all_switches(img, direction) == want
         assert find_switch(img, direction) == (want[0] if want else None)
+    assert has_reversed_switch(img) == bool(want)  # want lists the reversed moves
 
 
 class TestScanMatchesReference:
@@ -786,6 +797,23 @@ class TestLocalTVTables:
                 key = a * _KA + b * _KB
                 assert (key > 0) - (key < 0) == _sign(a, b), (a, b)
                 assert _unkey(key) == (a, b)
+
+    def test_sign_matches_a_60_digit_decimal_sum(self):
+        # an independent comparison on pairs up to 10**12, with the
+        # convergents of sqrt(2) and their neighbours as the near ties
+        rng = random.Random(13)
+        pairs = [(rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)) for _ in range(2000)]
+        pairs += [(rng.randint(-10**12, 10**12), 0) for _ in range(50)] + [(0, 0)]
+        p, q = 1, 1
+        while p <= 10**12:  # p**2 - 2*q**2 = +-1
+            pairs += [(p + e, -q) for e in (-1, 0, 1)] + [(-p - e, q) for e in (-1, 0, 1)]
+            p, q = p + 2 * q, p + q
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = Decimal(2).sqrt()
+            for a, b in pairs:
+                exact = a + b * root
+                assert _sign(a, b) == (exact > 0) - (exact < 0), (a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(even_images)

@@ -10,8 +10,24 @@ through a cache of single-block differences (`_LocalTV`).
 import numpy as np
 
 from drtomo.model import BinaryImage, Corner, Instance, _codes, verify_solution
-from drtomo.switches import FORWARD, REVERSED, TVValue, _sign, _switch_move, tv
+from drtomo.switches import FORWARD, REVERSED, TVValue, _switch_move, tv
 from switch_reference import _scan
+
+
+def _sign(da: int, db: int) -> int:
+    """Sign of da + db*sqrt(2) without floating point, by case analysis; a
+    copy of its own, so the descent here does not share the comparison of
+    the one it checks."""
+    if da >= 0 and db >= 0:
+        return 1 if (da or db) else 0
+    if da <= 0 and db <= 0:
+        return -1
+    # mixed signs: compare da^2 against 2*db^2 on the dominant side
+    lhs = da * da
+    rhs = 2 * db * db
+    if da > 0:  # db < 0: positive iff da > -db*sqrt(2)
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1  # da < 0, db > 0
 
 
 class _LocalTV:
